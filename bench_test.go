@@ -369,6 +369,18 @@ func BenchmarkAlgorithmOnAck(b *testing.B) {
 	}
 }
 
+// BenchmarkIdentifyMix measures the scalar cache-miss pipeline over the
+// 14 algorithms round-robin under measured-database conditions, one fresh
+// seed per op through a reused core.Session.
+func BenchmarkIdentifyMix(b *testing.B) {
+	ctx := benchCtx(b)
+	model, err := ctx.Model()
+	if err != nil {
+		b.Fatal(err)
+	}
+	bench.IdentifyMix(model)(b)
+}
+
 // BenchmarkIdentifyBatch measures the batch identification engine: many
 // (server, condition) jobs through a pretrained model on the bounded
 // worker pool with per-worker sessions, the production

@@ -28,6 +28,7 @@ import (
 	"repro/internal/service"
 	"repro/internal/telemetry"
 	"repro/internal/websim"
+	"repro/internal/xrand"
 )
 
 // Suite builds the hot-path benchmark cases against ctx's (lazily trained
@@ -42,6 +43,7 @@ func Suite(ctx *experiments.Context) ([]Case, error) {
 	cases := []Case{
 		{Name: "probe/gather_env", Bench: GatherSession()},
 		{Name: "feature/extract", Bench: FeatureExtraction()},
+		{Name: "core/identify_mix", Bench: IdentifyMix(model)},
 		{Name: "engine/identify_batch", Bench: IdentifyBatch(model, 64)},
 		{Name: "pcap/ingest", Bench: PcapIngest(model)},
 		{Name: "pcap/stream_ingest", Bench: PcapStreamIngest()},
@@ -159,6 +161,45 @@ func FeatureExtraction() func(*testing.B) {
 		for i := 0; i < b.N; i++ {
 			feature.ExtractWith(&sc, ta, tb)
 		}
+	}
+}
+
+// IdentifyMix measures the scalar cache-miss pipeline on the traffic the
+// service sees: one op is one Session.Identify with a fresh seed, the 14
+// algorithms round-robin, each under its own measured-database condition
+// (lossless, lossy and high-RTT paths alike), through one reused
+// core.Session. Where service/identify_miss probes CUBIC2 at 0.5% loss
+// only, this weights every algorithm's per-ACK cost, HSTCP's included.
+// The reseeded RNG and prebuilt servers keep it at 0 allocs/op.
+func IdentifyMix(model classify.Classifier) func(*testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		names := cc.CAAINames()
+		servers := make([]*websim.Server, len(names))
+		for i, name := range names {
+			servers[i] = websim.Testbed(name)
+		}
+		db := netem.MeasuredDatabase()
+		sess := core.NewIdentifier(model).NewSession()
+		rng := xrand.New(0)
+		identify := func(i int, seed int64) bool {
+			xrand.Reseed(rng, seed)
+			cond := db.Sample(rng)
+			return sess.Identify(servers[i%len(servers)], cond, probe.Config{}, rng).Valid
+		}
+		// Grow the session's buffers on a few rounds of every algorithm
+		// under seeds the timed loop never uses.
+		for i := 0; i < 4*len(servers); i++ {
+			identify(i, -1-int64(i))
+		}
+		b.ResetTimer()
+		valid := 0
+		for i := 0; i < b.N; i++ {
+			if identify(i, int64(i)*1_000_003+1) {
+				valid++
+			}
+		}
+		b.ReportMetric(float64(valid)/float64(b.N)*100, "valid-%")
 	}
 }
 

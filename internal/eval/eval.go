@@ -304,8 +304,14 @@ func Run(id *core.Identifier, cfg Config) *Matrix {
 	// Finalize per-scenario stats: accuracy, moments, and drift from the
 	// reference (first) scenario, normalized by the pooled per-feature
 	// standard deviation so every feature contributes on a common scale.
+	// The pool sums in scenario order, not map order, so the floats (and
+	// the written point) are the same on every run.
 	var pooled moments
-	for _, mom := range perScenario {
+	for _, sc := range cfg.Scenarios {
+		mom := perScenario[sc.Name]
+		if mom == nil {
+			continue
+		}
 		pooled.n += mom.n
 		for f := 0; f < feature.NumFeatures; f++ {
 			pooled.sum[f] += mom.sum[f]

@@ -59,6 +59,30 @@ func TestRunDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestRunDriftIsRepeatable: the per-scenario drift pools feature moments
+// across scenarios; summed in map order, the floats differed in their last
+// bits from run to run once there were three or more scenarios, so the
+// written ACCURACY point was not byte-stable.
+func TestRunDriftIsRepeatable(t *testing.T) {
+	id := core.NewIdentifier(stub{label: "CUBIC2", conf: 1})
+	cfg := Config{
+		Algorithms: []string{"CUBIC2", "RENO", "HSTCP"},
+		Scenarios:  DefaultScenarios(),
+		Budgets:    []ProbeBudget{{Name: "paper"}},
+		Trials:     2,
+		Seed:       42,
+	}
+	want := Run(id, cfg).ByScenario
+	for i := 0; i < 8; i++ {
+		got := Run(id, cfg).ByScenario
+		for name, ws := range want {
+			if gs := got[name]; gs.Drift != ws.Drift {
+				t.Fatalf("run %d: scenario %s drift %v, first run %v", i+1, name, gs.Drift, ws.Drift)
+			}
+		}
+	}
+}
+
 func TestRunAccountsOutcomes(t *testing.T) {
 	id := core.NewIdentifier(stub{label: "CUBIC2", conf: 1})
 	m := Run(id, smallConfig())

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -148,5 +149,109 @@ func TestGEBurstiness(t *testing.T) {
 	}
 	if conditional < 2*marginal {
 		t.Fatalf("losses do not cluster: P(loss|loss) = %.4f vs marginal %.4f", conditional, marginal)
+	}
+}
+
+// refPath is Path.Drop as it was before Path cached the loss fields: the
+// uniform case through the value-receiver Condition.Drop, the
+// Gilbert–Elliott case reading the condition directly. The cached Path
+// must reproduce it draw for draw.
+type refPath struct {
+	cond Condition
+	bad  bool
+}
+
+func (p *refPath) Drop(rng *rand.Rand) bool {
+	c := p.cond
+	if c.GEBadLoss <= 0 {
+		return c.Drop(rng)
+	}
+	if p.bad {
+		if c.GEPBadGood > 0 && rng.Float64() < c.GEPBadGood {
+			p.bad = false
+		}
+	} else {
+		if c.GEPGoodBad > 0 && rng.Float64() < c.GEPGoodBad {
+			p.bad = true
+		}
+	}
+	loss := c.GEGoodLoss
+	if p.bad {
+		loss = c.GEBadLoss
+	}
+	return loss > 0 && rng.Float64() < loss
+}
+
+// dropModes are the three shapes Path.Drop distinguishes.
+var dropModes = []struct {
+	name string
+	cond Condition
+}{
+	{"plain", Condition{MeanRTT: 80 * time.Millisecond}},
+	{"uniform", Condition{LossRate: 0.03}},
+	{"burst", Condition{GEPGoodBad: 0.05, GEPBadGood: 0.4, GEGoodLoss: 0.002, GEBadLoss: 0.3}},
+}
+
+// sameDrops drives p and ref with equally seeded generators and fails at
+// the first diverging outcome, or when they consumed different numbers of
+// draws.
+func sameDrops(t *testing.T, p interface{ Drop(*rand.Rand) bool }, ref interface{ Drop(*rand.Rand) bool }, seed int64) {
+	t.Helper()
+	r1, r2 := xrand.New(seed), xrand.New(seed)
+	for i := 0; i < 50_000; i++ {
+		if p.Drop(r1) != ref.Drop(r2) {
+			t.Fatalf("draw %d diverged from the reference", i)
+		}
+	}
+	if r1.Uint64() != r2.Uint64() {
+		t.Fatal("Path.Drop consumed a different number of draws than the reference")
+	}
+}
+
+// TestPathDropMatchesReference: for plain, uniform-loss and
+// Gilbert–Elliott conditions, Path.Drop reproduces the uncached
+// Condition.Drop / Gilbert–Elliott sequence draw for draw.
+func TestPathDropMatchesReference(t *testing.T) {
+	for _, mode := range dropModes {
+		t.Run(mode.name, func(t *testing.T) {
+			sameDrops(t, NewPath(mode.cond), &refPath{cond: mode.cond}, 41)
+		})
+	}
+}
+
+// TestPathResetReplacesCachedCondition: after Reset(c1) then Reset(c2), a
+// Path draws exactly like a fresh path over c2, whatever c1 was -- the
+// cached loss fields follow the latest Reset.
+func TestPathResetReplacesCachedCondition(t *testing.T) {
+	for _, from := range dropModes {
+		for _, to := range dropModes {
+			t.Run(from.name+"->"+to.name, func(t *testing.T) {
+				p := NewPath(from.cond)
+				p.Drop(xrand.New(1)) // leave some channel state behind
+				p.Reset(from.cond)
+				p.Reset(to.cond)
+				sameDrops(t, p, &refPath{cond: to.cond}, 43)
+			})
+		}
+	}
+}
+
+// TestZeroPathResetMatchesNewPath: a zero Path made usable by Reset (the
+// pattern of callers that keep paths in a slice) draws exactly like
+// NewPath, and a zero Path that was never reset never drops.
+func TestZeroPathResetMatchesNewPath(t *testing.T) {
+	for _, mode := range dropModes {
+		t.Run(mode.name, func(t *testing.T) {
+			var p Path
+			p.Reset(mode.cond)
+			sameDrops(t, &p, NewPath(mode.cond), 47)
+		})
+	}
+	var zero Path
+	rng := xrand.New(5)
+	for i := 0; i < 1000; i++ {
+		if zero.Drop(rng) {
+			t.Fatal("a zero Path dropped a packet")
+		}
 	}
 }

@@ -176,24 +176,30 @@ func (c Condition) Drop(rng *rand.Rand) bool {
 
 // Path is the stateful view of a Condition for one connection: it carries
 // the Gilbert–Elliott channel state that Condition, being an immutable
-// shared value, cannot. A zero Path is unusable; call Reset before a
+// shared value, cannot. A zero Path never drops; call Reset before a
 // gathering (the prober resets its Path per connection). Not safe for
 // concurrent use.
 type Path struct {
 	cond Condition
-	bad  bool // current Gilbert–Elliott channel state
+	// loss and ge are cached from cond by Reset so Drop, which runs on
+	// every data segment and ACK, reads two words instead of going
+	// through a Condition value.
+	loss float64 // cond.LossRate
+	ge   bool    // cond.GEBadLoss > 0: the Gilbert–Elliott model is active
+	bad  bool    // current Gilbert–Elliott channel state
 }
 
 // NewPath returns a path over cond, starting in the good state.
 func NewPath(cond Condition) *Path {
-	return &Path{cond: cond}
+	p := new(Path)
+	p.Reset(cond)
+	return p
 }
 
 // Reset re-points the path at cond and returns the channel to the good
 // state, as a fresh connection would see it.
 func (p *Path) Reset(cond Condition) {
-	p.cond = cond
-	p.bad = false
+	*p = Path{cond: cond, loss: cond.LossRate, ge: cond.GEBadLoss > 0}
 }
 
 // Cond returns the condition the path is replaying.
@@ -204,10 +210,16 @@ func (p *Path) Cond() Condition { return p.cond }
 // draws the state's loss rate; otherwise it is exactly Condition.Drop —
 // same draws, same outcomes.
 func (p *Path) Drop(rng *rand.Rand) bool {
-	c := &p.cond
-	if c.GEBadLoss <= 0 {
-		return c.Drop(rng)
+	if p.ge {
+		return p.dropGE(rng)
 	}
+	return p.loss > 0 && rng.Float64() < p.loss
+}
+
+// dropGE is Drop under the Gilbert–Elliott model, kept out of line so the
+// uniform-loss path stays a compare and at most one draw.
+func (p *Path) dropGE(rng *rand.Rand) bool {
+	c := &p.cond
 	if p.bad {
 		if c.GEPBadGood > 0 && rng.Float64() < c.GEPBadGood {
 			p.bad = false

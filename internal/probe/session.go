@@ -77,8 +77,9 @@ func (s *session) receiveBurst(burst []tcpsim.Segment, asIfInOrder bool) (int, [
 	}
 	before := s.maxRecvSeq
 	acks := s.acks[:0]
+	path, rng := s.p.path, s.p.rng
 	for k, seg := range burst {
-		if !s.p.path.Drop(s.p.rng) {
+		if !path.Drop(rng) {
 			if count := seg.ID + 1; count > s.maxRecvSeq {
 				s.maxRecvSeq = count
 			}
@@ -146,15 +147,16 @@ func (s *session) deliverAcks(acks []int64, rtt time.Duration) {
 	if len(acks) == 0 {
 		return
 	}
+	path, rng := s.p.path, s.p.rng
 	arrive := s.now + rtt
-	sample := rtt + s.p.path.Cond().Jitter(s.p.rng, rtt)
+	sample := rtt + path.Cond().Jitter(rng, rtt)
 	s.round++
 	s.sender.BeginRound(s.round)
 	for _, ackSeg := range acks {
 		if ackSeg > s.ackedHigh {
 			s.ackedHigh = ackSeg
 		}
-		if s.p.path.Drop(s.p.rng) {
+		if path.Drop(rng) {
 			continue // ACK lost on the way to the server
 		}
 		if s.p.tap != nil {
