@@ -407,10 +407,22 @@ func BenchmarkPcapIngest(b *testing.B) {
 }
 
 // BenchmarkPcapStreamIngest measures the streaming pipeline (bounded
-// ring, sharded decode, online flow tracking) over a live-monitoring
-// workload of concurrent MTU-sized bulk transfers (MB/s of capture).
+// ring, decode, online flow tracking) over a live-monitoring workload
+// of concurrent MTU-sized bulk transfers (MB/s of capture).
 func BenchmarkPcapStreamIngest(b *testing.B) {
 	bench.PcapStreamIngest()(b)
+}
+
+// BenchmarkPcapStreamProbeCapture measures streaming identification
+// (ring, decode, tracking, pairing, classification) over an eight-server
+// probe capture gathered one connection at a time (MB/s of capture).
+func BenchmarkPcapStreamProbeCapture(b *testing.B) {
+	ctx := benchCtx(b)
+	model, err := ctx.Model()
+	if err != nil {
+		b.Fatal(err)
+	}
+	bench.PcapStreamProbeCapture(model)(b)
 }
 
 // BenchmarkServiceIdentify measures the HTTP service path of

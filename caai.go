@@ -120,8 +120,8 @@ type (
 	// CaptureOptions tunes capture ingestion (tracker bounds,
 	// classification parallelism, optional per-stage span recording).
 	CaptureOptions = flow.IdentifyOptions
-	// StreamOptions tunes Identifier.IdentifyStream (decode sharding,
-	// ingest ring size, tracker bounds, pairing depth).
+	// StreamOptions tunes Identifier.IdentifyStream (ingest ring size,
+	// tracker bounds, pairing depth).
 	StreamOptions = flow.IdentifyStreamOptions
 	// CaptureStream is a running streaming-identification pipeline: an
 	// io.Writer fed capture bytes, emitting classified flows as they
@@ -282,11 +282,11 @@ func (id *Identifier) IdentifyCapture(r io.Reader, opts CaptureOptions) ([]FlowI
 // IdentifyStream starts the streaming form of IdentifyCapture for live
 // or unbounded captures: write pcap/pcapng bytes into the returned
 // stream as they arrive (any chunking) and onResult fires -- serially,
-// from the pipeline's emitter goroutine -- for each flow pair the moment
-// it closes, rather than at end of input. Flows close when idle past the
+// from the pipeline goroutine -- for each flow pair the moment it
+// closes, rather than at end of input. Flows close when idle past the
 // expiry threshold, when evicted by the tracker bound, or when Close
-// drains the pipeline. Decode parallelizes across 4-tuple shards; every
-// pipeline stage is bounded, so Write blocks (backpressure) instead of
+// drains the pipeline. One goroutine decodes, tracks and classifies
+// behind a bounded ring, so Write blocks (backpressure) instead of
 // growing memory when classification falls behind. Callers must Close
 // (or Abort) the stream exactly once. See cmd/caai-pcap -follow and the
 // service's POST /v1/pcap/stream for the command-line and HTTP fronts.

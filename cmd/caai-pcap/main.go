@@ -103,7 +103,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *follow {
-		return followStream(stdout, id, r, *jsonOut, *maxFlows, *parallelism)
+		return followStream(stdout, id, r, *jsonOut, *maxFlows)
 	}
 
 	opts := caai.CaptureOptions{Parallelism: *parallelism, Timings: *timings}
@@ -126,10 +126,9 @@ func run(args []string, stdout io.Writer) error {
 // an endless live capture piped to stdin), one result line out per flow
 // pair as it closes. With -json each line is a self-contained JSON
 // object (NDJSON); otherwise a table row prints under a one-time header.
-func followStream(stdout io.Writer, id *caai.Identifier, r io.Reader, jsonOut bool, maxFlows, parallelism int) error {
+func followStream(stdout io.Writer, id *caai.Identifier, r io.Reader, jsonOut bool, maxFlows int) error {
 	var opts caai.StreamOptions
 	opts.Stream.Tracker.MaxFlows = maxFlows
-	opts.Stream.Shards = parallelism
 	enc := json.NewEncoder(stdout)
 	if !jsonOut {
 		fmt.Fprintf(stdout, "%-22s %-22s %7s %8s  %s\n", "SERVER", "CLIENT", "PKTS", "RTT", "IDENTIFICATION")

@@ -47,6 +47,7 @@ func Suite(ctx *experiments.Context) ([]Case, error) {
 		{Name: "engine/identify_batch", Bench: IdentifyBatch(model, 64)},
 		{Name: "pcap/ingest", Bench: PcapIngest(model)},
 		{Name: "pcap/stream_ingest", Bench: PcapStreamIngest()},
+		{Name: "pcap/stream_probe_capture", Bench: PcapStreamProbeCapture(model)},
 		{Name: "service/identify_hit", Bench: ServiceIdentify(model, false)},
 		{Name: "service/identify_miss", Bench: ServiceIdentify(model, true)},
 		{Name: "service/batch_blocks", Bench: ServiceBatchBlocks(model, 64)},
@@ -335,11 +336,14 @@ func PcapIngest(model classify.Classifier) func(*testing.B) {
 }
 
 // PcapStreamIngest measures the streaming pipeline -- bounded ring,
-// sharded decode with 4-tuple affinity, online flow tracking, epoch
-// expiry -- over a live-monitoring workload: dozens of concurrent bulk
-// transfers with MTU-sized segments interleaved packet by packet, the
-// shape a `tcpdump -w -` feed has (unlike pcap/ingest's small-MSS probe
-// capture). b.SetBytes reports MB/s of capture throughput.
+// decode, online flow tracking, epoch expiry -- over a live-monitoring
+// workload: dozens of concurrent bulk transfers with MTU-sized segments
+// interleaved packet by packet, the shape a `tcpdump -w -` feed has
+// (unlike pcap/ingest's small-MSS probe capture). Data segments
+// round-robin over the flows, so only handshakes and the ACK after a
+// data segment follow a packet of their own flow (21% of packets): the
+// tracker's last-flow fast path mostly misses. b.SetBytes reports MB/s
+// of capture throughput.
 func PcapStreamIngest() func(*testing.B) {
 	return func(b *testing.B) {
 		const (
@@ -412,6 +416,46 @@ func PcapStreamIngest() func(*testing.B) {
 		}
 		if flows != nflows {
 			b.Fatalf("stream emitted %d flows, want %d", flows, nflows)
+		}
+		b.ReportMetric(float64(len(data)), "capture-bytes/op")
+	}
+}
+
+// PcapStreamProbeCapture measures streaming identification end to end
+// -- ring, decode, online tracking, pairing and classification through
+// flow.NewIdentifyStream -- over a pcapgen probe capture of eight
+// servers gathered one connection at a time: the traffic the service's
+// capture stream carries, where nearly every packet belongs to the same
+// flow as the packet before it. b.SetBytes reports MB/s of capture.
+func PcapStreamProbeCapture(model classify.Classifier) func(*testing.B) {
+	return func(b *testing.B) {
+		algs := []string{"RENO", "CUBIC2", "BIC", "HTCP", "VEGAS", "STCP", "HSTCP", "ILLINOIS"}
+		specs := make([]pcapgen.ServerSpec, len(algs))
+		for i, a := range algs {
+			specs[i] = pcapgen.ServerSpec{Algorithm: a, Seed: int64(61 + i)}
+		}
+		var buf bytes.Buffer
+		if _, err := pcapgen.Generate(&buf, specs, pcapgen.Options{}); err != nil {
+			b.Fatal(err)
+		}
+		data := buf.Bytes()
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		var results int
+		for i := 0; i < b.N; i++ {
+			results = 0
+			st := flow.NewIdentifyStream(context.Background(), model, flow.IdentifyStreamOptions{},
+				func(flow.FlowIdentification) { results++ })
+			if _, err := st.Write(data); err != nil {
+				b.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if results != len(specs) {
+			b.Fatalf("stream yielded %d identifications, want %d", results, len(specs))
 		}
 		b.ReportMetric(float64(len(data)), "capture-bytes/op")
 	}

@@ -75,8 +75,8 @@ func (t *Tracker) finalize(s *state) *FlowTrace {
 		Retransmits: d.retx,
 		Rounds:      len(d.rounds),
 		RTT:         s.rtt(),
-		Start:       s.first,
-		End:         s.last,
+		Start:       timeOf(s.first),
+		End:         timeOf(s.last),
 		MSS:         negotiatedMSS(s),
 		Truncated:   d.truncated,
 		SawSYN:      s.sawSYN,

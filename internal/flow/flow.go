@@ -120,12 +120,69 @@ func less(x, y endpoint) bool {
 	return x.port < y.port
 }
 
+// side reports which key side sent p (0 = a, 1 = b), or -1 when p is
+// not on this flow. Side b is checked first so a self-connection (a ==
+// b) answers as keyOf does.
+func (k *flowKey) side(p *pcap.Packet) int {
+	if p.SrcPort == k.b.port && p.DstPort == k.a.port && p.SrcIP == k.b.ip && p.DstIP == k.a.ip {
+		return 1
+	}
+	if p.SrcPort == k.a.port && p.DstPort == k.b.port && p.SrcIP == k.a.ip && p.DstIP == k.b.ip {
+		return 0
+	}
+	return -1
+}
+
+// The tracker's clock is capture time as int64 Unix nanoseconds:
+// converted once per packet, it keeps time.Time arithmetic off the
+// per-packet path.
+var (
+	minClock = time.Unix(0, math.MinInt64)
+	maxClock = time.Unix(0, math.MaxInt64)
+)
+
+// clockOf converts a capture timestamp to the tracker clock. Timestamps
+// outside the int64 nanosecond range (hostile pcapng) saturate, as does
+// the zero Time that pcapng simple packet blocks carry.
+func clockOf(t time.Time) int64 {
+	if sec := t.Unix(); sec > math.MinInt64/1_000_000_000 && sec < math.MaxInt64/1_000_000_000 {
+		return sec*1e9 + int64(t.Nanosecond())
+	}
+	switch {
+	case t.Before(minClock):
+		return math.MinInt64
+	case t.After(maxClock):
+		return math.MaxInt64
+	}
+	return t.UnixNano()
+}
+
+// timeOf converts a tracker clock reading back to the capture timestamp
+// it came from; the saturated low end maps back to the zero Time.
+func timeOf(ns int64) time.Time {
+	if ns == math.MinInt64 {
+		return time.Time{}
+	}
+	return time.Unix(0, ns).UTC()
+}
+
+// since is now-then on the tracker clock, saturating like time.Time.Sub.
+func since(now, then int64) time.Duration {
+	d := now - then
+	if (now^then)&(now^d) < 0 {
+		if now < 0 {
+			return math.MinInt64
+		}
+		return math.MaxInt64
+	}
+	return time.Duration(d)
+}
+
 // seqLT is the wraparound-safe sequence comparison.
 func seqLT(a, b uint32) bool { return int32(a-b) < 0 }
 
 // round is one reconstructed RTT round of a direction.
 type round struct {
-	start time.Time
 	// newBytes is how far the direction's delivery high-water mark
 	// advanced during the round: the passive equivalent of the prober's
 	// per-round window measurement w = maxSeq(r) - maxSeq(r-1).
@@ -153,14 +210,14 @@ type dirState struct {
 	rounds       []round
 	cur          round
 	curOpen      bool
-	lastData     time.Time
+	lastData     int64
 	timeoutRound int // index into rounds of the first post-timeout round, -1
 	truncated    bool
 
 	// TCP timestamp state for RTT sampling: the newest TSVal this
 	// direction sent and when it was first seen.
 	tsVal     uint32
-	tsValAt   time.Time
+	tsValAt   int64
 	tsValSeen bool
 }
 
@@ -168,13 +225,13 @@ type dirState struct {
 // eviction.
 type state struct {
 	key   flowKey
-	first time.Time
-	last  time.Time
+	first int64 // tracker clock
+	last  int64
 
 	// Handshake RTT estimation.
 	synDir    int // which key side sent the SYN (the client)
 	sawSYN    bool
-	synAt     time.Time
+	synAt     int64
 	sawSynAck bool
 	hsRTT     time.Duration
 	tsRTT     time.Duration // minimum timestamp-echo RTT sample
@@ -216,8 +273,9 @@ type Stats struct {
 
 // TrackerMetrics publishes live tracker state through shared telemetry
 // instruments, safe to read from other goroutines while the tracker
-// runs. Several shard trackers may share one TrackerMetrics; the gauges
-// then aggregate across the whole pipeline. All fields are optional.
+// runs. Several trackers (one per concurrent stream) may share one
+// TrackerMetrics; the gauges then aggregate across them. All fields are
+// optional.
 type TrackerMetrics struct {
 	// Live is the number of currently tracked flows.
 	Live *telemetry.Gauge
@@ -246,9 +304,17 @@ type Tracker struct {
 	// Online mode: emitted flows go to sink instead of done, and idle
 	// flows expire on epoch sweeps instead of waiting for Finish.
 	sink    func(*FlowTrace)
-	emitted int64     // flows emitted so far, for the MaxEmitted bound
-	epochAt time.Time // capture time the current epoch started
-	metrics *TrackerMetrics
+	emitted int64 // flows emitted so far, for the MaxEmitted bound
+	// epochAt is the tracker clock when the current epoch started, valid
+	// once epochSet (Unix 0 is a valid capture time).
+	epochAt  int64
+	epochSet bool
+	metrics  *TrackerMetrics
+
+	// hot is the previous packet's flow: consecutive packets almost
+	// always share a flow, so Observe checks it before normalizing the
+	// key and probing the map. emit clears it.
+	hot *state
 }
 
 // NewTracker returns a tracker with the given bounds.
@@ -280,18 +346,29 @@ func (t *Tracker) Instrument(m *TrackerMetrics) { t.metrics = m }
 
 // Observe feeds one decoded TCP segment.
 func (t *Tracker) Observe(p *pcap.Packet) {
-	key, dir := keyOf(p)
-	s := t.flows[key]
+	now := clockOf(p.Time)
+	var key flowKey
+	s, dir := t.hot, -1
+	if s != nil {
+		dir = s.key.side(p)
+	}
+	if dir < 0 {
+		key, dir = keyOf(p)
+		s = t.flows[key]
+	}
 	if t.sink != nil {
 		// Online mode: a flow resuming after its own idle-expiry window
 		// was already conceptually emitted -- close it out and let the
 		// resumption start a fresh flow. This keeps the split independent
 		// of epoch phase and of other traffic.
-		if s != nil && p.Time.Sub(s.last) >= t.idleAfter(s) {
-			t.expire(s)
-			s = nil
+		if s != nil {
+			if idle := since(now, s.last); idle >= t.cfg.Epoch && idle >= t.idleAfter(s) {
+				key = s.key
+				t.expire(s)
+				s = nil
+			}
 		}
-		t.sweep(p.Time)
+		t.sweep(now)
 	}
 	if s == nil {
 		// Evict before inserting so live flows never exceed MaxFlows.
@@ -299,7 +376,7 @@ func (t *Tracker) Observe(p *pcap.Packet) {
 			t.evictOldest()
 		}
 		t.stats.Flows++
-		s = &state{key: key, first: p.Time, synDir: -1}
+		s = &state{key: key, first: now, synDir: -1}
 		s.dirs[0].timeoutRound = -1
 		s.dirs[1].timeoutRound = -1
 		t.flows[key] = s
@@ -318,8 +395,9 @@ func (t *Tracker) Observe(p *pcap.Packet) {
 	} else {
 		t.lruTouch(s)
 	}
-	s.last = p.Time
-	t.observeFlow(s, p, dir)
+	t.hot = s
+	s.last = now
+	t.observeFlow(s, p, dir, now)
 }
 
 // idleAfter is the flow's idle-expiry threshold in online mode:
@@ -343,11 +421,13 @@ func (t *Tracker) idleAfter(s *state) time.Duration {
 // has elapsed: walking from the LRU tail (least recently active first),
 // it emits every flow idle past its own threshold and stops at the
 // first flow idle less than Epoch, which floors every threshold.
-func (t *Tracker) sweep(now time.Time) {
-	d := now.Sub(t.epochAt)
-	if t.epochAt.IsZero() || d < 0 {
-		// First packet, or capture time stepped backwards: re-anchor.
+func (t *Tracker) sweep(now int64) {
+	d := since(now, t.epochAt)
+	if !t.epochSet || d < 0 {
+		// First packet, or capture time stepped backwards: re-anchor. The
+		// zero Time leaves the epoch unanchored.
 		t.epochAt = now
+		t.epochSet = now != math.MinInt64
 		return
 	}
 	if d < t.cfg.Epoch {
@@ -359,7 +439,7 @@ func (t *Tracker) sweep(now time.Time) {
 		m.Epochs.Add(1)
 	}
 	for cur := t.tail; cur != nil; {
-		idle := now.Sub(cur.last)
+		idle := since(now, cur.last)
 		if idle < t.cfg.Epoch {
 			break
 		}
@@ -381,7 +461,8 @@ func (t *Tracker) expire(s *state) {
 }
 
 // observeFlow updates one flow's state with a segment from key side dir.
-func (t *Tracker) observeFlow(s *state, p *pcap.Packet, dir int) {
+// now is p.Time on the tracker clock.
+func (t *Tracker) observeFlow(s *state, p *pcap.Packet, dir int, now int64) {
 	d := &s.dirs[dir]
 	d.packets++
 	if p.RST() {
@@ -397,14 +478,14 @@ func (t *Tracker) observeFlow(s *state, p *pcap.Packet, dir int) {
 		if !s.sawSYN {
 			s.sawSYN = true
 			s.synDir = dir
-			s.synAt = p.Time
+			s.synAt = now
 		}
 	case p.SYN() && p.ACK():
 		if s.sawSYN && dir != s.synDir {
 			s.sawSynAck = true
 		}
 	case p.ACK() && s.sawSynAck && s.hsRTT == 0 && dir == s.synDir:
-		if rtt := p.Time.Sub(s.synAt); rtt > 0 {
+		if rtt := since(now, s.synAt); rtt > 0 {
 			s.hsRTT = rtt
 		}
 	}
@@ -420,13 +501,13 @@ func (t *Tracker) observeFlow(s *state, p *pcap.Packet, dir int) {
 	peer := &s.dirs[1-dir]
 	if p.Opt.HasTS {
 		if p.ACK() && peer.tsValSeen && p.Opt.TSEcr == peer.tsVal {
-			if sample := p.Time.Sub(peer.tsValAt); sample > 0 && (s.tsRTT == 0 || sample < s.tsRTT) {
+			if sample := since(now, peer.tsValAt); sample > 0 && (s.tsRTT == 0 || sample < s.tsRTT) {
 				s.tsRTT = sample
 			}
 		}
 		if !d.tsValSeen || p.Opt.TSVal != d.tsVal {
 			d.tsVal = p.Opt.TSVal
-			d.tsValAt = p.Time
+			d.tsValAt = now
 			d.tsValSeen = true
 		}
 	}
@@ -458,19 +539,19 @@ func (t *Tracker) observeFlow(s *state, p *pcap.Packet, dir int) {
 		advance = int64(end - d.highSeq)
 		d.highSeq = end
 	}
-	t.bucket(s, d, p.Time, advance, retx)
-	d.lastData = p.Time
+	t.bucket(s, d, now, advance, retx)
+	d.lastData = now
 }
 
 // bucket assigns one data segment to an RTT round, opening a new round
 // after a round boundary's worth of silence.
-func (t *Tracker) bucket(s *state, d *dirState, at time.Time, advance int64, retx bool) {
-	if d.curOpen && at.Sub(d.lastData) > t.roundGap(s) {
+func (t *Tracker) bucket(s *state, d *dirState, at, advance int64, retx bool) {
+	if d.curOpen && since(at, d.lastData) > t.roundGap(s) {
 		t.closeRound(d)
 	}
 	if !d.curOpen {
 		d.curOpen = true
-		d.cur = round{start: at, retxStart: retx}
+		d.cur = round{retxStart: retx}
 		// A round that opens with a retransmission, after the silence
 		// that the round boundary implies, is the timeout signature. Only
 		// the first such round splits the trace.
@@ -530,7 +611,7 @@ func (t *Tracker) Finish() []*FlowTrace {
 	t.done = nil
 	t.flows = map[flowKey]*state{}
 	t.emitted = 0
-	t.epochAt = time.Time{}
+	t.epochSet = false
 	sortFlows(out)
 	return out
 }
@@ -549,6 +630,9 @@ func (t *Tracker) evictOldest() {
 // MaxEmitted flows have been emitted, later-finishing flows are dropped
 // (the earliest-finishing flows are the ones kept).
 func (t *Tracker) emit(s *state) {
+	if t.hot == s {
+		t.hot = nil
+	}
 	t.lruRemove(s)
 	delete(t.flows, s.key)
 	if m := t.metrics; m != nil && m.Live != nil {

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -392,5 +393,70 @@ func TestPairUnpairedInvalid(t *testing.T) {
 	pairs := Pair(tr.Finish())
 	if len(pairs) != 1 || pairs[0].B != nil {
 		t.Fatalf("pairs = %+v", pairs)
+	}
+}
+
+// TestTrackerClockMatchesTime pins the tracker's int64 capture clock to
+// the time.Time arithmetic it replaces: in range, differences equal Sub
+// and the round trip back to FlowTrace times is bit-equal; outside it,
+// readings and differences saturate as Sub does.
+func TestTrackerClockMatchesTime(t *testing.T) {
+	times := []time.Time{
+		time.Unix(0, 0).UTC(),
+		time.Unix(-1, 999_999_999).UTC(),
+		time.Unix(1700000000, 123456789).UTC(),
+		time.Unix(0, math.MaxInt64).UTC(),
+		time.Unix(0, math.MinInt64+1).UTC(),
+	}
+	for _, a := range times {
+		if got := timeOf(clockOf(a)); got != a {
+			t.Fatalf("round trip of %v gave %v", a, got)
+		}
+		for _, b := range times {
+			if got, want := since(clockOf(a), clockOf(b)), a.Sub(b); got != want {
+				t.Fatalf("since(%v, %v) = %v, Sub gives %v", a, b, got, want)
+			}
+		}
+	}
+	far, past := time.Unix(1<<40, 0), time.Unix(-1<<40, 0)
+	if clockOf(far) != math.MaxInt64 || clockOf(past) != math.MinInt64 {
+		t.Fatalf("out-of-range clock readings %d, %d did not saturate", clockOf(far), clockOf(past))
+	}
+	if since(clockOf(far), clockOf(past)) != far.Sub(past) || since(clockOf(past), clockOf(far)) != past.Sub(far) {
+		t.Fatal("differences across the whole clock range did not saturate like Sub")
+	}
+	if got := timeOf(clockOf(time.Time{})); got != (time.Time{}) {
+		t.Fatalf("zero Time round trip gave %v", got)
+	}
+}
+
+// TestFlowKeySideMatchesKeyOf pins the last-flow fast path to the map
+// path: for both directions of a flow, self-connections included, the
+// key's side agrees with keyOf, and other flows miss.
+func TestFlowKeySideMatchesKeyOf(t *testing.T) {
+	for _, p := range []*pcap.Packet{
+		pkt(0, 1, 4000, 2, 80, 1, 1, pcap.FlagACK, 0),
+		pkt(0, 2, 80, 1, 4000, 1, 1, pcap.FlagACK, 0),
+		pkt(0, 1, 80, 1, 4000, 1, 1, pcap.FlagACK, 0),
+		pkt(0, 1, 80, 1, 80, 1, 1, pcap.FlagACK, 0),
+	} {
+		key, dir := keyOf(p)
+		rev := *p
+		rev.SrcIP, rev.SrcPort, rev.DstIP, rev.DstPort = p.DstIP, p.DstPort, p.SrcIP, p.SrcPort
+		rkey, rdir := keyOf(&rev)
+		if rkey != key {
+			t.Fatalf("%s: reverse direction normalized to another key", p.Src())
+		}
+		if got := key.side(p); got != dir {
+			t.Fatalf("%s -> %s: side %d, keyOf dir %d", p.Src(), p.Dst(), got, dir)
+		}
+		if got := key.side(&rev); got != rdir {
+			t.Fatalf("%s -> %s: side %d, keyOf dir %d", rev.Src(), rev.Dst(), got, rdir)
+		}
+		other := *p
+		other.SrcPort++
+		if got := key.side(&other); got != -1 {
+			t.Fatalf("packet on another flow matched side %d", got)
+		}
 	}
 }

@@ -83,18 +83,7 @@ func Reassemble(r io.Reader, cfg Config) ([]*FlowTrace, CaptureStats, error) {
 		tracker.Observe(&pkt)
 	}
 	flows := tracker.Finish()
-	ds := rd.Stats()
-	ts := tracker.Stats()
-	stats = CaptureStats{
-		Packets:          ds.Packets,
-		TCPSegments:      ds.TCP,
-		SkippedPackets:   ds.Skipped,
-		TruncatedPackets: ds.Truncated,
-		Flows:            ts.Flows,
-		EvictedFlows:     ts.Evicted,
-		DroppedFlows:     ts.Dropped,
-		TruncatedFlows:   ts.Truncated,
-	}
+	stats = captureStats(rd.Stats(), tracker.Stats())
 	for _, f := range flows {
 		if f.Trace != nil && f.Trace.Valid() {
 			stats.Classifiable++
@@ -104,6 +93,21 @@ func Reassemble(r io.Reader, cfg Config) ([]*FlowTrace, CaptureStats, error) {
 		return flows, stats, err
 	}
 	return flows, stats, nil
+}
+
+// captureStats merges the decoder's and the tracker's counters; the
+// caller counts Classifiable as it hands flows over.
+func captureStats(ds pcap.Stats, ts Stats) CaptureStats {
+	return CaptureStats{
+		Packets:          ds.Packets,
+		TCPSegments:      ds.TCP,
+		SkippedPackets:   ds.Skipped,
+		TruncatedPackets: ds.Truncated,
+		Flows:            ts.Flows,
+		EvictedFlows:     ts.Evicted,
+		DroppedFlows:     ts.Dropped,
+		TruncatedFlows:   ts.Truncated,
+	}
 }
 
 // Pair groups flows by (client IP, server endpoint) and pairs each valid

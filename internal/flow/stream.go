@@ -2,57 +2,38 @@
 // goes in one end, per-flow classifications come out the other as flows
 // close, with every stage bounded. The pipeline is
 //
-//	Write -> pcap.Ring -> framer -> [shard workers] -> funnel -> emitter
+//	Write -> pcap.Ring -> decode + track -> sink
 //
-// The framer reads raw records off the ring (pcap.Reader.NextRaw),
-// sniffs each frame's 4-tuple hash (pcap.TupleHash) and batches the raw
-// bytes onto the owning shard's channel; shard workers -- long-lived
-// jobs on the engine worker pool -- run the full frame decode and their
-// own online-mode Tracker; finished flows funnel into one channel that
-// a single emitter goroutine drains, so the caller's sink never needs
-// locks. Every channel and buffer is bounded, so a slow consumer stalls
-// the producer (HTTP body, stdin) instead of growing memory.
+// One goroutine runs Reassemble's loop over the ring -- pcap.Reader.Next,
+// then Tracker.Observe with the tracker in online mode -- and hands each
+// finished flow to the caller's sink inline, so the sink needs no locks
+// and sees flows in the tracker's close order. The ring is the only
+// buffer: when decoding or the sink falls behind, the producer's Write
+// (HTTP body, stdin) blocks instead of memory growing.
 package flow
 
 import (
 	"context"
 	"io"
-	"runtime"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/classify"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/pcap"
 	"repro/internal/telemetry"
 )
 
 // StreamConfig tunes a Stream. The zero value selects the defaults.
 type StreamConfig struct {
-	// Tracker bounds flow reassembly. MaxFlows is the bound across the
-	// whole pipeline (split evenly over shards); MaxEmitted defaults to
-	// unlimited in streaming mode, where emitted flows are handed off
-	// instead of accumulating.
+	// Tracker bounds flow reassembly. MaxEmitted defaults to unlimited
+	// in streaming mode, where emitted flows are handed off instead of
+	// accumulating.
 	Tracker Config
-	// Shards is the number of parallel decode+track workers (default:
-	// GOMAXPROCS, capped at 16).
-	Shards int
 	// RingBytes bounds the ingest ring buffer between the producer and
-	// the framer (default 1 MiB).
+	// the decoder (default 1 MiB).
 	RingBytes int
-	// BatchPackets is how many raw packets the framer groups per shard
-	// handoff (default 128).
-	BatchPackets int
 	// Metrics, when non-nil, publishes live pipeline state.
 	Metrics *StreamMetrics
-	// Trace/TraceID, when both set, record a shard-assignment event into
-	// the flight recorder each time a shard worker emits a finished flow
-	// (arg: shard index), so a stream request's span tree shows which
-	// decode shards produced its flows.
-	Trace   *telemetry.Flight
-	TraceID telemetry.TraceID
 }
 
 // StreamMetrics is the caai_stream_* instrument set. All fields are
@@ -60,11 +41,11 @@ type StreamConfig struct {
 // gauges then aggregate across streams).
 type StreamMetrics struct {
 	// Tracker carries the live-flow gauge, its high water, and the
-	// epoch/expiry counters, shared by every shard tracker.
+	// epoch/expiry counters.
 	Tracker TrackerMetrics
 	// Bytes counts capture bytes accepted by Write.
 	Bytes *telemetry.Counter
-	// Packets counts capture records framed.
+	// Packets counts capture records read.
 	Packets *telemetry.Counter
 	// Flows counts flows emitted (expired, evicted, or drained).
 	Flows *telemetry.Counter
@@ -73,52 +54,13 @@ type StreamMetrics struct {
 }
 
 func (c StreamConfig) withDefaults() StreamConfig {
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-	}
-	if c.Shards > 16 {
-		c.Shards = 16
-	}
 	if c.RingBytes <= 0 {
 		c.RingBytes = 1 << 20
-	}
-	if c.BatchPackets <= 0 {
-		c.BatchPackets = 128
 	}
 	if c.Tracker.MaxEmitted == 0 {
 		c.Tracker.MaxEmitted = -1
 	}
 	return c
-}
-
-// rawMeta is one framed packet's record metadata; the frame bytes live
-// in the owning batch's buf.
-type rawMeta struct {
-	time     time.Time
-	linkType uint32
-	capLen   int32
-	origLen  int32
-	off, end int32
-}
-
-// rawBatch is one framer-to-shard handoff. Batches recycle through a
-// per-shard free list, so a steady-state stream stops allocating.
-type rawBatch struct {
-	buf  []byte
-	meta []rawMeta
-}
-
-func (b *rawBatch) reset() { b.buf = b.buf[:0]; b.meta = b.meta[:0] }
-
-// shardState is one worker's private pipeline state.
-type shardState struct {
-	in      chan *rawBatch
-	free    chan *rawBatch
-	pending *rawBatch // framer-side batch being filled
-	tracker *Tracker
-	tcp     int64
-	skipped int64
-	trunc   int64
 }
 
 // Stream is a running streaming-identification pipeline. Feed capture
@@ -127,61 +69,41 @@ type shardState struct {
 // different goroutine than the one that built the Stream. Abort tears
 // the pipeline down early.
 type Stream struct {
-	cfg    StreamConfig
-	ring   *pcap.Ring
-	onFlow func(*FlowTrace)
+	cfg     StreamConfig
+	ring    *pcap.Ring
+	tracker *Tracker
+	onFlow  func(*FlowTrace)
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	shards []shardState
-	funnel chan *FlowTrace
 	done   chan struct{}
 
-	bytesIn atomic.Int64
-	err     error        // pipeline error, valid after done
-	stats   CaptureStats // valid after done
+	bytesIn      atomic.Int64
+	classifiable int64        // flows handed to onFlow with a valid trace
+	err          error        // pipeline error, valid after done
+	stats        CaptureStats // valid after done
 }
 
 // NewStream starts a streaming pipeline. Every finished flow is handed
-// to onFlow serially, in close order, from one emitter goroutine; the
+// to onFlow serially, in close order, from the pipeline goroutine; the
 // FlowTrace is owned by the callback. Cancelling ctx aborts the
 // pipeline. Callers must call Close (or Abort) exactly once.
 func NewStream(ctx context.Context, cfg StreamConfig, onFlow func(*FlowTrace)) *Stream {
 	cfg = cfg.withDefaults()
 	sctx, cancel := context.WithCancel(ctx)
 	s := &Stream{
-		cfg:    cfg,
-		ring:   pcap.NewRing(cfg.RingBytes),
-		onFlow: onFlow,
-		ctx:    sctx,
-		cancel: cancel,
-		shards: make([]shardState, cfg.Shards),
-		funnel: make(chan *FlowTrace, 256),
-		done:   make(chan struct{}),
+		cfg:     cfg,
+		ring:    pcap.NewRing(cfg.RingBytes),
+		tracker: NewTracker(cfg.Tracker),
+		onFlow:  onFlow,
+		ctx:     sctx,
+		cancel:  cancel,
+		done:    make(chan struct{}),
 	}
-	tcfg := cfg.Tracker.withDefaults()
-	perShard := tcfg.MaxFlows / cfg.Shards
-	if perShard < 16 {
-		perShard = 16
+	if cfg.Metrics != nil {
+		s.tracker.Instrument(&cfg.Metrics.Tracker)
 	}
-	tcfg.MaxFlows = perShard
-	for i := range s.shards {
-		sh := &s.shards[i]
-		shardIdx := uint64(i)
-		sh.in = make(chan *rawBatch, 4)
-		sh.free = make(chan *rawBatch, 8)
-		sh.tracker = NewTracker(tcfg)
-		if cfg.Metrics != nil {
-			sh.tracker.Instrument(&cfg.Metrics.Tracker)
-		}
-		sh.tracker.Stream(func(ft *FlowTrace) {
-			cfg.Trace.Event(cfg.TraceID, telemetry.EventShardAssign, shardIdx)
-			select {
-			case s.funnel <- ft:
-			case <-s.ctx.Done():
-			}
-		})
-	}
+	s.tracker.Stream(s.emit)
 	go s.run()
 	// Unblock the pipeline promptly when ctx is cancelled from outside.
 	go func() {
@@ -226,192 +148,79 @@ func (s *Stream) Abort(err error) {
 	<-s.done
 }
 
-// Stats reports the merged pipeline counters. Valid after Close/Abort.
+// Stats reports the pipeline counters. Valid after Close/Abort.
 func (s *Stream) Stats() CaptureStats { return s.stats }
 
 // BytesIn reports capture bytes accepted so far. Safe to call from any
 // goroutine while the stream runs.
 func (s *Stream) BytesIn() int64 { return s.bytesIn.Load() }
 
-// run is the pipeline body: it owns the framer loop and supervises the
-// shard workers and the emitter.
+// run is the pipeline body: Reassemble's decode-and-track loop over the
+// ring, with the tracker's sink (emit) called inline.
 func (s *Stream) run() {
 	defer close(s.done)
 	defer s.ring.CloseWithError(io.ErrClosedPipe) // unblock any writer on early exit
 
-	var emitWG sync.WaitGroup
-	emitWG.Add(1)
-	go func() {
-		defer emitWG.Done()
-		for ft := range s.funnel {
-			if m := s.cfg.Metrics; m != nil && m.Flows != nil {
-				m.Flows.Add(1)
+	var ds pcap.Stats
+	rd, err := pcap.NewReader(s.ring)
+	if err == nil {
+		var pkt pcap.Packet
+		var published int64
+		for countdown := 0; ; countdown-- {
+			if err = rd.Next(&pkt); err != nil {
+				break
 			}
-			if ft.Trace != nil && ft.Trace.Valid() {
-				s.stats.Classifiable++
+			s.tracker.Observe(&pkt)
+			if countdown <= 0 {
+				countdown = 4096
+				published = s.publish(rd, published)
 			}
-			s.onFlow(ft)
 		}
-	}()
-
-	workersDone := make(chan error, 1)
-	go func() {
-		// Long-lived shard loops as engine pool jobs: n == parallelism,
-		// so every shard gets its own worker goroutine.
-		werr := engine.RunWorkers(context.Background(), len(s.shards), len(s.shards), func(_, job int) {
-			s.shardLoop(&s.shards[job])
-		})
-		close(s.funnel)
-		workersDone <- werr
-	}()
-
-	rd, derr := pcap.NewReader(s.ring)
-	if derr == nil {
-		derr = s.frame(rd)
+		s.publish(rd, published)
+		ds = rd.Stats()
 	}
-	for i := range s.shards {
-		if s.shards[i].pending != nil && len(s.shards[i].pending.meta) > 0 {
-			s.dispatch(&s.shards[i])
-		}
-		close(s.shards[i].in)
-	}
-	werr := <-workersDone
-	emitWG.Wait()
-
-	// Merge the per-stage counters into one CaptureStats.
-	if rd != nil {
-		ds := rd.Stats()
-		s.stats.Packets = ds.Packets
-	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		s.stats.TCPSegments += sh.tcp
-		s.stats.SkippedPackets += sh.skipped
-		s.stats.TruncatedPackets += sh.trunc
-		ts := sh.tracker.Stats()
-		s.stats.Flows += ts.Flows
-		s.stats.EvictedFlows += ts.Evicted
-		s.stats.DroppedFlows += ts.Dropped
-		s.stats.TruncatedFlows += ts.Truncated
-	}
+	// End of input: drain the remaining flows to the sink.
+	s.tracker.Finish()
+	s.stats = captureStats(ds, s.tracker.Stats())
+	s.stats.Classifiable = s.classifiable
 	switch {
-	case derr != nil && derr != io.EOF:
-		s.err = derr
-	case werr != nil:
-		s.err = werr
+	case err != nil && err != io.EOF:
+		s.err = err
 	case s.ctx.Err() != nil:
 		s.err = s.ctx.Err()
 	}
 }
 
-// frame is the framer loop: raw records off the reader, tuple-hash
-// shard selection, batched handoff. Frames with no sniffable TCP tuple
-// round-robin (they decode to skip/truncated on whatever shard).
-func (s *Stream) frame(rd *pcap.Reader) error {
-	var rec pcap.RawRecord
-	var rr uint64
-	nshards := uint64(len(s.shards))
-	countdown := 0
-	for {
-		if err := rd.NextRaw(&rec); err != nil {
-			return err
-		}
-		h, span, ok := pcap.TupleSniff(rec.LinkType, rec.Data)
-		data := rec.Data
-		if !ok {
-			h = rr
-			rr++
-		} else if span < len(data) {
-			// Workers decode headers only; the payload length rides in the
-			// IP header, so snapping the copy at the sniffed header span
-			// changes nothing downstream (TestStreamMatchesOffline).
-			data = data[:span]
-		}
-		sh := &s.shards[h%nshards]
-		b := sh.pending
-		if b == nil {
-			b = s.grab(sh)
-			sh.pending = b
-		}
-		off := len(b.buf)
-		b.buf = append(b.buf, data...)
-		b.meta = append(b.meta, rawMeta{
-			time:     rec.Time,
-			linkType: rec.LinkType,
-			capLen:   int32(rec.CapturedLen),
-			origLen:  int32(rec.OrigLen),
-			off:      int32(off),
-			end:      int32(len(b.buf)),
-		})
-		if len(b.meta) >= s.cfg.BatchPackets || len(b.buf) >= 256<<10 {
-			s.dispatch(sh)
-		}
-		if m := s.cfg.Metrics; m != nil {
-			if m.Packets != nil {
-				m.Packets.Add(1)
-			}
-			if countdown--; countdown <= 0 {
-				countdown = 4096
-				if m.RingHighWater != nil {
-					m.RingHighWater.SetMax(int64(s.ring.HighWater()))
-				}
-			}
-		}
+// publish adds the records read since the last call to the Packets
+// counter and refreshes the ring high water; it returns the new total.
+func (s *Stream) publish(rd *pcap.Reader, published int64) int64 {
+	m := s.cfg.Metrics
+	if m == nil {
+		return published
 	}
+	n := rd.Stats().Packets
+	if m.Packets != nil {
+		m.Packets.Add(n - published)
+	}
+	if m.RingHighWater != nil {
+		m.RingHighWater.SetMax(int64(s.ring.HighWater()))
+	}
+	return n
 }
 
-// grab takes a recycled batch off the shard's free list or allocates.
-func (s *Stream) grab(sh *shardState) *rawBatch {
-	select {
-	case b := <-sh.free:
-		b.reset()
-		return b
-	default:
-		return &rawBatch{
-			buf:  make([]byte, 0, 64<<10),
-			meta: make([]rawMeta, 0, s.cfg.BatchPackets),
-		}
+// emit is the tracker's sink: it counts the flow and hands it to
+// onFlow, or drops it once the stream is aborted.
+func (s *Stream) emit(ft *FlowTrace) {
+	if s.ctx.Err() != nil {
+		return
 	}
-}
-
-// dispatch hands the shard's pending batch to its worker, blocking when
-// the shard is behind (backpressure toward the producer).
-func (s *Stream) dispatch(sh *shardState) {
-	b := sh.pending
-	sh.pending = nil
-	select {
-	case sh.in <- b:
-	case <-s.ctx.Done():
+	if m := s.cfg.Metrics; m != nil && m.Flows != nil {
+		m.Flows.Add(1)
 	}
-}
-
-// shardLoop is one worker: full frame decode plus online flow tracking
-// for every packet whose tuple hashes here.
-func (s *Stream) shardLoop(sh *shardState) {
-	var pkt pcap.Packet
-	for b := range sh.in {
-		for i := range b.meta {
-			m := &b.meta[i]
-			pkt.Time = m.time
-			pkt.CapturedLen = int(m.capLen)
-			pkt.OrigLen = int(m.origLen)
-			switch pcap.ParseFrame(m.linkType, b.buf[m.off:m.end], &pkt) {
-			case pcap.FrameTCP:
-				sh.tcp++
-				sh.tracker.Observe(&pkt)
-			case pcap.FrameTruncated:
-				sh.trunc++
-			default:
-				sh.skipped++
-			}
-		}
-		select {
-		case sh.free <- b:
-		default:
-		}
+	if ft.Trace != nil && ft.Trace.Valid() {
+		s.classifiable++
 	}
-	// End of input: drain this shard's remaining flows to the sink.
-	sh.tracker.Finish()
+	s.onFlow(ft)
 }
 
 // IdentifyStreamOptions tunes NewIdentifyStream.
@@ -434,7 +243,7 @@ type IdentifyStream struct {
 // NewIdentifyStream starts a streaming pipeline that pairs flows by
 // (client IP, server) and classifies each pair with model the moment it
 // completes, mirroring the offline Pair+ClassifyAll path. onResult runs
-// serially on the emitter goroutine; it owns the FlowIdentification.
+// serially on the pipeline goroutine; it owns the FlowIdentification.
 // Flow pairing holds a valid timed-out flow until its group's next flow
 // closes (or the stream ends), exactly like the active prober's
 // environment A then environment B.
@@ -462,7 +271,7 @@ func (st *IdentifyStream) Close() error {
 }
 
 // pairer groups closing flows by (client IP, server) and classifies
-// each pair. It runs entirely on the emitter goroutine: no locks.
+// each pair. It runs entirely on the pipeline goroutine: no locks.
 type pairer struct {
 	id         *core.Identifier
 	pending    map[string]*FlowTrace

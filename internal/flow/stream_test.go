@@ -136,9 +136,9 @@ func equivalentFlows(t testing.TB, offline, online []*FlowTrace, label string) {
 }
 
 // TestStreamMatchesOffline is the online == offline equivalence
-// property: on the same capture, the sharded streaming pipeline (epoch
-// expiry, incremental sinks, any shard count, any write chunking) must
-// emit exactly the FlowTrace set the offline Finish path produces.
+// property: on the same capture, the streaming pipeline (epoch expiry,
+// incremental sinks, any ring size, any write chunking) must emit
+// exactly the FlowTrace set the offline Finish path produces.
 func TestStreamMatchesOffline(t *testing.T) {
 	data := synthCapture(42, 40)
 	cfg := Config{MaxFlows: 1 << 16, MaxEmitted: -1}
@@ -146,11 +146,11 @@ func TestStreamMatchesOffline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 2, 4, 8} {
+	for _, ring := range []int{4 << 10, 64 << 10} {
 		for _, chunk := range []int{1777, 1 << 20} {
 			online, stats := streamCollect(t, data, StreamConfig{
-				Tracker: cfg, Shards: shards, RingBytes: 64 << 10, BatchPackets: 32}, chunk)
-			label := "shards=" + itoa(shards) + " chunk=" + itoa(chunk)
+				Tracker: cfg, RingBytes: ring}, chunk)
+			label := "ring=" + itoa(ring) + " chunk=" + itoa(chunk)
 			equivalentFlows(t, offline, online, label)
 			if stats.Flows != offStats.Flows || stats.TCPSegments != offStats.TCPSegments ||
 				stats.Packets != offStats.Packets {
@@ -172,7 +172,7 @@ func TestStreamExpiryActuallyFires(t *testing.T) {
 	m.Tracker.Expired = &telemetry.Counter{}
 	m.Flows = &telemetry.Counter{}
 	_, stats := streamCollect(t, data, StreamConfig{
-		Tracker: Config{MaxFlows: 1 << 16, MaxEmitted: -1}, Shards: 4, Metrics: &m}, 1<<20)
+		Tracker: Config{MaxFlows: 1 << 16, MaxEmitted: -1}, Metrics: &m}, 1<<20)
 	if m.Tracker.Expired.Load() < stats.Flows/2 {
 		t.Fatalf("only %d of %d flows idle-expired; capture spread should expire most", m.Tracker.Expired.Load(), stats.Flows)
 	}
@@ -188,13 +188,14 @@ func TestStreamExpiryActuallyFires(t *testing.T) {
 }
 
 // FuzzOnlineOfflineEquivalence fuzzes the equivalence property over
-// generated captures: whatever flow mix, timing spread, and shard count
-// the seed picks, online must equal offline.
+// generated captures: whatever flow mix, timing spread, and write
+// chunking the seed picks, online must equal offline.
 func FuzzOnlineOfflineEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint8(2))
 	f.Add(int64(99), uint8(30), uint8(5))
 	f.Add(int64(-7), uint8(1), uint8(1))
-	f.Fuzz(func(t *testing.T, seed int64, nflows, shards uint8) {
+	f.Add(int64(5), uint8(20), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, nflows, chunkSel uint8) {
 		n := int(nflows)%48 + 1
 		data := synthCapture(seed, n)
 		cfg := Config{MaxFlows: 1 << 16, MaxEmitted: -1}
@@ -202,8 +203,10 @@ func FuzzOnlineOfflineEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// chunkSel picks the write size: 1 byte up to ~16 KiB, around
+		// the 32 KiB ring.
 		online, _ := streamCollect(t, data, StreamConfig{
-			Tracker: cfg, Shards: int(shards)%8 + 1, RingBytes: 32 << 10}, 4096)
+			Tracker: cfg, RingBytes: 32 << 10}, 1+int(chunkSel)*64)
 		equivalentFlows(t, offline, online, "fuzz")
 	})
 }
@@ -338,9 +341,12 @@ func TestStreamContextCancelUnblocks(t *testing.T) {
 	}
 }
 
-// TestIdentifyStreamMatchesOffline runs a real multi-server pcapgen
-// capture through the streaming classify path and expects the same
-// label per server as the offline IdentifyCapture path.
+// TestIdentifyStreamMatchesOffline streams a real multi-server pcapgen
+// capture through the streaming classify path, repeatedly, and expects
+// IdentifyCapture's answer pair for pair on every run: the same pairing,
+// label, confidence, reason and elapsed time. The single tracker closes
+// each client's sequential connections in capture order, so the stream
+// pairer sees the same (A, B) pairs the offline Pair does.
 func TestIdentifyStreamMatchesOffline(t *testing.T) {
 	model := loadGoldenModel(t)
 	specs := []pcapgen.ServerSpec{
@@ -352,33 +358,52 @@ func TestIdentifyStreamMatchesOffline(t *testing.T) {
 	if _, err := pcapgen.Generate(&buf, specs, pcapgen.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	pairs, _, err := IdentifyCapture(bytes.NewReader(buf.Bytes()), model, IdentifyOptions{})
+	want, _, err := IdentifyCapture(bytes.NewReader(buf.Bytes()), model, IdentifyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]string{}
-	for _, p := range pairs {
-		want[p.A.Server] = p.ID.Label
-	}
-
-	got := map[string]string{}
-	var nResults int
-	st := NewIdentifyStream(context.Background(), model, IdentifyStreamOptions{}, func(fi FlowIdentification) {
-		nResults++
-		if fi.B != nil { // the paired (A,B) identification carries the label
-			got[fi.A.Server] = fi.ID.Label
+	for run := 0; run < 20; run++ {
+		var got []FlowIdentification
+		st := NewIdentifyStream(context.Background(), model, IdentifyStreamOptions{}, func(fi FlowIdentification) {
+			got = append(got, fi)
+		})
+		if _, err := io.Copy(st, bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatal(err)
 		}
-	})
-	if _, err := io.Copy(st, bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("run %d: stream produced %d results, offline %d", run, len(got), len(want))
+		}
+		sort.SliceStable(got, func(i, j int) bool { return flowLess(got[i].A, got[j].A) })
+		for i := range want {
+			if d := pairDiff(want[i], got[i]); d != "" {
+				t.Fatalf("run %d, pair %d (%s): %s", run, i, want[i].A.Server, d)
+			}
+		}
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
+}
+
+// pairDiff describes how a streamed identification differs from the
+// offline one ("" when they agree).
+func pairDiff(want, got FlowIdentification) string {
+	client := func(f *FlowTrace) string {
+		if f == nil {
+			return "none"
+		}
+		return f.Client
 	}
-	if nResults != len(pairs) {
-		t.Fatalf("stream produced %d results, offline %d", nResults, len(pairs))
+	w, g := want.ID, got.ID
+	switch {
+	case want.A.Client != got.A.Client || want.A.Server != got.A.Server:
+		return "flow A " + got.A.Client + " -> " + got.A.Server + ", offline " + want.A.Client + " -> " + want.A.Server
+	case client(want.B) != client(got.B):
+		return "companion " + client(got.B) + ", offline " + client(want.B)
+	case w.Label != g.Label || w.Confidence != g.Confidence || w.Reason != g.Reason ||
+		w.Elapsed != g.Elapsed || w.Valid != g.Valid || w.Special != g.Special:
+		return "identification " + g.String() + " elapsed " + g.Elapsed.String() +
+			", offline " + w.String() + " elapsed " + w.Elapsed.String()
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("streamed labels %v, offline %v", got, want)
-	}
+	return ""
 }

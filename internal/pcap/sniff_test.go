@@ -113,8 +113,8 @@ func TestTupleHashOtherLinkTypes(t *testing.T) {
 	}
 }
 
-// TestTupleSniffSpanPreservesParse pins the header-span contract the
-// streaming framer relies on: parsing just data[:span] must classify
+// TestTupleSniffSpanPreservesParse pins the header-span contract a
+// sharding framer relies on: parsing just data[:span] must classify
 // the frame identically and decode the exact same Packet, because no
 // layer reads payload bytes (lengths come from the IP header).
 func TestTupleSniffSpanPreservesParse(t *testing.T) {

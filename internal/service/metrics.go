@@ -58,7 +58,7 @@ type metrics struct {
 	streamEpochs        telemetry.Counter // expiry sweep epochs completed
 	streamExpired       telemetry.Counter // flows closed by idle expiry
 	streamBytes         telemetry.Counter // capture bytes accepted by streams
-	streamPackets       telemetry.Counter // capture records framed
+	streamPackets       telemetry.Counter // capture records read
 	streamFlows         telemetry.Counter // flows emitted (expired+evicted+drained)
 	streamRingHighWater telemetry.Gauge   // fullest any ingest ring has been
 

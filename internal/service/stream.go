@@ -66,14 +66,13 @@ func (s *Service) handlePcapStream(w http.ResponseWriter, r *http.Request) {
 	version := model.Version()
 	reqID := requestIDFrom(r.Context())
 	enc := json.NewEncoder(w)
-	// The sink runs serially on the pipeline's emitter goroutine (and,
-	// for the end-of-stream pairing flush, on this goroutine after the
-	// emitter exits), so encoding to w needs no lock.
+	// The sink runs serially on the pipeline goroutine, which decodes,
+	// tracks and classifies inline (and, for the end-of-stream pairing
+	// flush, on this goroutine after the pipeline exits), so encoding to
+	// w needs no lock.
 	st := flow.NewIdentifyStream(r.Context(), model.Identifier().Classifier(),
 		flow.IdentifyStreamOptions{Stream: flow.StreamConfig{
 			Metrics: s.metrics.streamMetrics(),
-			Trace:   s.flight,
-			TraceID: traceIDFrom(r.Context()),
 		}},
 		func(fi flow.FlowIdentification) {
 			resp := toFlowResponse(version, fi)

@@ -276,6 +276,20 @@ func TestPcapStreamClientCancelNoLeak(t *testing.T) {
 		<-done
 	}
 
+	// The client can see its response end before the handler returns and
+	// frees the slot, so wait (bounded) for the active gauge to drain.
+	var snap MetricsSnapshot
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		getJSON(t, ts.URL+"/metrics", &snap)
+		if snap.Stream.Active == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stream slot still held after cancel: %+v", snap.Stream)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
 	// The slot must be free again: a normal request succeeds immediately.
 	resp, err := http.Post(ts.URL+"/v1/pcap/stream", "application/octet-stream", bytes.NewReader(nil))
 	if err != nil {
@@ -287,7 +301,6 @@ func TestPcapStreamClientCancelNoLeak(t *testing.T) {
 		t.Fatalf("slot not released: status %d", resp.StatusCode)
 	}
 
-	var snap MetricsSnapshot
 	getJSON(t, ts.URL+"/metrics", &snap)
 	if snap.Stream.Active != 0 || snap.Stream.LiveFlows != 0 {
 		t.Fatalf("stream state leaked: %+v", snap.Stream)
