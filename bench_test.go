@@ -394,6 +394,13 @@ func BenchmarkIdentifyBatch(b *testing.B) {
 	bench.IdentifyBatch(model, 64)(b)
 }
 
+// BenchmarkPcapDecode measures the pcap decoder alone (record framing
+// and the TCP/IP parse), one packet per op, over a two-server probe
+// capture (ns/packet).
+func BenchmarkPcapDecode(b *testing.B) {
+	bench.PcapDecode()(b)
+}
+
 // BenchmarkPcapIngest measures the passive pipeline end to end: pcap
 // decode, TCP flow reassembly, congestion-window reconstruction, and
 // classification of a synthetic two-server capture (MB/s of capture).

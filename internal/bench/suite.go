@@ -45,6 +45,7 @@ func Suite(ctx *experiments.Context) ([]Case, error) {
 		{Name: "feature/extract", Bench: FeatureExtraction()},
 		{Name: "core/identify_mix", Bench: IdentifyMix(model)},
 		{Name: "engine/identify_batch", Bench: IdentifyBatch(model, 64)},
+		{Name: "pcap/decode", Bench: PcapDecode()},
 		{Name: "pcap/ingest", Bench: PcapIngest(model)},
 		{Name: "pcap/stream_ingest", Bench: PcapStreamIngest()},
 		{Name: "pcap/stream_probe_capture", Bench: PcapStreamProbeCapture(model)},
@@ -300,6 +301,54 @@ func ServiceBatchBlocks(model classify.Classifier, jobs int) func(*testing.B) {
 		}
 		b.ReportMetric(float64(jobs), "jobs/op")
 	}
+}
+
+// PcapDecode measures the decoder alone -- record framing plus the
+// Ethernet/IP/TCP parse -- over a pcapgen probe capture of two servers.
+// One op is one Reader.Next: the reader is built once over a source that
+// replays the capture's records without end, so the op allocates
+// nothing and ns/op is the decode cost per packet, reported again as
+// ns/packet.
+func PcapDecode() func(*testing.B) {
+	return func(b *testing.B) {
+		var buf bytes.Buffer
+		if _, err := pcapgen.Generate(&buf, []pcapgen.ServerSpec{
+			{Algorithm: "CUBIC2", Seed: 51},
+			{Algorithm: "RENO", Seed: 52},
+		}, pcapgen.Options{}); err != nil {
+			b.Fatal(err)
+		}
+		rd, err := pcap.NewReader(&recordLoop{data: buf.Bytes()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var pkt pcap.Packet
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := rd.Next(&pkt); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/packet")
+	}
+}
+
+// recordLoop reads a classic capture, then its records again and again:
+// after the last record it resumes at the first, past the 24-byte file
+// header.
+type recordLoop struct {
+	data []byte
+	off  int
+}
+
+func (l *recordLoop) Read(p []byte) (int, error) {
+	if l.off == len(l.data) {
+		l.off = 24
+	}
+	n := copy(p, l.data[l.off:])
+	l.off += n
+	return n, nil
 }
 
 // PcapIngest measures the passive pipeline end to end -- pcap decode, TCP

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"time"
 )
 
@@ -25,44 +26,33 @@ const maxNGBlock = MaxSnapLen + 4096
 // stream of IDBs cannot grow memory without bound.
 const maxNGInterfaces = 256
 
-// readSHB parses a section header block whose 4-byte type was already
-// consumed. The byte-order magic inside the block determines the
-// section's endianness.
-func (r *Reader) readSHB() error {
-	var lenBytes [4]byte
-	if _, err := io.ReadFull(r.br, lenBytes[:]); err != nil {
-		return fmt.Errorf("pcapng: truncated section header: %w", noEOF(err))
-	}
-	return r.readSHBWithLen(lenBytes[:])
-}
-
 // nextNG reads one pcapng block; it returns (frame, linkType, nil) for a
 // packet block, (nil, 0, nil) for a non-packet block, and io.EOF at the
 // clean end of the stream.
 func (r *Reader) nextNG(pkt *Packet) ([]byte, uint32, error) {
-	hdr := r.hdr[:8]
-	if _, err := io.ReadFull(r.br, hdr); err != nil {
+	hdr, err := r.take(8)
+	if err != nil {
 		if err == io.EOF {
 			return nil, 0, io.EOF
 		}
 		return nil, 0, fmt.Errorf("pcapng: truncated block header: %w", noEOF(err))
 	}
 	// An SHB starts a new section whose endianness is only known from the
-	// byte-order magic that follows, so its length bytes are handed over
+	// byte-order magic that follows, so its length field is handed over
 	// raw (the type is palindromic, readable in either order).
 	if binary.BigEndian.Uint32(hdr[0:4]) == ngBlockSHB {
-		return nil, 0, r.readSHBWithLen(hdr[4:8])
+		return nil, 0, r.readSHB(binary.BigEndian.Uint32(hdr[4:8]))
 	}
-	blockType := r.ngBO.Uint32(hdr[0:4])
-	total := r.ngBO.Uint32(hdr[4:8])
+	blockType := r.bo.Uint32(hdr[0:4])
+	total := r.bo.Uint32(hdr[4:8])
 	if total < 12 || total%4 != 0 || total > maxNGBlock {
 		return nil, 0, fmt.Errorf("pcapng: block length %d out of range", total)
 	}
-	body, err := r.fill(int(total) - 8)
+	body, err := r.take(int(total) - 8)
 	if err != nil {
 		return nil, 0, fmt.Errorf("pcapng: truncated block body: %w", noEOF(err))
 	}
-	if trailer := r.ngBO.Uint32(body[len(body)-4:]); trailer != total {
+	if trailer := r.bo.Uint32(body[len(body)-4:]); trailer != total {
 		return nil, 0, fmt.Errorf("pcapng: block trailing length %d != %d", trailer, total)
 	}
 	body = body[:len(body)-4]
@@ -78,34 +68,36 @@ func (r *Reader) nextNG(pkt *Packet) ([]byte, uint32, error) {
 	}
 }
 
-// readSHBWithLen finishes parsing an SHB whose type and length bytes were
-// already consumed (the length bytes are passed in).
-func (r *Reader) readSHBWithLen(lenBytes []byte) error {
-	var magic [4]byte
-	if _, err := io.ReadFull(r.br, magic[:]); err != nil {
-		return fmt.Errorf("pcapng: truncated section header: %w", noEOF(err))
-	}
-	switch binary.BigEndian.Uint32(magic[:]) {
-	case ngByteOrderMagic:
-		r.ngBO = binary.BigEndian
-	case 0x4d3c2b1a:
-		r.ngBO = binary.LittleEndian
-	default:
-		return fmt.Errorf("pcapng: bad byte-order magic %#x", binary.BigEndian.Uint32(magic[:]))
-	}
-	total := r.ngBO.Uint32(lenBytes)
-	if total < 28 || total%4 != 0 || total > maxNGBlock {
-		return fmt.Errorf("pcapng: section header length %d out of range", total)
-	}
-	body, err := r.fill(int(total) - 12)
+// readSHB finishes parsing a section header block whose type and length
+// were already taken; lenBE is the length field read big-endian, which
+// the byte-order magic that follows may swap.
+func (r *Reader) readSHB(lenBE uint32) error {
+	magic, err := r.take(4)
 	if err != nil {
 		return fmt.Errorf("pcapng: truncated section header: %w", noEOF(err))
 	}
-	if trailer := r.ngBO.Uint32(body[len(body)-4:]); trailer != total {
+	total := lenBE
+	switch m := binary.BigEndian.Uint32(magic); m {
+	case ngByteOrderMagic:
+		r.bo = bigEndian
+	case 0x4d3c2b1a:
+		r.bo = littleEndian
+		total = bits.ReverseBytes32(lenBE)
+	default:
+		return fmt.Errorf("pcapng: bad byte-order magic %#x", m)
+	}
+	if total < 28 || total%4 != 0 || total > maxNGBlock {
+		return fmt.Errorf("pcapng: section header length %d out of range", total)
+	}
+	body, err := r.take(int(total) - 12)
+	if err != nil {
+		return fmt.Errorf("pcapng: truncated section header: %w", noEOF(err))
+	}
+	if trailer := r.bo.Uint32(body[len(body)-4:]); trailer != total {
 		return fmt.Errorf("pcapng: section header trailing length %d != %d", trailer, total)
 	}
-	if major := r.ngBO.Uint16(body[0:2]); major != 1 {
-		return fmt.Errorf("pcapng: unsupported version %d.%d", major, r.ngBO.Uint16(body[2:4]))
+	if major := r.bo.Uint16(body[0:2]); major != 1 {
+		return fmt.Errorf("pcapng: unsupported version %d.%d", major, r.bo.Uint16(body[2:4]))
 	}
 	r.ifaces = r.ifaces[:0]
 	r.sections++
@@ -121,16 +113,16 @@ func (r *Reader) readIDB(body []byte) error {
 		return fmt.Errorf("pcapng: more than %d interfaces in one section", maxNGInterfaces)
 	}
 	iface := ngIface{
-		linkType: uint32(r.ngBO.Uint16(body[0:2])),
-		snapLen:  r.ngBO.Uint32(body[4:8]),
+		linkType: uint32(r.bo.Uint16(body[0:2])),
+		snapLen:  r.bo.Uint32(body[4:8]),
 		tsPow10:  6, // default resolution: microseconds
 		tsPow2:   -1,
 	}
 	// Walk options for if_tsresol (code 9).
 	opts := body[8:]
 	for len(opts) >= 4 {
-		code := r.ngBO.Uint16(opts[0:2])
-		olen := int(r.ngBO.Uint16(opts[2:4]))
+		code := r.bo.Uint16(opts[0:2])
+		olen := int(r.bo.Uint16(opts[2:4]))
 		padded := (olen + 3) &^ 3
 		if 4+padded > len(opts) {
 			break // malformed options: keep what we have
@@ -158,14 +150,14 @@ func (r *Reader) readEPB(body []byte, pkt *Packet) ([]byte, uint32, error) {
 	if len(body) < 20 {
 		return nil, 0, fmt.Errorf("pcapng: packet block too short (%d bytes)", len(body))
 	}
-	ifID := r.ngBO.Uint32(body[0:4])
+	ifID := r.bo.Uint32(body[0:4])
 	if int(ifID) >= len(r.ifaces) {
 		return nil, 0, fmt.Errorf("pcapng: packet references undeclared interface %d", ifID)
 	}
 	iface := r.ifaces[ifID]
-	ts := uint64(r.ngBO.Uint32(body[4:8]))<<32 | uint64(r.ngBO.Uint32(body[8:12]))
-	capLen := r.ngBO.Uint32(body[12:16])
-	origLen := r.ngBO.Uint32(body[16:20])
+	ts := uint64(r.bo.Uint32(body[4:8]))<<32 | uint64(r.bo.Uint32(body[8:12]))
+	capLen := r.bo.Uint32(body[12:16])
+	origLen := r.bo.Uint32(body[16:20])
 	if capLen > MaxSnapLen || int(capLen) > len(body)-20 {
 		return nil, 0, fmt.Errorf("pcapng: packet capture length %d out of range", capLen)
 	}
@@ -189,7 +181,7 @@ func (r *Reader) readSPB(body []byte, pkt *Packet) ([]byte, uint32, error) {
 		return nil, 0, fmt.Errorf("pcapng: simple packet block too short (%d bytes)", len(body))
 	}
 	iface := r.ifaces[0]
-	origLen := r.ngBO.Uint32(body[0:4])
+	origLen := r.bo.Uint32(body[0:4])
 	capLen := origLen
 	if iface.snapLen > 0 && capLen > iface.snapLen {
 		capLen = iface.snapLen

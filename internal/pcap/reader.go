@@ -23,26 +23,54 @@ const (
 // with NewReader, then call Next until io.EOF. The reader holds one
 // bounded buffer regardless of capture size. Not safe for concurrent use.
 type Reader struct {
-	br    *bufio.Reader
-	ng    bool
+	br *bufio.Reader
+	// win is everything br had buffered at the last refill and off the
+	// bytes of it already framed; take slices headers and bodies out of
+	// win[off:] and only touches br when the next one does not fit.
+	win []byte
+	off int
+	// buf is the copying path's record buffer, for records larger than
+	// the bufio window.
 	buf   []byte
+	ng    bool
 	stats Stats
-	// hdr is the reusable fixed-header scratch: passing a stack array to
-	// io.ReadFull makes it escape, which would cost one allocation per
-	// record (see BenchmarkPcapIngest).
-	hdr [16]byte
 	// raw is the scratch packet NextRaw routes record metadata through.
 	raw Packet
 
+	// bo is the byte order of the classic file or of the current pcapng
+	// section.
+	bo endian
+
 	// Classic pcap state.
-	bo       binary.ByteOrder
 	nanos    bool
 	linkType uint32
 
 	// pcapng per-section state.
-	ngBO     binary.ByteOrder
 	ifaces   []ngIface
 	sections int
+}
+
+// endian is a capture byte order. Its methods branch on a concrete value,
+// which is cheaper per record than calling through binary.ByteOrder.
+type endian bool
+
+const (
+	littleEndian endian = false
+	bigEndian    endian = true
+)
+
+func (e endian) Uint16(b []byte) uint16 {
+	if e == bigEndian {
+		return binary.BigEndian.Uint16(b)
+	}
+	return binary.LittleEndian.Uint16(b)
+}
+
+func (e endian) Uint32(b []byte) uint32 {
+	if e == bigEndian {
+		return binary.BigEndian.Uint32(b)
+	}
+	return binary.LittleEndian.Uint32(b)
 }
 
 // ngIface is one pcapng interface description: its link type and
@@ -62,25 +90,29 @@ type ngIface struct {
 // pcap nor pcapng.
 func NewReader(r io.Reader) (*Reader, error) {
 	rd := &Reader{br: bufio.NewReaderSize(r, 1<<18)}
-	var magic [4]byte
-	if _, err := io.ReadFull(rd.br, magic[:]); err != nil {
+	magic, err := rd.take(4)
+	if err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("%w: capture shorter than a file header", ErrFormat)
 		}
 		return nil, err
 	}
-	switch binary.BigEndian.Uint32(magic[:]) {
+	switch binary.BigEndian.Uint32(magic) {
 	case magicMicros:
-		rd.bo, rd.nanos = binary.BigEndian, false
+		rd.bo, rd.nanos = bigEndian, false
 	case magicMicrosSwapped:
-		rd.bo, rd.nanos = binary.LittleEndian, false
+		rd.bo, rd.nanos = littleEndian, false
 	case magicNanos:
-		rd.bo, rd.nanos = binary.BigEndian, true
+		rd.bo, rd.nanos = bigEndian, true
 	case magicNanosSwapped:
-		rd.bo, rd.nanos = binary.LittleEndian, true
+		rd.bo, rd.nanos = littleEndian, true
 	case ngBlockSHB:
 		rd.ng = true
-		if err := rd.readSHB(); err != nil {
+		lenField, err := rd.take(4)
+		if err != nil {
+			return nil, fmt.Errorf("pcapng: truncated section header: %w", noEOF(err))
+		}
+		if err := rd.readSHB(binary.BigEndian.Uint32(lenField)); err != nil {
 			return nil, err
 		}
 		return rd, nil
@@ -88,8 +120,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, ErrFormat
 	}
 	// Classic pcap: the remaining 20 header bytes.
-	var hdr [20]byte
-	if _, err := io.ReadFull(rd.br, hdr[:]); err != nil {
+	hdr, err := rd.take(20)
+	if err != nil {
 		return nil, fmt.Errorf("pcap: truncated file header: %w", noEOF(err))
 	}
 	major := rd.bo.Uint16(hdr[0:2])
@@ -223,61 +255,94 @@ func ParseFrame(linkType uint32, data []byte, pkt *Packet) FrameClass {
 
 // nextClassic reads one classic-pcap record.
 func (r *Reader) nextClassic(pkt *Packet) ([]byte, uint32, error) {
-	hdr := r.hdr[:16]
-	if _, err := io.ReadFull(r.br, hdr); err != nil {
+	hdr, err := r.take(16)
+	if err != nil {
 		if err == io.EOF {
 			return nil, 0, io.EOF
 		}
 		return nil, 0, fmt.Errorf("pcap: truncated record header: %w", noEOF(err))
 	}
-	sec := int64(r.bo.Uint32(hdr[0:4]))
-	sub := int64(r.bo.Uint32(hdr[4:8]))
-	capLen := r.bo.Uint32(hdr[8:12])
-	origLen := r.bo.Uint32(hdr[12:16])
+	// The fields are read before the body is taken: a refill for the
+	// body may move the bytes hdr aliases.
+	var sec, sub, capLen, origLen uint32
+	_ = hdr[15]
+	if r.bo == littleEndian {
+		sec = binary.LittleEndian.Uint32(hdr[0:4])
+		sub = binary.LittleEndian.Uint32(hdr[4:8])
+		capLen = binary.LittleEndian.Uint32(hdr[8:12])
+		origLen = binary.LittleEndian.Uint32(hdr[12:16])
+	} else {
+		sec = binary.BigEndian.Uint32(hdr[0:4])
+		sub = binary.BigEndian.Uint32(hdr[4:8])
+		capLen = binary.BigEndian.Uint32(hdr[8:12])
+		origLen = binary.BigEndian.Uint32(hdr[12:16])
+	}
 	if capLen > MaxSnapLen {
 		return nil, 0, fmt.Errorf("pcap: record capture length %d exceeds the %d-byte bound", capLen, MaxSnapLen)
 	}
 	if capLen > origLen {
 		return nil, 0, fmt.Errorf("pcap: record capture length %d exceeds original length %d", capLen, origLen)
 	}
-	data, err := r.fill(int(capLen))
+	data, err := r.take(int(capLen))
 	if err != nil {
 		return nil, 0, fmt.Errorf("pcap: truncated record body: %w", noEOF(err))
 	}
-	nanos := sub
+	nanos := int64(sub)
 	if !r.nanos {
 		if sub > 999_999 {
 			return nil, 0, fmt.Errorf("pcap: record microseconds field %d out of range", sub)
 		}
-		nanos = sub * 1000
+		nanos *= 1000
 	} else if sub > 999_999_999 {
 		return nil, 0, fmt.Errorf("pcap: record nanoseconds field %d out of range", sub)
 	}
-	pkt.Time = time.Unix(sec, nanos).UTC()
+	pkt.Time = time.Unix(int64(sec), nanos).UTC()
 	pkt.CapturedLen = int(capLen)
 	pkt.OrigLen = int(origLen)
 	return data, r.linkType, nil
 }
 
-// fill returns the next n stream bytes, valid until the next read.
-// Records that fit the bufio window are served straight out of it
-// (Peek+Discard, no copy); larger ones go through the reusable buffer.
-func (r *Reader) fill(n int) ([]byte, error) {
-	if n <= r.br.Size() {
-		if b, err := r.br.Peek(n); err == nil {
-			_, _ = r.br.Discard(n) // cannot fail after a full Peek
-			return b, nil
+// take returns the next n stream bytes: the one framing primitive for
+// file headers, record headers, pcapng blocks and record bodies. The
+// bytes alias the reader's window (or, for records larger than it, r.buf)
+// and are valid until the next take. It returns io.EOF only when the
+// stream ended before the first of the n bytes, io.ErrUnexpectedEOF when
+// it ended after some of them.
+func (r *Reader) take(n int) ([]byte, error) {
+	if off := r.off; n <= len(r.win)-off {
+		r.off = off + n
+		return r.win[off : off+n], nil
+	}
+	return r.refill(n)
+}
+
+// refill is take's slow path: it hands the framed bytes back to bufio,
+// which slides the unframed tail to the front of its 256 KiB buffer and
+// reads behind it until n bytes are buffered, then re-slices the window
+// over everything buffered. Records larger than the buffer are copied
+// into r.buf instead, leaving the window empty.
+func (r *Reader) refill(n int) ([]byte, error) {
+	_, _ = r.br.Discard(r.off) // r.off <= Buffered(): cannot fail
+	r.win, r.off = nil, 0
+	if n > r.br.Size() {
+		if cap(r.buf) < n {
+			r.buf = make([]byte, n, n+1024)
 		}
-		// Short peek: fall through so ReadFull classifies the error.
+		r.buf = r.buf[:n]
+		if _, err := io.ReadFull(r.br, r.buf); err != nil {
+			return nil, err
+		}
+		return r.buf, nil
 	}
-	if cap(r.buf) < n {
-		r.buf = make([]byte, n, n+1024)
-	}
-	r.buf = r.buf[:n]
-	if _, err := io.ReadFull(r.br, r.buf); err != nil {
+	if _, err := r.br.Peek(n); err != nil {
+		if err == io.EOF && r.br.Buffered() > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	return r.buf, nil
+	r.win, _ = r.br.Peek(r.br.Buffered()) // n <= Buffered(): cannot fail
+	r.off = n
+	return r.win[:n], nil
 }
 
 // noEOF converts a bare io.EOF into io.ErrUnexpectedEOF so mid-structure
