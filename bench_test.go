@@ -316,9 +316,9 @@ func BenchmarkForestVotesInto(b *testing.B) {
 	bench.ForestVotesInto(f)(b)
 }
 
-// BenchmarkForestClassifyBatch measures the batched branch-free kernel on
-// a 64-sample block with caller-owned scratch (one op = one block; see
-// the ns/sample extra metric for the per-sample cost against
+// BenchmarkForestClassifyBatch measures a 64-sample block classified one
+// vector at a time into caller-owned votes (one op = one block; see the
+// ns/sample extra metric for the per-sample cost against
 // BenchmarkForestClassify).
 func BenchmarkForestClassifyBatch(b *testing.B) {
 	ctx := benchCtx(b)

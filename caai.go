@@ -110,7 +110,8 @@ type (
 	// BatchResult pairs a BatchJob with its Identification.
 	BatchResult = engine.Result[core.Identification]
 	// BatchOptions tunes IdentifyBatch (parallelism, probe config, seed,
-	// and an optional streaming OnResult callback).
+	// an optional streaming OnResult callback, and an optional per-worker
+	// session factory; nil runs IdentifyBatch's default session).
 	BatchOptions = engine.BatchConfig[core.Identification]
 	// FlowIdentification is the classification of one captured flow pair
 	// (see Identifier.IdentifyCapture).
@@ -252,15 +253,11 @@ func (id *Identifier) IdentifyTimed(server *Server, cond Condition, cfg ProbeCon
 // IdentifyBatch probes every job on a bounded worker pool and returns the
 // identifications in input order. Results are deterministic for a fixed
 // (jobs, opts.Seed) regardless of opts.Parallelism; set opts.OnResult to
-// stream results as they complete. Each pool worker runs a reusable
-// block-inference session: it recycles probe and feature scratch across
-// its jobs and gathers their feature vectors into blocks, so the model
-// classifies up to 64 probes in one batched inference call instead of
-// walking every tree per job. Block grouping never changes an outcome
-// (batched classification is bit-identical to scalar), it only changes
-// when results land: streaming arrives in block-sized bursts.
+// stream results as they complete, one job at a time. Each pool worker
+// runs a reusable session that recycles probe and feature scratch across
+// its jobs and classifies each probe as soon as it is gathered.
 func (id *Identifier) IdentifyBatch(jobs []BatchJob, opts BatchOptions) []BatchResult {
-	if opts.NewWorkerIdentifier == nil && opts.NewWorkerBlock == nil {
+	if opts.NewWorkerBlock == nil {
 		opts.NewWorkerBlock = func() engine.BlockIdentifier[core.Identification] {
 			return id.core.NewBlockSession()
 		}

@@ -46,7 +46,7 @@ func main() {
 	}
 
 	// Production flow: persist the trained model and identify a whole
-	// fleet in one batched call on the worker pool -- no retraining.
+	// fleet in one IdentifyBatch call on the worker pool -- no retraining.
 	path := filepath.Join(os.TempDir(), "caai-quickstart-model.json")
 	if err := id.SaveModel(path); err != nil {
 		log.Fatal(err)

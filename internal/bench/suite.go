@@ -96,10 +96,10 @@ func ForestClassify(model classify.Classifier) func(*testing.B) {
 	}
 }
 
-// ForestClassifyBatch measures the batched branch-free kernel on a block
-// of m spread-out vectors with caller-owned scratch. One op classifies the
-// whole block, so ns/op here divided by m is the per-sample cost to weigh
-// against forest/classify.
+// ForestClassifyBatch measures a block of m spread-out vectors classified
+// one by one with ClassifyBuf into caller-owned votes, as BlockSession and
+// IdentifyResults run the forest. One op classifies the whole block, so
+// the ns/sample metric is directly comparable with forest/classify.
 func ForestClassifyBatch(f *forest.Forest, m int) func(*testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
@@ -112,13 +112,12 @@ func ForestClassifyBatch(f *forest.Forest, m int) func(*testing.B) {
 			}
 			vecs[i] = v
 		}
-		labels := make([]string, m)
-		confs := make([]float64, m)
-		var sc forest.BatchScratch
-		f.ClassifyBatchInto(&sc, vecs, labels, confs)
+		votes := make([]int, f.NumClasses())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			f.ClassifyBatchInto(&sc, vecs, labels, confs)
+			for _, v := range vecs {
+				_, _, votes = f.ClassifyBuf(v, votes)
+			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m), "ns/sample")
 		b.ReportMetric(float64(m), "block")
@@ -206,10 +205,9 @@ func IdentifyMix(model classify.Classifier) func(*testing.B) {
 }
 
 // IdentifyBatch measures batched identification of jobs servers through a
-// pretrained model on the worker pool, with per-worker block sessions
-// feeding the batched forest kernel (the default engine path since the
-// block-inference change; probing still dominates, allocs/op is the
-// budgeted number).
+// pretrained model on the worker pool, one block session per worker (the
+// default engine path; probing dominates, allocs/op is the budgeted
+// number).
 func IdentifyBatch(model classify.Classifier, jobs int) func(*testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
@@ -244,9 +242,11 @@ func IdentifyBatch(model classify.Classifier, jobs int) func(*testing.B) {
 
 // ServiceBatchBlocks measures the async batch queue end to end: POST
 // /v1/batch with jobs all-miss specs, then poll GET /v1/jobs/{id} until
-// the worker has coalesced the queue into inference blocks and finished.
-// One op is one whole batch job; seeds vary per iteration so every spec
-// is a fresh probe through the block pipeline, never a cache replay.
+// the job is done. Polls back off from 1 ms, doubling, so their count --
+// and the allocations they add to the op -- grows with the log of the
+// job's run time rather than linearly with it. One op is one whole batch
+// job; seeds vary per iteration so every spec is a fresh probe through
+// the engine's worker sessions, never a cache replay.
 func ServiceBatchBlocks(model classify.Classifier, jobs int) func(*testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
@@ -279,7 +279,7 @@ func ServiceBatchBlocks(model classify.Classifier, jobs int) func(*testing.B) {
 			if err := json.Unmarshal(rec.Body.Bytes(), &acc); err != nil {
 				b.Fatal(err)
 			}
-			for {
+			for wait := time.Millisecond; ; wait *= 2 {
 				req = httptest.NewRequest(http.MethodGet, "/v1/jobs/"+acc.JobID, nil)
 				rec = httptest.NewRecorder()
 				h.ServeHTTP(rec, req)
@@ -296,7 +296,7 @@ func ServiceBatchBlocks(model classify.Classifier, jobs int) func(*testing.B) {
 				if st.State == service.StateFailed || st.State == service.StateCancelled {
 					b.Fatalf("job ended %s: %s", st.State, st.Error)
 				}
-				time.Sleep(50 * time.Microsecond)
+				time.Sleep(wait)
 			}
 		}
 		b.ReportMetric(float64(jobs), "jobs/op")

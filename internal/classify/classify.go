@@ -4,7 +4,9 @@
 // forest the paper settled on, the Weka comparison classifiers in
 // internal/ml, or an out-of-tree experiment -- implements Classifier and
 // plugs into core.Identifier, engine.IdentifyBatch, and the census runner
-// unchanged.
+// unchanged. The pipeline calls Classify once per feature vector, batch
+// paths included: a vote costs microseconds against a millisecond of
+// probing, so there is no batched entry point to implement.
 //
 // The package also defines the model persistence layer: a Codec serializes
 // one classifier backend, and Save/Load wrap codecs in a self-describing
@@ -29,36 +31,6 @@ type Classifier interface {
 	Name() string
 	// Classify returns the predicted label and a confidence in [0, 1].
 	Classify(features []float64) (string, float64)
-}
-
-// BatchClassifier is implemented by backends that can classify a block of
-// feature vectors in one call (the random forest's reach-mask kernel
-// amortizes per-tree work over 64 samples at a time). Implementations
-// must produce results identical to calling Classify per vector -- the
-// pipeline batches opportunistically wherever vectors pile up, and job
-// outcomes must not depend on how they were grouped into blocks.
-type BatchClassifier interface {
-	Classifier
-	// ClassifyBatch writes the label and confidence for vecs[i] into
-	// labels[i] and confs[i]; both slices must have len(vecs) elements.
-	ClassifyBatch(vecs [][]float64, labels []string, confs []float64)
-}
-
-// Batch classifies a block of vectors through c's batched entry point
-// when it has one, and vector by vector otherwise. It is the dispatch
-// helper the pipeline's block paths share, so every consumer gains the
-// batched kernel the moment a backend implements BatchClassifier.
-func Batch(c Classifier, vecs [][]float64, labels []string, confs []float64) {
-	if len(vecs) == 0 {
-		return
-	}
-	if bc, ok := c.(BatchClassifier); ok {
-		bc.ClassifyBatch(vecs, labels, confs)
-		return
-	}
-	for i, v := range vecs {
-		labels[i], confs[i] = c.Classify(v)
-	}
 }
 
 // Codec serializes trained classifiers of one backend. Implementations

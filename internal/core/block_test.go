@@ -30,23 +30,19 @@ func blockJobs(n int) (servers []*websim.Server, conds []netem.Condition, seeds 
 }
 
 // TestBlockSessionMatchesIdentifier: a BlockSession must reproduce the
-// plain Identifier's results job for job, for both a batched backend (the
-// forest, classified at Flush) and a scalar-only backend (classified
-// eagerly at Gather) -- and emission must preserve gather order and tags.
+// plain Identifier's results job for job, for the forest and for a stub
+// backend -- and emission must preserve gather order and tags.
 func TestBlockSessionMatchesIdentifier(t *testing.T) {
-	batched := forest.Train(trainingSet(t), forest.Config{Trees: 20, Subspace: 4, Seed: 51})
+	trained := forest.Train(trainingSet(t), forest.Config{Trees: 20, Subspace: 4, Seed: 51})
 	for _, tc := range []struct {
 		name  string
 		model classify.Classifier
 	}{
-		{"forest-batched", batched},
+		{"forest-batched", trained},
 		{"scalar-backend", stubClassifier{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			id := NewIdentifier(tc.model)
-			if _, isBatch := tc.model.(classify.BatchClassifier); isBatch != (tc.name == "forest-batched") {
-				t.Fatalf("backend batching = %v, test expects the opposite", isBatch)
-			}
 			bs := id.NewBlockSession()
 			servers, conds, seeds := blockJobs(9)
 			want := make([]Identification, len(servers))

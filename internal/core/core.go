@@ -263,9 +263,8 @@ func (id *Identifier) identifyResult(res *probe.Result, sc *feature.Scratch) Ide
 
 // prepareResult runs every pipeline stage before model inference --
 // validity, special-shape detection, feature extraction -- and reports
-// whether the outcome still needs a classification. It is the per-sample
-// half of the block paths: BlockSession and IdentifyResults prepare
-// samples one at a time and classify whole blocks at once.
+// whether the outcome still needs a classification, so span-recording
+// paths can time feature extraction and the model call apart.
 func prepareResult(res *probe.Result, sc *feature.Scratch) (Identification, bool) {
 	out := Identification{Wmax: res.Wmax, MSS: res.MSS, Reason: res.Reason}
 	if !res.Valid {

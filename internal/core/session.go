@@ -19,9 +19,9 @@ import (
 // prober is rewound to a fresh state (clock, condition, RNG) for every
 // call.
 //
-// A Session is NOT safe for concurrent use; the engine hands one to each
-// pool worker (see engine.BatchConfig.NewWorkerIdentifier) and the service
-// pools them per model.
+// A Session is NOT safe for concurrent use; the engine hands each pool
+// worker one wrapped in a BlockSession (see engine.BatchConfig.NewWorkerBlock)
+// and the service pools them per model.
 type Session struct {
 	id *Identifier
 	p  *probe.Prober
@@ -46,6 +46,9 @@ type Session struct {
 	// tracing enabled, pinned by TestSessionIdentifyAllocatesNothing.
 	flight *telemetry.Flight
 	trace  telemetry.TraceID
+	// tag is the arg stamped on every traced span; BlockSession sets it
+	// to the job index so a batch trace tells its jobs apart.
+	tag uint64
 }
 
 // NewSession returns a reusable pipeline bound to this identifier's
@@ -109,7 +112,7 @@ func (s *Session) Identify(server *websim.Server, cond netem.Condition, cfg prob
 		s.tel.ObserveTimings(&out.Timings)
 	}
 	if s.flight != nil && s.trace != 0 {
-		s.flight.StageSpans(s.trace, start, &out.Timings, 0)
+		s.flight.StageSpans(s.trace, start, &out.Timings, s.tag)
 		if out.Label == LabelUnsure {
 			s.flight.Event(s.trace, telemetry.EventUnsure, uint64(out.Confidence*1000))
 		}

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math/rand"
+	"sync"
 
 	"repro/internal/netem"
 	"repro/internal/probe"
@@ -35,23 +36,34 @@ type Identifier[R any] interface {
 	Identify(server *websim.Server, cond netem.Condition, cfg probe.Config, rng *rand.Rand) R
 }
 
-// BlockIdentifier is the block-inference counterpart of Identifier: a
-// per-worker session that probes jobs one at a time but defers the
-// finishing model inference, parking gathered feature vectors until the
-// engine flushes a whole block through the classifier's batched kernel
-// (core.BlockSession is the pipeline implementation). Implementations
-// must be equivalent to the scalar path job for job -- a job's result
-// must not depend on which block it landed in.
+// BlockIdentifier is a per-worker pipeline session that buffers its
+// results under the caller's tags: IdentifyBatch gathers one job into it
+// and flushes it at once (core.BlockSession is the pipeline
+// implementation). Implementations must be equivalent to Identifier job
+// for job.
 type BlockIdentifier[R any] interface {
-	// Gather probes one job and buffers its finishing work under tag.
+	// Gather runs one job and buffers its result under tag.
 	Gather(tag int, server *websim.Server, cond netem.Condition, cfg probe.Config, rng *rand.Rand)
-	// Buffered reports how many gathered jobs await Flush.
-	Buffered() int
-	// Flush finishes every buffered job -- one batched inference for the
-	// whole block -- and emits each (tag, result), leaving the session
-	// empty. Flushing an empty session is a no-op.
+	// Flush emits each buffered (tag, result) in gather order, leaving
+	// the session empty. Flushing an empty session is a no-op.
 	Flush(emit func(tag int, out R))
 }
+
+// single adapts a shared Identifier as a block of one, for batches that
+// bring no per-worker sessions. IdentifyBatch flushes it after every
+// Gather, so it never holds more than one result and is never flushed
+// empty.
+type single[R any] struct {
+	id  Identifier[R]
+	tag int
+	out R
+}
+
+func (s *single[R]) Gather(tag int, server *websim.Server, cond netem.Condition, cfg probe.Config, rng *rand.Rand) {
+	s.tag, s.out = tag, s.id.Identify(server, cond, cfg, rng)
+}
+
+func (s *single[R]) Flush(emit func(tag int, out R)) { emit(s.tag, s.out) }
 
 // BatchConfig controls IdentifyBatch.
 type BatchConfig[R any] struct {
@@ -67,32 +79,18 @@ type BatchConfig[R any] struct {
 	// Seed derives per-job seeds for jobs that leave Job.Seed zero.
 	Seed int64
 	// OnResult, when set, streams each result as its probe completes
-	// (completion order, not input order). Calls are serialized; the
+	// (completion order, not input order), on the worker that ran it and
+	// before that worker starts its next job. Calls are serialized; the
 	// callback must not block for long or it stalls the pool.
 	OnResult func(Result[R])
-	// NewWorkerIdentifier, when set, is called once per pool worker; its
-	// result handles that worker's jobs instead of the shared identifier.
+	// NewWorkerBlock, when set, is called once per pool worker; its
+	// session runs that worker's jobs instead of the shared identifier.
 	// Pipelines use it to give every worker private reusable scratch
-	// (probe buffers, feature scratch) without locks. Each returned
-	// identifier must produce results identical to the shared one -- job
-	// outcomes must not depend on which worker ran them.
-	NewWorkerIdentifier func() Identifier[R]
-	// NewWorkerBlock, when set, switches the batch to block inference and
-	// takes precedence over NewWorkerIdentifier: each pool worker gathers
-	// its jobs into a BlockIdentifier and the engine flushes a whole block
-	// through the model at once (every BlockSize gathered jobs, plus a
-	// final drain when the worker runs out of jobs or the batch is
-	// cancelled). Results are identical to the scalar path; OnResult
-	// streaming simply arrives in block-sized bursts.
+	// (probe buffers, feature scratch) without locks. Each session must
+	// produce results identical to the shared identifier -- job outcomes
+	// must not depend on which worker ran them.
 	NewWorkerBlock func() BlockIdentifier[R]
-	// BlockSize is how many gathered jobs trigger a block flush;
-	// 0 = DefaultBlockSize. Only meaningful with NewWorkerBlock.
-	BlockSize int
 }
-
-// DefaultBlockSize is the block-inference flush width: one 64-lane chunk
-// of the forest's batched kernel, so a full flush is a single sweep.
-const DefaultBlockSize = 64
 
 // jobSeedStride spaces derived per-job seeds (a prime, like the strides
 // used elsewhere in the pipeline, so neighbouring jobs never share RNG
@@ -102,30 +100,16 @@ const jobSeedStride = 15485863
 // IdentifyBatch probes every job on the worker pool and returns the
 // results in input order. Each job runs with its own deterministically
 // seeded RNG, so a batch's output is a pure function of (jobs, cfg.Seed)
-// regardless of cfg.Parallelism or scheduling -- the block-inference path
-// (cfg.NewWorkerBlock) keeps that property because block classification
-// is bit-identical to scalar classification no matter how jobs group into
-// blocks. Set cfg.Ctx to make the batch cancellable (see BatchConfig.Ctx
-// for the partial-result contract).
+// regardless of cfg.Parallelism or scheduling. Each worker gathers one
+// job into its session and flushes it at once, so OnResult fires for a
+// job before its worker starts the next. Set cfg.Ctx to make the batch
+// cancellable (see BatchConfig.Ctx for the partial-result contract).
 func IdentifyBatch[R any](id Identifier[R], jobs []Job, cfg BatchConfig[R]) []Result[R] {
 	ctx := cfg.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	results := make([]Result[R], len(jobs))
-	var stream chan Result[R]
-	done := make(chan struct{})
-	if cfg.OnResult != nil {
-		stream = make(chan Result[R])
-		go func() {
-			defer close(done)
-			for r := range stream {
-				cfg.OnResult(r)
-			}
-		}()
-	} else {
-		close(done)
-	}
 	jobSeed := func(i int) int64 {
 		if s := jobs[i].Seed; s != 0 {
 			return s
@@ -135,71 +119,34 @@ func IdentifyBatch[R any](id Identifier[R], jobs []Job, cfg BatchConfig[R]) []Re
 	// One RNG per worker, reseeded between jobs: a job's stream depends
 	// only on its seed, so reseeding is indistinguishable from a fresh
 	// xrand.New -- without two allocations per job.
-	rngs := make([]*rand.Rand, Workers(len(jobs), cfg.Parallelism))
-	for w := range rngs {
+	workers := Workers(len(jobs), cfg.Parallelism)
+	rngs := make([]*rand.Rand, workers)
+	blocks := make([]BlockIdentifier[R], workers)
+	for w := range blocks {
 		rngs[w] = xrand.New(0)
-	}
-	jobRNG := func(w, i int) *rand.Rand {
-		xrand.Reseed(rngs[w], jobSeed(i))
-		return rngs[w]
-	}
-	if cfg.NewWorkerBlock != nil {
-		// Block inference: each worker gathers probes into its own block
-		// session and the model runs once per block instead of once per
-		// job. The commit callback runs on the gathering worker's own
-		// goroutine; result slots are disjoint, so only the stream channel
-		// is shared.
-		blockSize := cfg.BlockSize
-		if blockSize <= 0 {
-			blockSize = DefaultBlockSize
-		}
-		blocks := make([]BlockIdentifier[R], Workers(len(jobs), cfg.Parallelism))
-		for w := range blocks {
+		if cfg.NewWorkerBlock != nil {
 			blocks[w] = cfg.NewWorkerBlock()
+		} else {
+			blocks[w] = &single[R]{id: id}
 		}
-		commit := func(tag int, out R) {
-			results[tag] = Result[R]{Index: tag, Job: jobs[tag], Out: out}
-			if stream != nil {
-				stream <- results[tag]
-			}
-		}
-		RunWorkersFlush(ctx, len(jobs), cfg.Parallelism,
-			func(w, i int) {
-				blocks[w].Gather(i, jobs[i].Server, jobs[i].Cond, cfg.Probe, jobRNG(w, i))
-				if blocks[w].Buffered() >= blockSize {
-					blocks[w].Flush(commit)
-				}
-			},
-			// The epilogue drains the worker's partial block; it also runs
-			// on cancellation, so jobs that already spent their probe still
-			// deliver their result.
-			func(w int) { blocks[w].Flush(commit) })
-	} else {
-		// Per-worker identifiers (when offered) let each pool worker reuse
-		// its own probe/feature scratch across the jobs it runs.
-		var perWorker []Identifier[R]
-		if cfg.NewWorkerIdentifier != nil {
-			perWorker = make([]Identifier[R], Workers(len(jobs), cfg.Parallelism))
-			for w := range perWorker {
-				perWorker[w] = cfg.NewWorkerIdentifier()
-			}
-		}
-		RunWorkers(ctx, len(jobs), cfg.Parallelism, func(w, i int) {
-			ident := id
-			if perWorker != nil {
-				ident = perWorker[w]
-			}
-			jb := jobs[i]
-			out := ident.Identify(jb.Server, jb.Cond, cfg.Probe, jobRNG(w, i))
-			results[i] = Result[R]{Index: i, Job: jb, Out: out}
-			if stream != nil {
-				stream <- results[i]
-			}
-		})
 	}
-	if stream != nil {
-		close(stream)
+	// Result slots are disjoint; only OnResult needs serializing. It runs
+	// on the worker that finished the job, before that worker's next job,
+	// so the lock is held across the callback: mu is local to this call,
+	// and the callback cannot reach it.
+	var mu sync.Mutex
+	commit := func(tag int, out R) {
+		results[tag] = Result[R]{Index: tag, Job: jobs[tag], Out: out}
+		if cfg.OnResult != nil {
+			mu.Lock()
+			cfg.OnResult(results[tag])
+			mu.Unlock()
+		}
 	}
-	<-done
+	RunWorkers(ctx, len(jobs), cfg.Parallelism, func(w, i int) {
+		xrand.Reseed(rngs[w], jobSeed(i))
+		blocks[w].Gather(i, jobs[i].Server, jobs[i].Cond, cfg.Probe, rngs[w])
+		blocks[w].Flush(commit)
+	})
 	return results
 }

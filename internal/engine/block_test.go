@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -13,19 +14,25 @@ import (
 )
 
 // fakeBlock buffers fakeIdentifier outcomes like a pipeline block session,
-// recording non-empty flush widths so tests can assert when blocks drain.
+// recording non-empty flush widths so tests can assert when blocks drain,
+// and each gathered tag (when gathered is set) so tests can order gathers
+// against streamed results.
 type fakeBlock struct {
-	buf     []Result[fakeOut]
-	mu      *sync.Mutex
-	flushes *[]int
+	buf      []Result[fakeOut]
+	mu       *sync.Mutex
+	flushes  *[]int
+	gathered *[]string
 }
 
 func (b *fakeBlock) Gather(tag int, server *websim.Server, cond netem.Condition, cfg probe.Config, rng *rand.Rand) {
+	if b.gathered != nil {
+		b.mu.Lock()
+		*b.gathered = append(*b.gathered, fmt.Sprintf("gather %d", tag))
+		b.mu.Unlock()
+	}
 	out := fakeIdentifier{}.Identify(server, cond, cfg, rng)
 	b.buf = append(b.buf, Result[fakeOut]{Index: tag, Out: out})
 }
-
-func (b *fakeBlock) Buffered() int { return len(b.buf) }
 
 func (b *fakeBlock) Flush(emit func(tag int, out fakeOut)) {
 	if len(b.buf) > 0 && b.flushes != nil {
@@ -39,47 +46,67 @@ func (b *fakeBlock) Flush(emit func(tag int, out fakeOut)) {
 	b.buf = b.buf[:0]
 }
 
-// TestIdentifyBatchBlockMatchesScalar: the block path must reproduce the
-// scalar path result for result, whatever the block size or parallelism --
-// grouping jobs into blocks is an execution detail, not a semantic one.
+// TestIdentifyBatchBlockMatchesScalar: per-worker sessions must reproduce
+// the shared identifier result for result, whatever the parallelism.
 func TestIdentifyBatchBlockMatchesScalar(t *testing.T) {
 	jobs := batchJobs(50)
 	want := IdentifyBatch[fakeOut](fakeIdentifier{}, jobs, BatchConfig[fakeOut]{Parallelism: 1, Seed: 17})
 	for _, par := range []int{1, 3, 8} {
-		for _, bs := range []int{0, 1, 7, 64, 1000} {
-			got := IdentifyBatch[fakeOut](fakeIdentifier{}, jobs, BatchConfig[fakeOut]{
-				Parallelism:    par,
-				Seed:           17,
-				BlockSize:      bs,
-				NewWorkerBlock: func() BlockIdentifier[fakeOut] { return &fakeBlock{} },
-			})
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("parallelism %d block size %d: block results differ from scalar", par, bs)
-			}
+		got := IdentifyBatch[fakeOut](fakeIdentifier{}, jobs, BatchConfig[fakeOut]{
+			Parallelism:    par,
+			Seed:           17,
+			NewWorkerBlock: func() BlockIdentifier[fakeOut] { return &fakeBlock{} },
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("parallelism %d: session results differ from the shared identifier", par)
 		}
 	}
 }
 
-// TestIdentifyBatchBlockFlushWidths: a single worker over 10 jobs with
-// BlockSize 4 must drain exactly as 4+4+2 -- two full blocks and the
-// epilogue's partial flush.
+// TestIdentifyBatchBlockFlushWidths: a single worker over 10 jobs must
+// flush after every gather -- ten flushes of one job each.
 func TestIdentifyBatchBlockFlushWidths(t *testing.T) {
 	var mu sync.Mutex
 	var flushes []int
 	IdentifyBatch[fakeOut](fakeIdentifier{}, batchJobs(10), BatchConfig[fakeOut]{
 		Parallelism:    1,
 		Seed:           5,
-		BlockSize:      4,
 		NewWorkerBlock: func() BlockIdentifier[fakeOut] { return &fakeBlock{mu: &mu, flushes: &flushes} },
 	})
-	if !reflect.DeepEqual(flushes, []int{4, 4, 2}) {
-		t.Fatalf("flush widths = %v, want [4 4 2]", flushes)
+	if want := []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}; !reflect.DeepEqual(flushes, want) {
+		t.Fatalf("flush widths = %v, want %v", flushes, want)
+	}
+}
+
+// TestIdentifyBatchResultPrecedesNextGather: on one worker, OnResult for
+// job k must fire before job k+1 is gathered -- results stream one by
+// one, never in bursts held back for a block to fill.
+func TestIdentifyBatchResultPrecedesNextGather(t *testing.T) {
+	const n = 130
+	var mu sync.Mutex
+	var events []string
+	IdentifyBatch[fakeOut](fakeIdentifier{}, batchJobs(n), BatchConfig[fakeOut]{
+		Parallelism:    1,
+		Seed:           11,
+		NewWorkerBlock: func() BlockIdentifier[fakeOut] { return &fakeBlock{mu: &mu, gathered: &events} },
+		OnResult: func(r Result[fakeOut]) {
+			mu.Lock()
+			events = append(events, fmt.Sprintf("result %d", r.Index))
+			mu.Unlock()
+		},
+	})
+	if len(events) != 2*n {
+		t.Fatalf("saw %d events, want %d", len(events), 2*n)
+	}
+	for k := 0; k < n; k++ {
+		if events[2*k] != fmt.Sprintf("gather %d", k) || events[2*k+1] != fmt.Sprintf("result %d", k) {
+			t.Fatalf("events %d..%d = %q, want gather %d then its result", 2*k, 2*k+1, events[2*k:2*k+2], k)
+		}
 	}
 }
 
 // TestIdentifyBatchBlockStreamsEveryResult: OnResult must see every job
-// exactly once, matching the returned slice, even though results arrive
-// in block-sized bursts.
+// exactly once, matching the returned slice.
 func TestIdentifyBatchBlockStreamsEveryResult(t *testing.T) {
 	jobs := batchJobs(25)
 	var mu sync.Mutex
@@ -87,7 +114,6 @@ func TestIdentifyBatchBlockStreamsEveryResult(t *testing.T) {
 	results := IdentifyBatch[fakeOut](fakeIdentifier{}, jobs, BatchConfig[fakeOut]{
 		Parallelism:    4,
 		Seed:           7,
-		BlockSize:      6,
 		NewWorkerBlock: func() BlockIdentifier[fakeOut] { return &fakeBlock{} },
 		OnResult: func(r Result[fakeOut]) {
 			mu.Lock()
@@ -107,8 +133,7 @@ func TestIdentifyBatchBlockStreamsEveryResult(t *testing.T) {
 
 // TestIdentifyBatchBlockCancelDrainsGathered: cancelling mid-batch must
 // still deliver every job that was gathered -- a probe already spent must
-// not lose its result in a worker's partial block -- while jobs never
-// gathered keep zero slots.
+// not lose its result -- while jobs never gathered keep zero slots.
 func TestIdentifyBatchBlockCancelDrainsGathered(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	jobs := batchJobs(300)
@@ -118,7 +143,6 @@ func TestIdentifyBatchBlockCancelDrainsGathered(t *testing.T) {
 		Ctx:            ctx,
 		Parallelism:    2,
 		Seed:           3,
-		BlockSize:      8,
 		NewWorkerBlock: func() BlockIdentifier[fakeOut] { return &fakeBlock{} },
 		OnResult: func(Result[fakeOut]) {
 			mu.Lock()

@@ -60,24 +60,11 @@ func RunCtx(ctx context.Context, n, parallelism int, fn func(i int)) error {
 // session per worker, no locks -- instead of allocating per job. Jobs
 // must still not depend on *which* worker runs them.
 func RunWorkers(ctx context.Context, n, parallelism int, fn func(worker, job int)) error {
-	return RunWorkersFlush(ctx, n, parallelism, fn, nil)
-}
-
-// RunWorkersFlush is RunWorkers with a per-worker epilogue: flush(w) runs
-// on worker w's own goroutine after it has handled its last job --
-// including when the run is cancelled -- so workers that buffer state
-// across jobs (the pipeline's block sessions, which park gathered feature
-// vectors until a whole inference block is full) get exactly one
-// guaranteed drain point. A nil flush makes it RunWorkers.
-func RunWorkersFlush(ctx context.Context, n, parallelism int, fn func(worker, job int), flush func(worker int)) error {
 	if n <= 0 {
 		return nil
 	}
 	workers := Workers(n, parallelism)
 	if workers == 1 {
-		if flush != nil {
-			defer flush(0)
-		}
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -94,9 +81,6 @@ func RunWorkersFlush(ctx context.Context, n, parallelism int, fn func(worker, jo
 			defer wg.Done()
 			for i := range jobs {
 				fn(worker, i)
-			}
-			if flush != nil {
-				flush(worker)
 			}
 		}(w)
 	}

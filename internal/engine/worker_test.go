@@ -53,16 +53,19 @@ func TestRunWorkersIdentityInRange(t *testing.T) {
 	}
 }
 
-// countingFake mimics a scratch-carrying pipeline session: results match
+// countingBlock mimics a scratch-carrying pipeline session: results match
 // the shared fakeIdentifier, and every job it runs is tallied.
-type countingFake struct{ n *atomic.Int64 }
-
-func (c countingFake) Identify(server *websim.Server, cond netem.Condition, cfg probe.Config, rng *rand.Rand) fakeOut {
-	c.n.Add(1)
-	return fakeIdentifier{}.Identify(server, cond, cfg, rng)
+type countingBlock struct {
+	fakeBlock
+	n *atomic.Int64
 }
 
-// TestIdentifyBatchPerWorkerSessions: with NewWorkerIdentifier set, the
+func (c *countingBlock) Gather(tag int, server *websim.Server, cond netem.Condition, cfg probe.Config, rng *rand.Rand) {
+	c.n.Add(1)
+	c.fakeBlock.Gather(tag, server, cond, cfg, rng)
+}
+
+// TestIdentifyBatchPerWorkerSessions: with NewWorkerBlock set, the
 // factory is called once per pool worker, every job runs on a session
 // (never the shared identifier), and results are identical to the shared
 // run.
@@ -73,14 +76,14 @@ func TestIdentifyBatchPerWorkerSessions(t *testing.T) {
 	var mu sync.Mutex
 	var made int
 	var jobCount atomic.Int64
-	got := IdentifyBatch[fakeOut](fakeIdentifier{}, jobs, BatchConfig[fakeOut]{
+	got := IdentifyBatch[fakeOut](panicIdentifier{}, jobs, BatchConfig[fakeOut]{
 		Parallelism: 4,
 		Seed:        5,
-		NewWorkerIdentifier: func() Identifier[fakeOut] {
+		NewWorkerBlock: func() BlockIdentifier[fakeOut] {
 			mu.Lock()
 			made++
 			mu.Unlock()
-			return countingFake{&jobCount}
+			return &countingBlock{n: &jobCount}
 		},
 	})
 	if !reflect.DeepEqual(got, want) {
@@ -91,6 +94,13 @@ func TestIdentifyBatchPerWorkerSessions(t *testing.T) {
 		t.Fatalf("factory ran %d times, want one per worker (%d)", made, workers)
 	}
 	if n := jobCount.Load(); n != int64(len(jobs)) {
-		t.Fatalf("sessions ran %d jobs, want %d (shared identifier must not be used)", n, len(jobs))
+		t.Fatalf("sessions ran %d jobs, want %d", n, len(jobs))
 	}
+}
+
+// panicIdentifier stands in for a shared identifier that must never run.
+type panicIdentifier struct{}
+
+func (panicIdentifier) Identify(*websim.Server, netem.Condition, probe.Config, *rand.Rand) fakeOut {
+	panic("shared identifier used despite per-worker sessions")
 }

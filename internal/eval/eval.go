@@ -177,12 +177,11 @@ const trialSeedStride = 6700417
 // (algorithm, scenario, budget, trial) tuple is one pool job with its own
 // deterministically derived RNG, probing a cooperative testbed server
 // through the scenario's netem condition with the budget's prober — the
-// same block-session pipeline path the service and census use. Each
-// budget sweeps as one engine.IdentifyBatch whose workers gather feature
-// vectors into inference blocks, so the forest runs once per block
-// instead of once per trial. Outcomes are a pure function of (model,
-// cfg), independent of parallelism, worker scheduling, and block
-// grouping (block classification is bit-identical to scalar).
+// same session pipeline the service and census use. Each budget sweeps as
+// one engine.IdentifyBatch whose workers each reuse one session and
+// classify every trial as soon as it is gathered. Outcomes are a pure
+// function of (model, cfg), independent of parallelism and worker
+// scheduling.
 func Run(id *core.Identifier, cfg Config) *Matrix {
 	cfg = cfg.withDefaults()
 	type cellDef struct {

@@ -146,10 +146,10 @@ func Pair(flows []*FlowTrace) []FlowIdentification {
 }
 
 // Classify runs the pipeline over paired flows, filling each pair's ID in
-// place: special-shape detection and feature extraction fan out on the
-// engine worker pool, then the model classifies every extracted vector in
-// one block through its batched kernel -- the same inference path probed
-// traces take, with the same per-pair results.
+// place: special-shape detection, feature extraction and the model call
+// fan out on the engine worker pool, one pair at a time -- the same
+// per-vector inference probed traces take, with the same per-pair
+// results.
 func Classify(pairs []FlowIdentification, model classify.Classifier, parallelism int) {
 	_ = ClassifyCtx(context.Background(), pairs, model, parallelism, nil)
 }
@@ -157,7 +157,7 @@ func Classify(pairs []FlowIdentification, model classify.Classifier, parallelism
 // ClassifyCtx is Classify with cancellation and a per-pair completion
 // callback (both optional), for callers that tally results as they
 // land -- the service's async pcap jobs. onResult runs serially on the
-// calling goroutine, after the block classification, in pair order; a
+// calling goroutine, after every pair is classified, in pair order; a
 // cancelled run returns ctx's error without invoking it.
 func ClassifyCtx(ctx context.Context, pairs []FlowIdentification, model classify.Classifier, parallelism int, onResult func(i int)) error {
 	return ClassifyAll(ctx, pairs, model, ClassifyOptions{Parallelism: parallelism, OnResult: onResult})

@@ -150,9 +150,8 @@ func Load(r io.Reader) (*Forest, error) {
 		// bounds what classification will dereference.
 		width = maxFeature + 1
 	}
-	// flatten re-lays the trees in level order and builds the packed batch
-	// arena, exactly as Train does, so loaded and freshly trained models
-	// share one in-memory representation.
+	// flatten re-lays the trees in level order exactly as Train does, so
+	// loaded and freshly trained models share one in-memory representation.
 	return flatten(doc.Classes, width, trees), nil
 }
 

@@ -202,3 +202,25 @@ func TestSaveRecordsFeatureWidth(t *testing.T) {
 		t.Fatalf("short vector got confidence %v, want 0", conf)
 	}
 }
+
+func TestSaveLoadSaveIsIdempotent(t *testing.T) {
+	// The level-order layout is canonical: once flattened, persisting and
+	// reloading must reproduce the byte-identical document.
+	ds := clusterDataset(t, 30, 113)
+	f := Train(ds, Config{Trees: 9, Subspace: 2, Seed: 114})
+	var b1 bytes.Buffer
+	if err := f.Save(&b1); err != nil {
+		t.Fatal(err)
+	}
+	g, err := Load(bytes.NewReader(b1.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b2 bytes.Buffer
+	if err := g.Save(&b2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+		t.Fatal("Save -> Load -> Save changed the document; level-order layout is not canonical")
+	}
+}

@@ -381,25 +381,11 @@ type inflightCall struct {
 	ok   bool
 }
 
-// countingIdentifier wraps a pipeline identifier (shared or per-worker
-// session) so the in_flight gauge counts individual probes on the batch
-// path, the same unit the synchronous path reports.
-type countingIdentifier struct {
-	id engine.Identifier[core.Identification]
-	m  *metrics
-}
-
-func (c countingIdentifier) Identify(server *websim.Server, cond netem.Condition, cfg probe.Config, rng *rand.Rand) core.Identification {
-	c.m.inFlight.Add(1)
-	defer c.m.inFlight.Add(-1)
-	return c.id.Identify(server, cond, cfg, rng)
-}
-
-// countingBlock is countingIdentifier for the block-inference path: the
-// gauge brackets each probe (the long-running unit), not the flush. It
-// also stamps the job's trace with a shard-assignment event per gathered
-// probe (arg packs worker<<32 | job tag), so a span tree shows which
-// engine worker ran which sample.
+// countingBlock wraps a worker's block session so the in_flight gauge
+// counts individual probes on the batch path, the same unit the
+// synchronous path reports. It also stamps the job's trace with a
+// shard-assignment event per gathered probe (arg packs worker<<32 | job
+// tag), so a span tree shows which engine worker ran which sample.
 type countingBlock struct {
 	bs     engine.BlockIdentifier[core.Identification]
 	m      *metrics
@@ -414,8 +400,6 @@ func (c countingBlock) Gather(tag int, server *websim.Server, cond netem.Conditi
 	c.flight.Event(c.trace, telemetry.EventShardAssign, uint64(c.worker)<<32|uint64(tag)&0xffffffff)
 	c.bs.Gather(tag, server, cond, cfg, rng)
 }
-
-func (c countingBlock) Buffered() int { return c.bs.Buffered() }
 
 func (c countingBlock) Flush(emit func(tag int, out core.Identification)) { c.bs.Flush(emit) }
 
@@ -443,9 +427,9 @@ func (s *Service) validateBatch(req BatchRequest) error {
 }
 
 // runBatch executes one accepted batch job: cached specs are answered
-// from memory, the rest coalesce into inference blocks through
-// engine.IdentifyBatch on the worker pool, streaming completions into the
-// job's progress counter one block at a time.
+// from memory, the rest run through engine.IdentifyBatch on the worker
+// pool, each completion streaming into the job's progress counter as its
+// probe finishes.
 func (s *Service) runBatch(j *job) {
 	model, err := s.registry.Get(j.model)
 	if err != nil {
@@ -496,19 +480,16 @@ func (s *Service) runBatch(j *job) {
 	}
 
 	if len(engineJobs) > 0 {
-		// Coalesced misses run as block inference: each pool worker gathers
-		// its probes into a block session and the model classifies whole
-		// blocks at once. The synchronous /v1/identify path stays scalar --
-		// a single interactive request should never wait for a block to
-		// fill (and with one vector there is nothing to batch).
-		id := countingIdentifier{id: model.Identifier(), m: s.metrics}
+		// Each pool worker probes its misses on a private session and
+		// classifies every probe as soon as it is gathered.
+		id := model.Identifier()
 		workerSeq := 0 // NewWorkerBlock is called sequentially by the engine
 		engine.IdentifyBatch[core.Identification](id, engineJobs, engine.BatchConfig[core.Identification]{
 			Ctx:         j.ctx,
 			Parallelism: s.cfg.Parallelism,
 			Probe:       s.cfg.Probe,
 			NewWorkerBlock: func() engine.BlockIdentifier[core.Identification] {
-				bs := model.Identifier().NewBlockSession()
+				bs := id.NewBlockSession()
 				bs.EnableTimings(&s.metrics.pipeline)
 				bs.BindTrace(s.flight, j.trace)
 				w := workerSeq

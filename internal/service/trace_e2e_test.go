@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -241,6 +242,17 @@ func TestTraceEndToEnd(t *testing.T) {
 		if !jobNames[want] {
 			t.Errorf("job trace span %s missing (have %v)", want, jobNames)
 		}
+	}
+	// Every job is classified on its own as it is gathered: one classify
+	// span per job, tagged with that job's index.
+	classified := map[int64]int{}
+	for _, sp := range jobTrace.Spans {
+		if sp.Kind == "stage" && sp.Name == "classify" {
+			classified[sp.Arg]++
+		}
+	}
+	if want := map[int64]int{0: 1, 1: 1}; !reflect.DeepEqual(classified, want) {
+		t.Errorf("job trace classify spans per job tag = %v, want %v", classified, want)
 	}
 
 	// 6. The access log carries the same IDs (one line per request, keyed

@@ -21,8 +21,7 @@ const (
 	// StageFeature is validity checking, special-shape detection, and
 	// feature-vector extraction.
 	StageFeature
-	// StageClassify is model inference (a block-inference sample is
-	// charged its share of the block's one batched call).
+	// StageClassify is model inference: one forest vote per sample.
 	StageClassify
 	// StageCache is the service's result-cache lookup.
 	StageCache
