@@ -121,9 +121,9 @@ type (
 	// CaptureOptions tunes capture ingestion (tracker bounds,
 	// classification parallelism, optional per-stage span recording).
 	CaptureOptions = flow.IdentifyOptions
-	// StreamOptions tunes Identifier.IdentifyStream (ingest ring size,
-	// tracker bounds, pairing depth).
-	StreamOptions = flow.IdentifyStreamOptions
+	// StreamOptions tunes Identifier.IdentifyStream (tracker bounds,
+	// ingest ring size, optional live metrics).
+	StreamOptions = flow.StreamConfig
 	// CaptureStream is a running streaming-identification pipeline: an
 	// io.Writer fed capture bytes, emitting classified flows as they
 	// close (see Identifier.IdentifyStream).
@@ -269,9 +269,11 @@ func (id *Identifier) IdentifyBatch(jobs []BatchJob, opts BatchOptions) []BatchR
 // stream: decode, per-flow TCP reassembly and congestion-window
 // reconstruction, environment pairing, and classification -- the
 // capture-ingestion counterpart of Identify for traffic that was recorded
-// rather than probed. The stream is decoded incrementally in bounded
-// memory. See cmd/caai-pcap for the command-line front end and the
-// service's POST /v1/pcap for the HTTP one.
+// rather than probed. It is IdentifyStream's engine with idle expiry
+// off, its results sorted into capture order at the end. The stream is
+// decoded incrementally in bounded memory. See cmd/caai-pcap for the
+// command-line front end and the service's POST /v1/pcap for the HTTP
+// one.
 func (id *Identifier) IdentifyCapture(r io.Reader, opts CaptureOptions) ([]FlowIdentification, CaptureStats, error) {
 	return flow.IdentifyCapture(r, id.model, opts)
 }
@@ -282,11 +284,13 @@ func (id *Identifier) IdentifyCapture(r io.Reader, opts CaptureOptions) ([]FlowI
 // from the pipeline goroutine -- for each flow pair the moment it
 // closes, rather than at end of input. Flows close when idle past the
 // expiry threshold, when evicted by the tracker bound, or when Close
-// drains the pipeline. One goroutine decodes, tracks and classifies
-// behind a bounded ring, so Write blocks (backpressure) instead of
-// growing memory when classification falls behind. Callers must Close
-// (or Abort) the stream exactly once. See cmd/caai-pcap -follow and the
-// service's POST /v1/pcap/stream for the command-line and HTTP fronts.
+// drains the pipeline; pairing and classification are IdentifyCapture's,
+// with at most 1024 flows waiting for a companion. One goroutine
+// decodes, tracks and classifies behind a bounded ring, so Write blocks
+// (backpressure) instead of growing memory when classification falls
+// behind. Callers must Close (or Abort) the stream exactly once. See
+// cmd/caai-pcap -follow and the service's POST /v1/pcap/stream for the
+// command-line and HTTP fronts.
 func (id *Identifier) IdentifyStream(ctx context.Context, opts StreamOptions, onResult func(FlowIdentification)) *CaptureStream {
 	return flow.NewIdentifyStream(ctx, id.model, opts, onResult)
 }

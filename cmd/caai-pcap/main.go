@@ -128,7 +128,7 @@ func run(args []string, stdout io.Writer) error {
 // object (NDJSON); otherwise a table row prints under a one-time header.
 func followStream(stdout io.Writer, id *caai.Identifier, r io.Reader, jsonOut bool, maxFlows int) error {
 	var opts caai.StreamOptions
-	opts.Stream.Tracker.MaxFlows = maxFlows
+	opts.Tracker.MaxFlows = maxFlows
 	enc := json.NewEncoder(stdout)
 	if !jsonOut {
 		fmt.Fprintf(stdout, "%-22s %-22s %7s %8s  %s\n", "SERVER", "CLIENT", "PKTS", "RTT", "IDENTIFICATION")

@@ -97,9 +97,9 @@ func ForestClassify(model classify.Classifier) func(*testing.B) {
 }
 
 // ForestClassifyBatch measures a block of m spread-out vectors classified
-// one by one with ClassifyBuf into caller-owned votes, as BlockSession and
-// IdentifyResults run the forest. One op classifies the whole block, so
-// the ns/sample metric is directly comparable with forest/classify.
+// one by one with ClassifyBuf into caller-owned votes, as BlockSession
+// runs the forest. One op classifies the whole block, so the ns/sample
+// metric is directly comparable with forest/classify.
 func ForestClassifyBatch(f *forest.Forest, m int) func(*testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
@@ -494,7 +494,7 @@ func PcapStreamProbeCapture(model classify.Classifier) func(*testing.B) {
 		var results int
 		for i := 0; i < b.N; i++ {
 			results = 0
-			st := flow.NewIdentifyStream(context.Background(), model, flow.IdentifyStreamOptions{},
+			st := flow.NewIdentifyStream(context.Background(), model, flow.StreamConfig{},
 				func(flow.FlowIdentification) { results++ })
 			if _, err := st.Write(data); err != nil {
 				b.Fatal(err)

@@ -1,12 +1,8 @@
 package core
 
 import (
-	"context"
 	"math/rand"
-	"time"
 
-	"repro/internal/engine"
-	"repro/internal/feature"
 	"repro/internal/netem"
 	"repro/internal/probe"
 	"repro/internal/telemetry"
@@ -63,57 +59,4 @@ func (bs *BlockSession) Flush(emit func(tag int, out Identification)) {
 	}
 	bs.tags = bs.tags[:0]
 	bs.outs = bs.outs[:0]
-}
-
-// IdentifyResults classifies a batch of already-gathered probe results:
-// the pipeline for traces that arrived without probing (reassembled
-// packet captures, replayed traces). Results are identical to calling
-// IdentifyResult per element.
-func (id *Identifier) IdentifyResults(ress []*probe.Result) []Identification {
-	outs, _ := id.IdentifyResultsCtx(context.Background(), ress, 0)
-	return outs
-}
-
-// IdentifyResultsCtx is IdentifyResults with cancellation and bounded
-// parallelism (0 = all CPUs). On cancellation the samples already
-// started are still finished; the rest stay zero. It returns ctx.Err()
-// when cancelled.
-func (id *Identifier) IdentifyResultsCtx(ctx context.Context, ress []*probe.Result, parallelism int) ([]Identification, error) {
-	return id.identifyResults(ctx, ress, parallelism, false, nil)
-}
-
-// IdentifyResultsObserved is IdentifyResultsCtx with per-stage span
-// recording: every sample's feature and classify spans are stamped into
-// its Timings, and tel, when non-nil, aggregates them into per-stage
-// histograms. The passive path charges decode/reassembly to StageGather
-// upstream of this call (see internal/flow).
-func (id *Identifier) IdentifyResultsObserved(ctx context.Context, ress []*probe.Result, parallelism int, tel *telemetry.Pipeline) ([]Identification, error) {
-	return id.identifyResults(ctx, ress, parallelism, true, tel)
-}
-
-func (id *Identifier) identifyResults(ctx context.Context, ress []*probe.Result, parallelism int, record bool, tel *telemetry.Pipeline) ([]Identification, error) {
-	outs := make([]Identification, len(ress))
-	scratch := make([]feature.Scratch, engine.Workers(len(ress), parallelism))
-	err := engine.RunWorkers(ctx, len(ress), parallelism, func(w, i int) {
-		// An unarmed clock's laps are no-ops, so one path serves both.
-		var clock telemetry.SpanClock
-		if record {
-			clock.StartAt(time.Now())
-		}
-		out := &outs[i]
-		var need bool
-		*out, need = prepareResult(ress[i], &scratch[w])
-		clock.Lap(&out.Timings, telemetry.StageFeature)
-		if need {
-			label, conf := id.model.Classify(out.Vector[:])
-			applyLabel(out, label, conf)
-			clock.Lap(&out.Timings, telemetry.StageClassify)
-		}
-	})
-	if tel != nil {
-		for i := range outs {
-			tel.ObserveTimings(&outs[i].Timings)
-		}
-	}
-	return outs, err
 }

@@ -1,15 +1,16 @@
 package core
 
 import (
-	"context"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/classify"
+	"repro/internal/feature"
 	"repro/internal/forest"
 	"repro/internal/netem"
 	"repro/internal/probe"
+	"repro/internal/telemetry"
 	"repro/internal/websim"
 	"repro/internal/xrand"
 )
@@ -84,10 +85,11 @@ func TestBlockSessionMatchesIdentifier(t *testing.T) {
 	}
 }
 
-// TestIdentifyResultsMatchesIdentifyResult: the gathered-results block
-// entry point must agree with IdentifyResult element for element across
-// valid, invalid, and special outcomes.
-func TestIdentifyResultsMatchesIdentifyResult(t *testing.T) {
+// TestIdentifyResultWithMatchesIdentifyResult: the gathered-results
+// entry point, with one feature scratch reused across results, must agree
+// with IdentifyResult element for element across valid, invalid, and
+// special outcomes; an armed clock only adds Timings.
+func TestIdentifyResultWithMatchesIdentifyResult(t *testing.T) {
 	model := forest.Train(trainingSet(t), forest.Config{Trees: 20, Subspace: 4, Seed: 52})
 	id := NewIdentifier(model)
 	servers, conds, seeds := blockJobs(8)
@@ -106,16 +108,23 @@ func TestIdentifyResultsMatchesIdentifyResult(t *testing.T) {
 	p = probe.New(probe.Config{}, netem.Lossless, xrand.New(2))
 	ress = append(ress, p.Gather(broken))
 
-	for _, par := range []int{0, 1, 3} {
-		outs, err := id.IdentifyResultsCtx(context.Background(), ress, par)
-		if err != nil {
-			t.Fatal(err)
-		}
+	var sc feature.Scratch
+	for _, armed := range []bool{false, true} {
+		recorded := false
 		for i, res := range ress {
-			want := id.IdentifyResult(res)
-			if !reflect.DeepEqual(outs[i], want) {
-				t.Fatalf("parallelism %d result %d: %+v != %+v", par, i, outs[i], want)
+			var clock telemetry.SpanClock
+			if armed {
+				clock.Start()
 			}
+			got := id.IdentifyResultWith(&sc, &clock, res)
+			recorded = recorded || !got.Timings.Zero()
+			got.Timings = telemetry.StageTimings{}
+			if want := id.IdentifyResult(res); !reflect.DeepEqual(got, want) {
+				t.Fatalf("armed=%v result %d: %+v != %+v", armed, i, got, want)
+			}
+		}
+		if recorded != armed {
+			t.Fatalf("armed=%v clock recorded spans: %v", armed, recorded)
 		}
 	}
 }

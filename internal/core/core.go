@@ -212,7 +212,7 @@ type Identification struct {
 	Elapsed time.Duration
 	// Timings is the wall-clock per-stage span breakdown, stamped only by
 	// pipelines with span recording enabled (Session.EnableTimings,
-	// BlockSession.EnableTimings, IdentifyResultsObserved); zero
+	// BlockSession.EnableTimings, an armed IdentifyResultWith clock); zero
 	// otherwise. Unlike Elapsed -- which is simulated probe time -- these
 	// are real host-clock durations.
 	Timings telemetry.StageTimings
@@ -246,17 +246,21 @@ func (id *Identifier) Classifier() classify.Classifier { return id.model }
 
 // IdentifyResult classifies an already-gathered probe result.
 func (id *Identifier) IdentifyResult(res *probe.Result) Identification {
-	var sc feature.Scratch
-	return id.identifyResult(res, &sc)
+	return id.IdentifyResultWith(new(feature.Scratch), new(telemetry.SpanClock), res)
 }
 
-// identifyResult is IdentifyResult with caller-owned feature scratch (the
-// Session hot path reuses one across jobs).
-func (id *Identifier) identifyResult(res *probe.Result, sc *feature.Scratch) Identification {
+// IdentifyResultWith is IdentifyResult for callers that classify many
+// gathered results: sc is reusable feature scratch, and clock laps the
+// feature and classify spans into the outcome's Timings (an unarmed
+// clock records nothing). The passive pipeline classifies every flow
+// pair through it.
+func (id *Identifier) IdentifyResultWith(sc *feature.Scratch, clock *telemetry.SpanClock, res *probe.Result) Identification {
 	out, need := prepareResult(res, sc)
+	clock.Lap(&out.Timings, telemetry.StageFeature)
 	if need {
 		label, conf := id.model.Classify(out.Vector[:])
 		applyLabel(&out, label, conf)
+		clock.Lap(&out.Timings, telemetry.StageClassify)
 	}
 	return out
 }

@@ -37,7 +37,7 @@ type Config struct {
 	// MaxEmitted bounds the flows a single capture may emit: once the cap
 	// fills, every flow that finishes later is dropped and counted, so
 	// the earliest-finishing flows are the ones kept. Negative disables
-	// the bound (streaming sinks hand flows off as they close, so nothing
+	// the bound (a Stream hands flows off as they close, so nothing
 	// accumulates). Default 65536.
 	MaxEmitted int
 	// DefaultRTT seeds round bucketing when a flow has neither a
@@ -47,16 +47,17 @@ type Config struct {
 	// estimates cannot split bursts (default 2ms).
 	MinRoundGap time.Duration
 
-	// Epoch is the idle-expiry sweep cadence in online mode (a Tracker
-	// with a Stream sink): every Epoch of capture time the tracker walks
+	// Epoch is the idle-expiry sweep cadence of a streaming tracker
+	// (see Stream): every Epoch of capture time the tracker walks
 	// its LRU tail and emits flows idle past their own expiry threshold.
 	// It also floors that threshold, so a sweep never expires a flow
 	// whose silence an in-order sweep could not yet have observed.
-	// Ignored offline. Default 1s.
+	// Ignored offline, where idle expiry is off. Default 1s.
 	Epoch time.Duration
-	// IdleRTTs scales the per-flow idle-expiry threshold in online mode:
-	// a flow expires after max(IdleRTTs x RTT, Epoch) of silence, where
-	// RTT is the flow's estimate (DefaultRTT when unknown). Default 8.
+	// IdleRTTs scales the per-flow idle-expiry threshold of a streaming
+	// tracker: a flow expires after max(IdleRTTs x RTT, Epoch) of
+	// silence, where RTT is the flow's estimate (DefaultRTT when
+	// unknown). Default 8.
 	IdleRTTs int
 }
 
@@ -265,9 +266,9 @@ type Stats struct {
 	// LiveHighWater is the most flows ever tracked at once; it never
 	// exceeds MaxFlows.
 	LiveHighWater int64
-	// Epochs counts idle-expiry sweeps run in online mode.
+	// Epochs counts idle-expiry sweeps run by a streaming tracker.
 	Epochs int64
-	// Expired counts flows emitted by idle expiry in online mode.
+	// Expired counts flows emitted by idle expiry.
 	Expired int64
 }
 
@@ -288,22 +289,26 @@ type TrackerMetrics struct {
 }
 
 // Tracker reassembles flows from a packet stream. Feed packets with
-// Observe, then call Finish for the reconstructed flows. Memory is
-// bounded by MaxFlows live flows, MaxRounds rounds each, and MaxEmitted
-// finished flows, regardless of capture size. Not safe for concurrent
-// use.
+// Observe, then call Finish to drain the flows still open. Every
+// finished flow -- evicted, idle-expired, or drained -- goes to the
+// tracker's one sink, synchronously and in close order: a Stream's sink
+// runs with idle expiry on, Reassemble's with it off, and a bare
+// NewTracker discards its flows. Memory is bounded by MaxFlows live
+// flows, MaxRounds rounds each, and MaxEmitted finished flows,
+// regardless of capture size. Not safe for concurrent use.
 type Tracker struct {
 	cfg   Config
 	flows map[flowKey]*state
 	head  *state // most recently active
 	tail  *state
-	done  []*FlowTrace
 	stats Stats
 	rec   trace.Recorder // reused build buffer; emitted traces are Clones
 
-	// Online mode: emitted flows go to sink instead of done, and idle
-	// flows expire on epoch sweeps instead of waiting for Finish.
+	// sink receives every finished flow. expiry turns on idle expiry:
+	// flows idle past their threshold close on epoch sweeps instead of
+	// waiting for eviction or Finish.
 	sink    func(*FlowTrace)
+	expiry  bool
 	emitted int64 // flows emitted so far, for the MaxEmitted bound
 	// epochAt is the tracker clock when the current epoch started, valid
 	// once epochSet (Unix 0 is a valid capture time).
@@ -317,9 +322,10 @@ type Tracker struct {
 	hot *state
 }
 
-// NewTracker returns a tracker with the given bounds.
+// NewTracker returns a tracker with the given bounds, idle expiry off,
+// and a sink that discards flows.
 func NewTracker(cfg Config) *Tracker {
-	return &Tracker{cfg: cfg.withDefaults(), flows: map[flowKey]*state{}}
+	return &Tracker{cfg: cfg.withDefaults(), flows: map[flowKey]*state{}, sink: func(*FlowTrace) {}}
 }
 
 // Stats returns the running tracker counters.
@@ -329,16 +335,6 @@ func (t *Tracker) Stats() Stats { return t.stats }
 // method it must run on the tracker's own goroutine; cross-goroutine
 // observation goes through Instrument.
 func (t *Tracker) Live() int { return len(t.flows) }
-
-// Stream switches the tracker to online mode: every finished flow --
-// idle-expired, evicted, or drained by Finish -- is handed to sink
-// instead of accumulating for Finish, and epoch sweeps (Config.Epoch,
-// Config.IdleRTTs) emit flows as soon as they have been idle past their
-// expiry threshold. sink runs synchronously on the Observe/Finish
-// goroutine and owns the FlowTrace it receives.
-func (t *Tracker) Stream(sink func(*FlowTrace)) {
-	t.sink = sink
-}
 
 // Instrument publishes tracker state through m's shared instruments (see
 // TrackerMetrics). Call before the first Observe.
@@ -356,11 +352,11 @@ func (t *Tracker) Observe(p *pcap.Packet) {
 		key, dir = keyOf(p)
 		s = t.flows[key]
 	}
-	if t.sink != nil {
-		// Online mode: a flow resuming after its own idle-expiry window
-		// was already conceptually emitted -- close it out and let the
-		// resumption start a fresh flow. This keeps the split independent
-		// of epoch phase and of other traffic.
+	if t.expiry {
+		// A flow resuming after its own idle-expiry window was already
+		// conceptually emitted -- close it out and let the resumption
+		// start a fresh flow. This keeps the split independent of epoch
+		// phase and of other traffic.
 		if s != nil {
 			if idle := since(now, s.last); idle >= t.cfg.Epoch && idle >= t.idleAfter(s) {
 				key = s.key
@@ -400,8 +396,8 @@ func (t *Tracker) Observe(p *pcap.Packet) {
 	t.observeFlow(s, p, dir, now)
 }
 
-// idleAfter is the flow's idle-expiry threshold in online mode:
-// IdleRTTs round trips of silence, floored by the sweep cadence.
+// idleAfter is the flow's idle-expiry threshold: IdleRTTs round trips
+// of silence, floored by the sweep cadence.
 func (t *Tracker) idleAfter(s *state) time.Duration {
 	rtt := s.rtt()
 	if rtt <= 0 {
@@ -596,24 +592,15 @@ func (t *Tracker) roundGap(s *state) time.Duration {
 	return gap
 }
 
-// Finish emits every remaining flow, ordered by first activity, and
-// resets the tracker. The returned traces are independent copies. In
-// online mode the remaining flows drain to the sink instead and Finish
-// returns nil.
-func (t *Tracker) Finish() []*FlowTrace {
-	// Emit in LRU order (oldest first), then restore capture order by
-	// first-packet time via the done slice append order... flows may
-	// interleave, so sort explicitly at the end.
+// Finish drains every remaining flow to the sink, least recently
+// active first, and resets the tracker for the next capture.
+func (t *Tracker) Finish() {
 	for t.tail != nil {
 		t.emit(t.tail)
 	}
-	out := t.done
-	t.done = nil
 	t.flows = map[flowKey]*state{}
 	t.emitted = 0
 	t.epochSet = false
-	sortFlows(out)
-	return out
 }
 
 // evictOldest emits the least-recently-active flow to enforce MaxFlows.
@@ -625,10 +612,10 @@ func (t *Tracker) evictOldest() {
 	t.emit(t.tail)
 }
 
-// emit finalizes one flow into a FlowTrace and removes it from the
-// tracker: onto the done slice offline, into the sink online. Once
-// MaxEmitted flows have been emitted, later-finishing flows are dropped
-// (the earliest-finishing flows are the ones kept).
+// emit finalizes one flow into a FlowTrace, removes it from the
+// tracker, and hands it to the sink. Once MaxEmitted flows have been
+// emitted, later-finishing flows are dropped (the earliest-finishing
+// flows are the ones kept).
 func (t *Tracker) emit(s *state) {
 	if t.hot == s {
 		t.hot = nil
@@ -643,16 +630,11 @@ func (t *Tracker) emit(s *state) {
 		return
 	}
 	t.emitted++
-	ft := t.finalize(s)
-	if t.sink != nil {
-		t.sink(ft)
-		return
-	}
-	t.done = append(t.done, ft)
+	t.sink(t.finalize(s))
 }
 
-// sortFlows orders flows by first activity, breaking ties by endpoint
-// strings so output is deterministic.
+// sortFlows restores capture order: flows by first activity, ties
+// broken by endpoint strings so output is deterministic.
 func sortFlows(fs []*FlowTrace) {
 	sort.SliceStable(fs, func(i, j int) bool { return flowLess(fs[i], fs[j]) })
 }

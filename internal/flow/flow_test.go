@@ -29,8 +29,30 @@ func v4(last byte) []byte {
 	return []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 10, 0, 0, last}
 }
 
+// offlineTracker is a Tracker the way Reassemble runs it: idle expiry
+// off, its sink collecting flows, and Finish returning them in capture
+// order.
+type offlineTracker struct {
+	*Tracker
+	flows []*FlowTrace
+}
+
+func newOfflineTracker(cfg Config) *offlineTracker {
+	o := &offlineTracker{Tracker: NewTracker(cfg)}
+	o.sink = func(f *FlowTrace) { o.flows = append(o.flows, f) }
+	return o
+}
+
+func (o *offlineTracker) Finish() []*FlowTrace {
+	o.Tracker.Finish()
+	flows := o.flows
+	o.flows = nil
+	sortFlows(flows)
+	return flows
+}
+
 func TestDirectionAndRounds(t *testing.T) {
-	tr := NewTracker(Config{DefaultRTT: 100 * time.Millisecond})
+	tr := newOfflineTracker(Config{DefaultRTT: 100 * time.Millisecond})
 	const mss = 100
 	// Client 10.0.0.1:4000 -> server 10.0.0.2:80. No handshake: the
 	// DefaultRTT drives round bucketing (gap > 50ms splits rounds).
@@ -66,7 +88,7 @@ func TestDirectionAndRounds(t *testing.T) {
 }
 
 func TestTimeoutSplitsPrePost(t *testing.T) {
-	tr := NewTracker(Config{DefaultRTT: 100 * time.Millisecond})
+	tr := newOfflineTracker(Config{DefaultRTT: 100 * time.Millisecond})
 	const mss = 100
 	base := uint32(1000)
 	at := func(ms int64, seq uint32, n int) {
@@ -96,7 +118,7 @@ func TestTimeoutSplitsPrePost(t *testing.T) {
 }
 
 func TestHandshakeRTTDrivesBucketing(t *testing.T) {
-	tr := NewTracker(Config{})
+	tr := newOfflineTracker(Config{})
 	const mss = 100
 	// Handshake: SYN at 0, SYN-ACK at 0, client ACK at 1000ms -> RTT 1s.
 	syn := pkt(0, 1, 4000, 2, 80, 99, 0, pcap.FlagSYN, 0)
@@ -124,7 +146,7 @@ func TestHandshakeRTTDrivesBucketing(t *testing.T) {
 }
 
 func TestTimestampRTTFallback(t *testing.T) {
-	tr := NewTracker(Config{})
+	tr := newOfflineTracker(Config{})
 	const mss = 100
 	// Mid-stream capture: no handshake. Data at t=0 carries TSVal 7;
 	// the ack echoing it arrives 80ms later -> RTT sample 80ms.
@@ -141,7 +163,7 @@ func TestTimestampRTTFallback(t *testing.T) {
 }
 
 func TestSequenceWraparound(t *testing.T) {
-	tr := NewTracker(Config{DefaultRTT: 100 * time.Millisecond})
+	tr := newOfflineTracker(Config{DefaultRTT: 100 * time.Millisecond})
 	const mss = 100
 	start := uint32(0xffffff38) // 200 bytes below the wrap point
 	tr.Observe(pkt(0, 2, 80, 1, 4000, start, 1, pcap.FlagACK, mss))
@@ -159,7 +181,7 @@ func TestSequenceWraparound(t *testing.T) {
 }
 
 func TestMaxFlowsEviction(t *testing.T) {
-	tr := NewTracker(Config{MaxFlows: 4})
+	tr := newOfflineTracker(Config{MaxFlows: 4})
 	for i := 0; i < 10; i++ {
 		tr.Observe(pkt(int64(i), 2, 80, 1, uint16(4000+i), 1, 1, pcap.FlagACK, 10))
 	}
@@ -176,7 +198,7 @@ func TestMaxFlowsEviction(t *testing.T) {
 }
 
 func TestMaxRoundsTruncation(t *testing.T) {
-	tr := NewTracker(Config{MaxRounds: 3, DefaultRTT: 10 * time.Millisecond})
+	tr := newOfflineTracker(Config{MaxRounds: 3, DefaultRTT: 10 * time.Millisecond})
 	seq := uint32(0)
 	for r := 0; r < 8; r++ {
 		tr.Observe(pkt(int64(r*100), 2, 80, 1, 4000, seq, 1, pcap.FlagACK, 100))
@@ -193,7 +215,7 @@ func TestMaxRoundsTruncation(t *testing.T) {
 }
 
 func TestMaxEmittedDropsFlows(t *testing.T) {
-	tr := NewTracker(Config{MaxFlows: 2, MaxEmitted: 3})
+	tr := newOfflineTracker(Config{MaxFlows: 2, MaxEmitted: 3})
 	for i := 0; i < 8; i++ {
 		tr.Observe(pkt(int64(i), 2, 80, 1, uint16(4000+i), 1, 1, pcap.FlagACK, 10))
 	}
@@ -209,7 +231,7 @@ func TestMaxEmittedDropsFlows(t *testing.T) {
 // TestEmittedTracesAreIndependent pins the Clone contract: the tracker
 // reuses one recorder, so emitted traces must not share storage.
 func TestEmittedTracesAreIndependent(t *testing.T) {
-	tr := NewTracker(Config{DefaultRTT: 100 * time.Millisecond})
+	tr := newOfflineTracker(Config{DefaultRTT: 100 * time.Millisecond})
 	for port := uint16(4000); port < 4002; port++ {
 		seq := uint32(1000)
 		n := int(port-4000)*3 + 2
@@ -247,7 +269,7 @@ func TestMaxFlowsNeverExceedsBound(t *testing.T) {
 // timestamp clock starts at 0 sends TSVal 0, and the echo carrying
 // TSecr 0 is a legitimate RTT sample, not "no echo".
 func TestTimestampEchoZeroTSval(t *testing.T) {
-	tr := NewTracker(Config{})
+	tr := newOfflineTracker(Config{})
 	const mss = 100
 	d := pkt(0, 2, 80, 1, 4000, 5000, 1, pcap.FlagACK, mss)
 	d.Opt = pcap.TCPOptions{HasTS: true, TSVal: 0, TSEcr: 3}
@@ -265,7 +287,7 @@ func TestTimestampEchoZeroTSval(t *testing.T) {
 // rule: TSecr is undefined on segments without ACK, so a SYN whose echo
 // field happens to match the peer's TSVal must not produce a sample.
 func TestTimestampEchoIgnoredWithoutACK(t *testing.T) {
-	tr := NewTracker(Config{})
+	tr := newOfflineTracker(Config{})
 	d := pkt(0, 2, 80, 1, 4000, 5000, 0, 0, 100) // no ACK flag
 	d.Opt = pcap.TCPOptions{HasTS: true, TSVal: 9, TSEcr: 0}
 	tr.Observe(d)
@@ -282,7 +304,7 @@ func TestTimestampEchoIgnoredWithoutACK(t *testing.T) {
 // states: once MaxEmitted flows have been emitted, later-finishing flows
 // are dropped, so the earliest-finishing (oldest) flows are kept.
 func TestMaxEmittedKeepsEarliest(t *testing.T) {
-	tr := NewTracker(Config{MaxFlows: 2, MaxEmitted: 3})
+	tr := newOfflineTracker(Config{MaxFlows: 2, MaxEmitted: 3})
 	for i := 0; i < 8; i++ {
 		tr.Observe(pkt(int64(i), 2, 80, 1, uint16(4000+i), 1, 1, pcap.FlagACK, 10))
 	}
@@ -312,7 +334,7 @@ func itoa(n int) string {
 // TestMaxEmittedNegativeUnbounded pins the streaming escape hatch:
 // MaxEmitted < 0 disables the cap entirely.
 func TestMaxEmittedNegativeUnbounded(t *testing.T) {
-	tr := NewTracker(Config{MaxFlows: 2, MaxEmitted: -1})
+	tr := newOfflineTracker(Config{MaxFlows: 2, MaxEmitted: -1})
 	for i := 0; i < 8; i++ {
 		tr.Observe(pkt(int64(i), 2, 80, 1, uint16(4000+i), 1, 1, pcap.FlagACK, 10))
 	}
@@ -322,7 +344,7 @@ func TestMaxEmittedNegativeUnbounded(t *testing.T) {
 	}
 }
 
-// TestIdleExpiryEmitsMidStream exercises online mode: a flow that goes
+// TestIdleExpiryEmitsMidStream exercises idle expiry: a flow that goes
 // quiet is emitted by an epoch sweep while the stream is still running,
 // long before Finish.
 func TestIdleExpiryEmitsMidStream(t *testing.T) {
@@ -334,7 +356,7 @@ func TestIdleExpiryEmitsMidStream(t *testing.T) {
 	m.Expired = &telemetry.Counter{}
 	tr.Instrument(&m)
 	var emitted []*FlowTrace
-	tr.Stream(func(f *FlowTrace) { emitted = append(emitted, f) })
+	tr.sink, tr.expiry = func(f *FlowTrace) { emitted = append(emitted, f) }, true
 
 	// Flow A: two packets, then silence. Threshold max(8x100ms, 1s) = 1s.
 	tr.Observe(pkt(0, 2, 80, 1, 4000, 100, 1, pcap.FlagACK, 100))
@@ -367,13 +389,13 @@ func TestIdleExpiryEmitsMidStream(t *testing.T) {
 	}
 }
 
-// TestIdleResumeSplitsFlow pins the online split semantic: packets
+// TestIdleResumeSplitsFlow pins the idle-expiry split semantic: packets
 // arriving after a flow's own expiry window start a fresh flow,
 // independent of epoch phase.
 func TestIdleResumeSplitsFlow(t *testing.T) {
 	tr := NewTracker(Config{Epoch: time.Second, IdleRTTs: 8, DefaultRTT: 100 * time.Millisecond})
 	var emitted []*FlowTrace
-	tr.Stream(func(f *FlowTrace) { emitted = append(emitted, f) })
+	tr.sink, tr.expiry = func(f *FlowTrace) { emitted = append(emitted, f) }, true
 	tr.Observe(pkt(0, 2, 80, 1, 4000, 100, 1, pcap.FlagACK, 100))
 	// Resumes 3s later, past the 1s threshold: must split.
 	tr.Observe(pkt(3000, 2, 80, 1, 4000, 200, 1, pcap.FlagACK, 100))
@@ -388,7 +410,7 @@ func TestIdleResumeSplitsFlow(t *testing.T) {
 
 func TestPairUnpairedInvalid(t *testing.T) {
 	// A lone no-timeout flow pairs with nothing and classifies invalid.
-	tr := NewTracker(Config{DefaultRTT: 100 * time.Millisecond})
+	tr := newOfflineTracker(Config{DefaultRTT: 100 * time.Millisecond})
 	tr.Observe(pkt(0, 2, 80, 1, 4000, 0, 1, pcap.FlagACK, 100))
 	pairs := Pair(tr.Finish())
 	if len(pairs) != 1 || pairs[0].B != nil {

@@ -9,7 +9,8 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/core"
-	"repro/internal/pcap"
+	"repro/internal/engine"
+	"repro/internal/feature"
 	"repro/internal/probe"
 	"repro/internal/telemetry"
 )
@@ -63,104 +64,45 @@ type FlowIdentification struct {
 	ID core.Identification
 }
 
-// Reassemble decodes a capture stream and reconstructs its flows; the
-// building block of IdentifyCapture for callers that want raw traces. On
-// a malformed capture it returns the flows reassembled so far along with
-// the error.
+// Reassemble decodes a capture and reconstructs its flows: the passive
+// engine's decode -> track loop over r with idle expiry off, the
+// finished flows sorted into capture order (by first activity). It is
+// the building block of IdentifyCapture for callers that want raw
+// traces. On a malformed capture it returns the flows reassembled so far
+// along with the error.
 func Reassemble(r io.Reader, cfg Config) ([]*FlowTrace, CaptureStats, error) {
-	var stats CaptureStats
-	rd, err := pcap.NewReader(r)
-	if err != nil {
-		return nil, stats, err
-	}
-	tracker := NewTracker(cfg)
-	var pkt pcap.Packet
-	for {
-		err = rd.Next(&pkt)
-		if err != nil {
-			break
-		}
-		tracker.Observe(&pkt)
-	}
-	flows := tracker.Finish()
-	stats = captureStats(rd.Stats(), tracker.Stats())
-	for _, f := range flows {
-		if f.Trace != nil && f.Trace.Valid() {
-			stats.Classifiable++
-		}
-	}
-	if err != io.EOF {
-		return flows, stats, err
-	}
-	return flows, stats, nil
+	var flows []*FlowTrace
+	s := &Stream{ctx: context.Background(), tracker: NewTracker(cfg)}
+	s.onFlow = func(f *FlowTrace) { flows = append(flows, f) }
+	s.tracker.sink = s.emit // idle expiry stays off
+	s.run(r)
+	sortFlows(flows)
+	return flows, s.stats, s.err
 }
 
-// captureStats merges the decoder's and the tracker's counters; the
-// caller counts Classifiable as it hands flows over.
-func captureStats(ds pcap.Stats, ts Stats) CaptureStats {
-	return CaptureStats{
-		Packets:          ds.Packets,
-		TCPSegments:      ds.TCP,
-		SkippedPackets:   ds.Skipped,
-		TruncatedPackets: ds.Truncated,
-		Flows:            ts.Flows,
-		EvictedFlows:     ts.Evicted,
-		DroppedFlows:     ts.Dropped,
-		TruncatedFlows:   ts.Truncated,
-	}
-}
-
-// Pair groups flows by (client IP, server endpoint) and pairs each valid
-// timed-out trace with the connection that follows it, mirroring how the
-// active prober gathers environment A then environment B from one
-// server. Flows with no valid trace and no valid predecessor become
-// unpaired entries. Pairs are returned in deterministic capture order.
+// Pair runs the passive pipeline's one pairing rule -- the pairer an
+// IdentifyStream runs -- over flows in capture order (as Reassemble
+// returns them), with no bound on the flows waiting for a companion:
+// each valid timed-out trace pairs with the next connection of its
+// (client IP, server) group, mirroring how the active prober gathers
+// environment A then environment B from one server. Flows with no valid
+// trace and no valid predecessor become unpaired entries. Pairs come
+// back in capture order of their A flows, ties in input order.
 func Pair(flows []*FlowTrace) []FlowIdentification {
-	groups := map[string][]*FlowTrace{}
-	var order []string
+	byA := make([]FlowIdentification, len(flows)) // indexed by A's input index
+	p := pairer{pending: map[string]pendingFlow{}, onPair: func(fi FlowIdentification, a int) { byA[a] = fi }}
 	for _, f := range flows {
-		gk := f.ClientIP + "|" + f.Server
-		if _, ok := groups[gk]; !ok {
-			order = append(order, gk)
-		}
-		groups[gk] = append(groups[gk], f)
+		p.add(f)
 	}
-	sort.Strings(order)
-
-	var out []FlowIdentification
-	for _, gk := range order {
-		fs := groups[gk] // already in capture order (flows are sorted)
-		for i := 0; i < len(fs); i++ {
-			f := fs[i]
-			if f.Trace != nil && f.Trace.Valid() && i+1 < len(fs) {
-				out = append(out, FlowIdentification{A: f, B: fs[i+1]})
-				i++
-				continue
-			}
-			out = append(out, FlowIdentification{A: f})
+	p.flush()
+	out := byA[:0]
+	for _, fi := range byA {
+		if fi.A != nil {
+			out = append(out, fi)
 		}
 	}
-	// Restore capture order across groups.
 	sort.SliceStable(out, func(i, j int) bool { return flowLess(out[i].A, out[j].A) })
 	return out
-}
-
-// Classify runs the pipeline over paired flows, filling each pair's ID in
-// place: special-shape detection, feature extraction and the model call
-// fan out on the engine worker pool, one pair at a time -- the same
-// per-vector inference probed traces take, with the same per-pair
-// results.
-func Classify(pairs []FlowIdentification, model classify.Classifier, parallelism int) {
-	_ = ClassifyCtx(context.Background(), pairs, model, parallelism, nil)
-}
-
-// ClassifyCtx is Classify with cancellation and a per-pair completion
-// callback (both optional), for callers that tally results as they
-// land -- the service's async pcap jobs. onResult runs serially on the
-// calling goroutine, after every pair is classified, in pair order; a
-// cancelled run returns ctx's error without invoking it.
-func ClassifyCtx(ctx context.Context, pairs []FlowIdentification, model classify.Classifier, parallelism int, onResult func(i int)) error {
-	return ClassifyAll(ctx, pairs, model, ClassifyOptions{Parallelism: parallelism, OnResult: onResult})
 }
 
 // ClassifyOptions tunes ClassifyAll.
@@ -181,24 +123,20 @@ type ClassifyOptions struct {
 	OnResult func(i int)
 }
 
-// ClassifyAll is the full-control classification entry point: ClassifyCtx
-// plus optional per-stage span recording (see ClassifyOptions).
+// ClassifyAll classifies paired flows in place, fanning the per-pair
+// classification an IdentifyStream runs inline out on the engine worker
+// pool. A cancelled run returns ctx's error without invoking OnResult.
 func ClassifyAll(ctx context.Context, pairs []FlowIdentification, model classify.Classifier, opts ClassifyOptions) error {
 	id := core.NewIdentifier(model)
-	ress := make([]*probe.Result, len(pairs))
-	for i := range pairs {
-		ress[i] = pairResult(&pairs[i])
-	}
 	record := opts.Timings || opts.Telemetry != nil
-	var outs []core.Identification
-	var err error
-	if record {
-		// Telemetry aggregation is deferred below so the gather share is
-		// included in the histograms.
-		outs, err = id.IdentifyResultsObserved(ctx, ress, opts.Parallelism, nil)
-	} else {
-		outs, err = id.IdentifyResultsCtx(ctx, ress, opts.Parallelism)
-	}
+	scratch := make([]feature.Scratch, engine.Workers(len(pairs), opts.Parallelism))
+	err := engine.RunWorkers(ctx, len(pairs), opts.Parallelism, func(w, i int) {
+		var clock telemetry.SpanClock
+		if record {
+			clock.Start()
+		}
+		classifyPair(id, &pairs[i], &scratch[w], &clock)
+	})
 	if err != nil {
 		return err
 	}
@@ -207,23 +145,31 @@ func ClassifyAll(ctx context.Context, pairs []FlowIdentification, model classify
 		gatherShare = opts.GatherSpan / time.Duration(len(pairs))
 	}
 	for i := range pairs {
-		out := outs[i]
-		out.Elapsed = pairs[i].A.End.Sub(pairs[i].A.Start)
-		if pairs[i].B != nil {
-			out.Elapsed += pairs[i].B.End.Sub(pairs[i].B.Start)
-		}
 		if record {
-			out.Timings[telemetry.StageGather] = gatherShare
+			// Telemetry aggregates here, after the gather share is in.
+			pairs[i].ID.Timings[telemetry.StageGather] = gatherShare
 			if opts.Telemetry != nil {
-				opts.Telemetry.ObserveTimings(&out.Timings)
+				opts.Telemetry.ObserveTimings(&pairs[i].ID.Timings)
 			}
 		}
-		pairs[i].ID = out
 		if opts.OnResult != nil {
 			opts.OnResult(i)
 		}
 	}
 	return nil
+}
+
+// classifyPair is the passive pipeline's one per-pair classification:
+// it maps the pair onto the probe result it stands for, classifies that
+// with sc as feature scratch while clock laps the feature and classify
+// spans (an unarmed clock records nothing), and sets Elapsed to the
+// pair's captured duration.
+func classifyPair(id *core.Identifier, fi *FlowIdentification, sc *feature.Scratch, clock *telemetry.SpanClock) {
+	fi.ID = id.IdentifyResultWith(sc, clock, pairResult(fi))
+	fi.ID.Elapsed = fi.A.End.Sub(fi.A.Start)
+	if fi.B != nil {
+		fi.ID.Elapsed += fi.B.End.Sub(fi.B.Start)
+	}
 }
 
 // pairResult maps one flow pair onto the probe result the identification
@@ -256,32 +202,24 @@ func pairResult(p *FlowIdentification) *probe.Result {
 	return res
 }
 
-// IdentifyCapture is the passive pipeline end to end: decode r, track and
-// reconstruct flows, pair them, and classify every pair with model. The
-// capture is streamed; memory stays bounded regardless of its size.
+// IdentifyCapture is the passive pipeline end to end for a recorded
+// capture: Reassemble (the engine with idle expiry off), Pair (the
+// stream's pairer, unbounded), and ClassifyAll (the stream's per-pair
+// classification on the worker pool). The capture is decoded
+// incrementally; memory stays bounded regardless of its size.
 func IdentifyCapture(r io.Reader, model classify.Classifier, opts IdentifyOptions) ([]FlowIdentification, CaptureStats, error) {
-	record := opts.Timings || opts.Telemetry != nil
-	var start time.Time
-	if record {
-		start = time.Now()
-	}
+	start := time.Now()
 	flows, stats, err := Reassemble(r, opts.Tracker)
 	if err != nil {
 		return nil, stats, fmt.Errorf("flow: decoding capture: %w", err)
 	}
-	var gather time.Duration
-	if record {
-		gather = time.Since(start)
-	}
+	gather := time.Since(start)
 	pairs := Pair(flows)
-	cerr := ClassifyAll(context.Background(), pairs, model, ClassifyOptions{
+	err = ClassifyAll(context.Background(), pairs, model, ClassifyOptions{
 		Parallelism: opts.Parallelism,
 		Timings:     opts.Timings,
 		Telemetry:   opts.Telemetry,
 		GatherSpan:  gather,
 	})
-	if cerr != nil {
-		return pairs, stats, cerr
-	}
-	return pairs, stats, nil
+	return pairs, stats, err
 }

@@ -1,15 +1,17 @@
-// Streaming passive identification: an unbounded capture byte stream
-// goes in one end, per-flow classifications come out the other as flows
-// close, with every stage bounded. The pipeline is
+// The passive engine: one decode -> track loop over any io.Reader,
+// feeding every finished flow through one sink, and one pairing rule.
+// A Stream runs it for unbounded captures:
 //
 //	Write -> pcap.Ring -> decode + track -> sink
 //
-// One goroutine runs Reassemble's loop over the ring -- pcap.Reader.Next,
-// then Tracker.Observe with the tracker in online mode -- and hands each
-// finished flow to the caller's sink inline, so the sink needs no locks
-// and sees flows in the tracker's close order. The ring is the only
-// buffer: when decoding or the sink falls behind, the producer's Write
-// (HTTP body, stdin) blocks instead of memory growing.
+// One goroutine runs the loop over the ring with idle expiry on and
+// hands each finished flow to the caller's sink inline, so the sink
+// needs no locks and sees flows in the tracker's close order. The ring
+// is the only buffer: when decoding or the sink falls behind, the
+// producer's Write (HTTP body, stdin) blocks instead of memory growing.
+// Reassemble runs the same loop over a reader on the caller's goroutine
+// with idle expiry off, then sorts the flows into capture order; Pair
+// feeds them to the same pairer the IdentifyStream uses.
 package flow
 
 import (
@@ -19,6 +21,7 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/core"
+	"repro/internal/feature"
 	"repro/internal/pcap"
 	"repro/internal/telemetry"
 )
@@ -63,14 +66,15 @@ func (c StreamConfig) withDefaults() StreamConfig {
 	return c
 }
 
-// Stream is a running streaming-identification pipeline. Feed capture
-// bytes with Write (any chunking), then Close to drain; flows arrive at
-// the sink passed to NewStream as they close. Write/Close may run on a
-// different goroutine than the one that built the Stream. Abort tears
-// the pipeline down early.
+// Stream is the passive engine running on its own goroutine over a
+// bounded ring, with idle expiry on. Feed capture bytes with Write (any
+// chunking), then Close to drain; flows arrive at the sink passed to
+// NewStream as they close. Write/Close may run on a different goroutine
+// than the one that built the Stream. Abort tears the pipeline down
+// early. Reassemble runs the same engine over a reader, expiry off.
 type Stream struct {
 	cfg     StreamConfig
-	ring    *pcap.Ring
+	ring    *pcap.Ring // nil when Reassemble runs the loop over a reader
 	tracker *Tracker
 	onFlow  func(*FlowTrace)
 
@@ -84,11 +88,18 @@ type Stream struct {
 	stats        CaptureStats // valid after done
 }
 
-// NewStream starts a streaming pipeline. Every finished flow is handed
-// to onFlow serially, in close order, from the pipeline goroutine; the
-// FlowTrace is owned by the callback. Cancelling ctx aborts the
-// pipeline. Callers must call Close (or Abort) exactly once.
+// NewStream starts a streaming pipeline with idle expiry on. Every
+// finished flow is handed to onFlow serially, in close order, from the
+// pipeline goroutine; the FlowTrace is owned by the callback. Cancelling
+// ctx aborts the pipeline. Callers must call Close (or Abort) exactly
+// once.
 func NewStream(ctx context.Context, cfg StreamConfig, onFlow func(*FlowTrace)) *Stream {
+	return newStream(ctx, cfg, onFlow, true)
+}
+
+// newStream is NewStream with idle expiry selectable: off, the ring
+// pipeline emits exactly the flows Reassemble does.
+func newStream(ctx context.Context, cfg StreamConfig, onFlow func(*FlowTrace), expiry bool) *Stream {
 	cfg = cfg.withDefaults()
 	sctx, cancel := context.WithCancel(ctx)
 	s := &Stream{
@@ -103,8 +114,8 @@ func NewStream(ctx context.Context, cfg StreamConfig, onFlow func(*FlowTrace)) *
 	if cfg.Metrics != nil {
 		s.tracker.Instrument(&cfg.Metrics.Tracker)
 	}
-	s.tracker.Stream(s.emit)
-	go s.run()
+	s.tracker.sink, s.tracker.expiry = s.emit, expiry
+	go s.serve()
 	// Unblock the pipeline promptly when ctx is cancelled from outside.
 	go func() {
 		select {
@@ -155,14 +166,20 @@ func (s *Stream) Stats() CaptureStats { return s.stats }
 // goroutine while the stream runs.
 func (s *Stream) BytesIn() int64 { return s.bytesIn.Load() }
 
-// run is the pipeline body: Reassemble's decode-and-track loop over the
-// ring, with the tracker's sink (emit) called inline.
-func (s *Stream) run() {
+// serve is the stream's goroutine: the engine loop over the ring.
+func (s *Stream) serve() {
 	defer close(s.done)
 	defer s.ring.CloseWithError(io.ErrClosedPipe) // unblock any writer on early exit
+	s.run(s.ring)
+}
 
+// run is the passive engine's one decode -> track loop: it decodes r,
+// tracks every packet, drains the tracker at end of input, and records
+// the capture's stats and first error. Every finished flow reaches emit
+// through the tracker's sink.
+func (s *Stream) run(r io.Reader) {
 	var ds pcap.Stats
-	rd, err := pcap.NewReader(s.ring)
+	rd, err := pcap.NewReader(r)
 	if err == nil {
 		var pkt pcap.Packet
 		var published int64
@@ -181,8 +198,18 @@ func (s *Stream) run() {
 	}
 	// End of input: drain the remaining flows to the sink.
 	s.tracker.Finish()
-	s.stats = captureStats(ds, s.tracker.Stats())
-	s.stats.Classifiable = s.classifiable
+	ts := s.tracker.Stats()
+	s.stats = CaptureStats{
+		Packets:          ds.Packets,
+		TCPSegments:      ds.TCP,
+		SkippedPackets:   ds.Skipped,
+		TruncatedPackets: ds.Truncated,
+		Flows:            ts.Flows,
+		Classifiable:     s.classifiable,
+		EvictedFlows:     ts.Evicted,
+		DroppedFlows:     ts.Dropped,
+		TruncatedFlows:   ts.Truncated,
+	}
 	switch {
 	case err != nil && err != io.EOF:
 		s.err = err
@@ -223,42 +250,34 @@ func (s *Stream) emit(ft *FlowTrace) {
 	s.onFlow(ft)
 }
 
-// IdentifyStreamOptions tunes NewIdentifyStream.
-type IdentifyStreamOptions struct {
-	// Stream tunes the underlying pipeline.
-	Stream StreamConfig
-	// MaxPending bounds flows held waiting for an environment-B
-	// companion; beyond it the oldest pending flow classifies unpaired
-	// (default 1024).
-	MaxPending int
-}
+// maxPending bounds the flows an IdentifyStream holds waiting for an
+// environment-B companion; beyond it the oldest pending flow classifies
+// unpaired.
+const maxPending = 1024
 
 // IdentifyStream is a Stream whose flows are paired and classified as
-// they close: the streaming equivalent of IdentifyCapture.
+// they close: the streaming shape of IdentifyCapture.
 type IdentifyStream struct {
 	*Stream
-	p pairer
+	p        pairer
+	id       *core.Identifier
+	sc       feature.Scratch
+	onResult func(FlowIdentification)
 }
 
 // NewIdentifyStream starts a streaming pipeline that pairs flows by
 // (client IP, server) and classifies each pair with model the moment it
-// completes, mirroring the offline Pair+ClassifyAll path. onResult runs
-// serially on the pipeline goroutine; it owns the FlowIdentification.
-// Flow pairing holds a valid timed-out flow until its group's next flow
-// closes (or the stream ends), exactly like the active prober's
-// environment A then environment B.
-func NewIdentifyStream(ctx context.Context, model classify.Classifier, opts IdentifyStreamOptions, onResult func(FlowIdentification)) *IdentifyStream {
-	st := &IdentifyStream{}
-	st.p = pairer{
-		id:         core.NewIdentifier(model),
-		pending:    map[string]*FlowTrace{},
-		maxPending: opts.MaxPending,
-		onResult:   onResult,
-	}
-	if st.p.maxPending <= 0 {
-		st.p.maxPending = 1024
-	}
-	st.Stream = NewStream(ctx, opts.Stream, st.p.add)
+// completes: the engine, pairer and per-pair classification
+// IdentifyCapture runs, with idle expiry on and at most 1024 flows
+// waiting for a companion. onResult runs serially on the pipeline
+// goroutine; it owns the FlowIdentification. Flow pairing holds a valid
+// timed-out flow until its group's next flow closes (or the stream
+// ends), exactly like the active prober's environment A then
+// environment B.
+func NewIdentifyStream(ctx context.Context, model classify.Classifier, cfg StreamConfig, onResult func(FlowIdentification)) *IdentifyStream {
+	st := &IdentifyStream{id: core.NewIdentifier(model), onResult: onResult}
+	st.p = pairer{pending: map[string]pendingFlow{}, max: maxPending, onPair: st.classify}
+	st.Stream = NewStream(ctx, cfg, st.p.add)
 	return st
 }
 
@@ -270,68 +289,97 @@ func (st *IdentifyStream) Close() error {
 	return err
 }
 
-// pairer groups closing flows by (client IP, server) and classifies
-// each pair. It runs entirely on the pipeline goroutine: no locks.
+// classify is the stream's pair sink: the one per-pair classification,
+// with an unarmed clock (the stream records no spans), then onResult.
+func (st *IdentifyStream) classify(fi FlowIdentification, _ int) {
+	classifyPair(st.id, &fi, &st.sc, new(telemetry.SpanClock))
+	if st.onResult != nil {
+		st.onResult(fi)
+	}
+}
+
+// pairer is the passive pipeline's one pairing rule. It groups flows by
+// (client IP, server) in arrival order and pairs each valid timed-out
+// flow with the next flow of its group, mirroring how the active prober
+// gathers environment A then environment B from one server. A valid
+// flow waits in the pending set until its companion arrives, the set
+// overflows max (the oldest waiter leaves unpaired), or flush. Flows
+// with no valid trace and no waiting predecessor leave unpaired at once.
+// It runs on one goroutine: no locks.
 type pairer struct {
-	id         *core.Identifier
-	pending    map[string]*FlowTrace
-	order      []string // FIFO of group keys with a pending flow
-	maxPending int
-	onResult   func(FlowIdentification)
+	pending        map[string]pendingFlow
+	oldest, newest string // ends of the pending FIFO ("" when empty)
+	max            int    // pending bound; 0 leaves it unbounded
+	n              int    // flows added so far
+	// onPair receives every pair; a is the arrival index of its A flow.
+	onPair func(fi FlowIdentification, a int)
+}
+
+// pendingFlow is one flow waiting for its companion. Its FIFO links are
+// its neighbours' group keys, so leaving the FIFO is O(1).
+type pendingFlow struct {
+	f          *FlowTrace
+	at         int // arrival index
+	prev, next string
 }
 
 func (p *pairer) add(f *FlowTrace) {
+	at := p.n
+	p.n++
 	gk := f.ClientIP + "|" + f.Server
 	if a, ok := p.pending[gk]; ok {
-		delete(p.pending, gk)
-		p.dropOrder(gk)
-		p.classify(FlowIdentification{A: a, B: f})
+		p.unlink(gk, a)
+		p.onPair(FlowIdentification{A: a.f, B: f}, a.at)
 		return
 	}
-	if f.Trace != nil && f.Trace.Valid() {
-		// A valid timed-out trace waits for its environment-B companion.
-		if len(p.pending) >= p.maxPending {
-			oldest := p.order[0]
-			p.order = p.order[1:]
-			a := p.pending[oldest]
-			delete(p.pending, oldest)
-			p.classify(FlowIdentification{A: a})
-		}
-		p.pending[gk] = f
-		p.order = append(p.order, gk)
+	if f.Trace == nil || !f.Trace.Valid() {
+		p.onPair(FlowIdentification{A: f}, at)
 		return
 	}
-	p.classify(FlowIdentification{A: f})
+	// A valid timed-out trace waits for its environment-B companion.
+	if p.max > 0 && len(p.pending) >= p.max {
+		p.release(p.oldest)
+	}
+	if p.newest == "" {
+		p.oldest = gk
+	} else {
+		last := p.pending[p.newest]
+		last.next = gk
+		p.pending[p.newest] = last
+	}
+	p.pending[gk] = pendingFlow{f: f, at: at, prev: p.newest}
+	p.newest = gk
 }
 
-func (p *pairer) dropOrder(gk string) {
-	for i, k := range p.order {
-		if k == gk {
-			p.order = append(p.order[:i], p.order[i+1:]...)
-			return
-		}
+// unlink removes group gk's pending flow e from the set and the FIFO.
+func (p *pairer) unlink(gk string, e pendingFlow) {
+	delete(p.pending, gk)
+	if e.prev == "" {
+		p.oldest = e.next
+	} else {
+		prev := p.pending[e.prev]
+		prev.next = e.next
+		p.pending[e.prev] = prev
+	}
+	if e.next == "" {
+		p.newest = e.prev
+	} else {
+		next := p.pending[e.next]
+		next.prev = e.prev
+		p.pending[e.next] = next
 	}
 }
 
-// flush classifies every flow still waiting for a companion.
+// release sends group gk's pending flow on unpaired.
+func (p *pairer) release(gk string) {
+	e := p.pending[gk]
+	p.unlink(gk, e)
+	p.onPair(FlowIdentification{A: e.f}, e.at)
+}
+
+// flush releases every pending flow, oldest first.
 func (p *pairer) flush() {
-	for _, gk := range p.order {
-		if a, ok := p.pending[gk]; ok {
-			delete(p.pending, gk)
-			p.classify(FlowIdentification{A: a})
-		}
-	}
-	p.order = p.order[:0]
-}
-
-func (p *pairer) classify(fi FlowIdentification) {
-	out := p.id.IdentifyResult(pairResult(&fi))
-	out.Elapsed = fi.A.End.Sub(fi.A.Start)
-	if fi.B != nil {
-		out.Elapsed += fi.B.End.Sub(fi.B.Start)
-	}
-	fi.ID = out
-	if p.onResult != nil {
-		p.onResult(fi)
+	for p.oldest != "" {
+		p.release(p.oldest)
 	}
 }

@@ -26,10 +26,14 @@ type pktEvent struct {
 
 // synthCapture generates a multi-flow classic pcap from a seed: flows
 // with handshakes, data rounds, and occasional timeout signatures,
-// interleaved in time. Every intra-flow gap stays under 900ms -- below
-// the smallest online idle-expiry threshold (1s) -- so online and
-// offline reconstruction must agree exactly.
-func synthCapture(seed int64, nflows int) []byte {
+// interleaved in time. Without gaps every intra-flow gap stays under
+// 900ms -- below the smallest idle-expiry threshold (1s) -- so the
+// stream with idle expiry on and offline reconstruction must agree
+// exactly. With gaps, about a third of the flows also go silent once
+// between data rounds for longer than their idle threshold,
+// max(IdleRTTs x RTT, Epoch) at the defaults, which the stream splits
+// and offline does not; long counts them.
+func synthCapture(seed int64, nflows int, gaps bool) (data []byte, long int) {
 	rng := rand.New(rand.NewSource(seed))
 	base := time.Unix(1700000000, 0).UTC()
 	var events []pktEvent
@@ -58,6 +62,11 @@ func synthCapture(seed int64, nflows int) []byte {
 		seq := uint32(1)
 		w := 2
 		rounds := 3 + rng.Intn(6)
+		gapAfter := -1
+		if gaps && rng.Intn(3) == 0 {
+			gapAfter = rng.Intn(rounds - 1)
+			long++
+		}
 		for r := 0; r < rounds; r++ {
 			for i := 0; i < w; i++ {
 				add(at+time.Duration(i)*time.Millisecond, pcap.FrameSpec{
@@ -66,6 +75,10 @@ func synthCapture(seed int64, nflows int) []byte {
 				seq += uint32(mss)
 			}
 			at += rtt
+			if r == gapAfter {
+				// The handshake pins the flow's RTT estimate to rtt.
+				at += max(8*rtt, time.Second) + time.Duration(1+rng.Intn(300))*time.Millisecond
+			}
 			if w < 64 {
 				w *= 2
 			}
@@ -96,15 +109,15 @@ func synthCapture(seed int64, nflows int) []byte {
 			panic(err)
 		}
 	}
-	return buf.Bytes()
+	return buf.Bytes(), long
 }
 
-// streamCollect runs data through a Stream and returns the emitted
-// flows (sorted in capture order) and stats.
-func streamCollect(t testing.TB, data []byte, cfg StreamConfig, chunk int) ([]*FlowTrace, CaptureStats) {
+// streamCollect runs data through a Stream with idle expiry on or off
+// and returns the emitted flows (sorted in capture order) and stats.
+func streamCollect(t testing.TB, data []byte, cfg StreamConfig, chunk int, expiry bool) ([]*FlowTrace, CaptureStats) {
 	t.Helper()
 	var got []*FlowTrace
-	st := NewStream(context.Background(), cfg, func(f *FlowTrace) { got = append(got, f) })
+	st := newStream(context.Background(), cfg, func(f *FlowTrace) { got = append(got, f) }, expiry)
 	for off := 0; off < len(data); off += chunk {
 		end := off + chunk
 		if end > len(data) {
@@ -138,9 +151,9 @@ func equivalentFlows(t testing.TB, offline, online []*FlowTrace, label string) {
 // TestStreamMatchesOffline is the online == offline equivalence
 // property: on the same capture, the streaming pipeline (epoch expiry,
 // incremental sinks, any ring size, any write chunking) must emit
-// exactly the FlowTrace set the offline Finish path produces.
+// exactly the FlowTrace set Reassemble produces.
 func TestStreamMatchesOffline(t *testing.T) {
-	data := synthCapture(42, 40)
+	data, _ := synthCapture(42, 40, false)
 	cfg := Config{MaxFlows: 1 << 16, MaxEmitted: -1}
 	offline, offStats, err := Reassemble(bytes.NewReader(data), cfg)
 	if err != nil {
@@ -149,7 +162,7 @@ func TestStreamMatchesOffline(t *testing.T) {
 	for _, ring := range []int{4 << 10, 64 << 10} {
 		for _, chunk := range []int{1777, 1 << 20} {
 			online, stats := streamCollect(t, data, StreamConfig{
-				Tracker: cfg, RingBytes: ring}, chunk)
+				Tracker: cfg, RingBytes: ring}, chunk, true)
 			label := "ring=" + itoa(ring) + " chunk=" + itoa(chunk)
 			equivalentFlows(t, offline, online, label)
 			if stats.Flows != offStats.Flows || stats.TCPSegments != offStats.TCPSegments ||
@@ -164,7 +177,7 @@ func TestStreamMatchesOffline(t *testing.T) {
 // the synthetic captures, idle expiry must emit most flows mid-stream,
 // not leave everything to the Finish drain.
 func TestStreamExpiryActuallyFires(t *testing.T) {
-	data := synthCapture(7, 40)
+	data, _ := synthCapture(7, 40, false)
 	var m StreamMetrics
 	m.Tracker.Live = &telemetry.Gauge{}
 	m.Tracker.LiveHighWater = &telemetry.Gauge{}
@@ -172,7 +185,7 @@ func TestStreamExpiryActuallyFires(t *testing.T) {
 	m.Tracker.Expired = &telemetry.Counter{}
 	m.Flows = &telemetry.Counter{}
 	_, stats := streamCollect(t, data, StreamConfig{
-		Tracker: Config{MaxFlows: 1 << 16, MaxEmitted: -1}, Metrics: &m}, 1<<20)
+		Tracker: Config{MaxFlows: 1 << 16, MaxEmitted: -1}, Metrics: &m}, 1<<20, true)
 	if m.Tracker.Expired.Load() < stats.Flows/2 {
 		t.Fatalf("only %d of %d flows idle-expired; capture spread should expire most", m.Tracker.Expired.Load(), stats.Flows)
 	}
@@ -187,17 +200,21 @@ func TestStreamExpiryActuallyFires(t *testing.T) {
 	}
 }
 
-// FuzzOnlineOfflineEquivalence fuzzes the equivalence property over
-// generated captures: whatever flow mix, timing spread, and write
-// chunking the seed picks, online must equal offline.
+// FuzzOnlineOfflineEquivalence fuzzes the engine's two modes over
+// generated captures: whatever flow mix, timing spread, long idle gaps
+// and write chunking the seed picks, the ring pipeline with idle expiry
+// off must emit exactly Reassemble's flows, and with expiry on it must
+// split each long gap into one more flow -- and emit exactly the
+// offline flows when there is none.
 func FuzzOnlineOfflineEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(10), uint8(2))
-	f.Add(int64(99), uint8(30), uint8(5))
-	f.Add(int64(-7), uint8(1), uint8(1))
-	f.Add(int64(5), uint8(20), uint8(0))
-	f.Fuzz(func(t *testing.T, seed int64, nflows, chunkSel uint8) {
+	f.Add(int64(1), uint8(10), uint8(2), false)
+	f.Add(int64(99), uint8(30), uint8(5), true)
+	f.Add(int64(-7), uint8(1), uint8(1), false)
+	f.Add(int64(5), uint8(20), uint8(0), true)
+	f.Add(int64(3), uint8(47), uint8(255), true)
+	f.Fuzz(func(t *testing.T, seed int64, nflows, chunkSel uint8, gaps bool) {
 		n := int(nflows)%48 + 1
-		data := synthCapture(seed, n)
+		data, long := synthCapture(seed, n, gaps)
 		cfg := Config{MaxFlows: 1 << 16, MaxEmitted: -1}
 		offline, _, err := Reassemble(bytes.NewReader(data), cfg)
 		if err != nil {
@@ -205,9 +222,18 @@ func FuzzOnlineOfflineEquivalence(f *testing.F) {
 		}
 		// chunkSel picks the write size: 1 byte up to ~16 KiB, around
 		// the 32 KiB ring.
-		online, _ := streamCollect(t, data, StreamConfig{
-			Tracker: cfg, RingBytes: 32 << 10}, 1+int(chunkSel)*64)
-		equivalentFlows(t, offline, online, "fuzz")
+		sc := StreamConfig{Tracker: cfg, RingBytes: 32 << 10}
+		chunk := 1 + int(chunkSel)*64
+		expiryOff, _ := streamCollect(t, data, sc, chunk, false)
+		equivalentFlows(t, offline, expiryOff, "expiry off")
+		online, stats := streamCollect(t, data, sc, chunk, true)
+		if len(online) != len(offline)+long || stats.Flows != int64(len(online)) {
+			t.Fatalf("expiry on: %d flows (stats %d), want %d offline + %d long gaps",
+				len(online), stats.Flows, len(offline), long)
+		}
+		if long == 0 {
+			equivalentFlows(t, offline, online, "expiry on")
+		}
 	})
 }
 
@@ -364,7 +390,7 @@ func TestIdentifyStreamMatchesOffline(t *testing.T) {
 	}
 	for run := 0; run < 20; run++ {
 		var got []FlowIdentification
-		st := NewIdentifyStream(context.Background(), model, IdentifyStreamOptions{}, func(fi FlowIdentification) {
+		st := NewIdentifyStream(context.Background(), model, StreamConfig{}, func(fi FlowIdentification) {
 			got = append(got, fi)
 		})
 		if _, err := io.Copy(st, bytes.NewReader(buf.Bytes())); err != nil {

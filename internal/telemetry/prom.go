@@ -102,7 +102,7 @@ func (p *PromWriter) CounterVec(name, help, label string, samples map[string]int
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		p.printf("%s{%s=%q} %d\n", name, label, escapeLabel(k), samples[k])
+		p.printf("%s{%s=\"%s\"} %d\n", name, label, escapeLabel(k), samples[k])
 	}
 }
 

@@ -291,6 +291,26 @@ func TestPromHistogramExposition(t *testing.T) {
 	}
 }
 
+// TestPromCounterVecEscapesOnce: a CounterVec label value is escaped
+// exactly as labelString escapes it -- quote, backslash and newline each
+// once -- not escaped and then re-quoted.
+func TestPromCounterVecEscapesOnce(t *testing.T) {
+	const v = "a\"b\\c\nd"
+	var b strings.Builder
+	pw := NewPromWriter(&b)
+	pw.CounterVec("caai_test_total", "test family", "label", map[string]int64{v: 2})
+	if err := pw.Err(); err != nil {
+		t.Fatal(err)
+	}
+	want := `caai_test_total{label="a\"b\\c\nd"} 2` + "\n"
+	if !strings.Contains(b.String(), want) {
+		t.Fatalf("exposition missing %q\n%s", want, b.String())
+	}
+	if ls := labelString(map[string]string{"label": v}); !strings.Contains(want, ls) {
+		t.Fatalf("CounterVec and labelString disagree: %q vs %q", want, ls)
+	}
+}
+
 // TestHistogramZeroAllocObserve pins the record-path allocation contract.
 func TestHistogramZeroAllocObserve(t *testing.T) {
 	var h Histogram
