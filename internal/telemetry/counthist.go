@@ -10,11 +10,10 @@ import "sync/atomic"
 const NumCountBuckets = 17
 
 // CountHist is a lock-free histogram over small non-negative integers:
-// Observe is three atomic adds on a preallocated array, mirroring
+// Observe is two atomic adds on a preallocated array, mirroring
 // Histogram's contract (zero allocation, any number of concurrent
 // writers). The zero value is ready to use.
 type CountHist struct {
-	count   Counter
 	sum     Counter
 	buckets [NumCountBuckets]atomic.Int64
 }
@@ -30,17 +29,17 @@ func (h *CountHist) Observe(v int64) {
 	}
 	h.buckets[i].Add(1)
 	h.sum.Add(v)
-	h.count.Add(1)
 }
 
-// Snapshot copies the histogram's current state. The same bounded-skew
-// caveat as Histogram.Snapshot applies under concurrent observations.
+// Snapshot copies the histogram's current state. As in
+// Histogram.Snapshot, Count is the total of the copied buckets and only
+// Sum can skew under concurrent observations.
 func (h *CountHist) Snapshot() CountHistSnapshot {
 	var s CountHistSnapshot
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
 	}
-	s.Count = h.count.Load()
 	s.Sum = h.sum.Load()
 	return s
 }

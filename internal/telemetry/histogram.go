@@ -36,12 +36,11 @@ func bucketIndex(d time.Duration) int {
 }
 
 // Histogram is a fixed-bucket log-spaced latency histogram with atomic
-// buckets: Observe is three atomic adds on a preallocated array -- no
-// locks, no allocation -- safe for any number of concurrent writers. The
-// zero value is ready to use.
+// buckets: Observe is two atomic adds (bucket, sum) on a preallocated
+// array -- no locks, no allocation -- safe for any number of concurrent
+// writers. The zero value is ready to use.
 type Histogram struct {
-	count Counter
-	sum   Counter // nanoseconds
+	sum Counter // nanoseconds
 	// buckets are plain (unpadded) atomics: one Observe touches a single
 	// bucket, and distinct latencies scatter across buckets, so padding
 	// 34 slots per histogram buys little for 8x the footprint.
@@ -55,20 +54,20 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 	h.buckets[bucketIndex(d)].Add(1)
 	h.sum.Add(int64(d))
-	h.count.Add(1)
 }
 
-// Snapshot copies the histogram's current state. Under concurrent
-// observations the snapshot is not a single atomic cut: a racing Observe
-// may have landed its bucket but not yet its count (or vice versa), so
-// Count and the bucket total can differ by in-flight observations --
-// bounded skew that vanishes at rest. Snapshots merge associatively.
+// Snapshot copies the histogram's current state. Count is the sum of
+// the copied buckets, so it always equals their total -- the Prometheus
+// text format requires _count to equal the +Inf bucket. Under concurrent
+// observations Sum may trail or lead the buckets by in-flight
+// observations, a bounded skew that vanishes at rest. Snapshots merge
+// associatively.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
 	}
-	s.Count = h.count.Load()
 	s.Sum = time.Duration(h.sum.Load())
 	return s
 }

@@ -14,8 +14,8 @@
 //     the heap, takes a lock, or formats a string.
 //  2. Reads never block writes. Snapshots are plain atomic loads; a
 //     snapshot taken under concurrent traffic is a consistent-enough view
-//     (per-bucket counts may trail the total by in-flight observations,
-//     never the reverse invariantly -- see Histogram.Snapshot).
+//     (a histogram's count is derived from its buckets, so only its sum
+//     can skew by in-flight observations -- see Histogram.Snapshot).
 //  3. Snapshots merge associatively, so per-worker or per-shard histograms
 //     can be aggregated in any grouping with identical results.
 package telemetry

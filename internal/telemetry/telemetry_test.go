@@ -129,6 +129,73 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
+// TestHistogramSnapshotCountMatchesBuckets: a snapshot taken while other
+// goroutines observe must still have Count equal to its bucket total,
+// and its exposition a +Inf bucket equal to _count, as the Prometheus
+// text format requires.
+func TestHistogramSnapshotCountMatchesBuckets(t *testing.T) {
+	const observers, snapshots = 4, 2_000
+	var h Histogram
+	var ch CountHist
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < observers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				h.Observe(time.Duration(i%5000) * time.Microsecond)
+				ch.Observe(int64(i % 20))
+			}
+		}(g)
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	var b strings.Builder
+	for i := 0; i < snapshots; i++ {
+		s := h.Snapshot()
+		var total int64
+		for _, n := range s.Buckets {
+			total += n
+		}
+		if s.Count != total {
+			t.Fatalf("snapshot %d: Count %d != bucket total %d", i, s.Count, total)
+		}
+		cs := ch.Snapshot()
+		total = 0
+		for _, n := range cs.Buckets {
+			total += n
+		}
+		if cs.Count != total {
+			t.Fatalf("count-hist snapshot %d: Count %d != bucket total %d", i, cs.Count, total)
+		}
+
+		b.Reset()
+		pw := NewPromWriter(&b)
+		pw.HistogramSamples("caai_test_seconds", nil, s)
+		var inf, count string
+		for _, line := range strings.Split(b.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, `caai_test_seconds_bucket{le="+Inf"} `); ok {
+				inf = v
+			}
+			if v, ok := strings.CutPrefix(line, "caai_test_seconds_count "); ok {
+				count = v
+			}
+		}
+		if inf == "" || inf != count {
+			t.Fatalf("exposition %d: +Inf bucket %q != _count %q", i, inf, count)
+		}
+	}
+}
+
 // TestSnapshotMergeAssociative: merging per-worker snapshots must give
 // identical totals in any grouping -- (a+b)+c == a+(b+c) -- and be
 // commutative, so sharded aggregation order never matters.
