@@ -285,8 +285,25 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if wantsPrometheus(r.URL.Query().Get("format"), r.Header.Get("Accept")) {
 		w.Header().Set("Content-Type", telemetry.PromContentType)
 		w.WriteHeader(http.StatusOK)
-		_ = s.writePrometheus(w)
+		// The status line is out: a failed write means the client left.
+		_ = s.metrics.reg.WritePrometheus(w)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.snapshot())
+	writeJSON(w, http.StatusOK, s.metrics.reg.JSON())
+}
+
+// wantsPrometheus decides whether a GET /metrics request asked for the
+// Prometheus text exposition instead of the default JSON snapshot: an
+// explicit ?format=prometheus, or an Accept header naming text/plain or
+// an OpenMetrics type (what Prometheus scrapers send). Browsers and the
+// existing JSON consumers keep getting JSON.
+func wantsPrometheus(format, accept string) bool {
+	if format == "prometheus" {
+		return true
+	}
+	if format != "" {
+		return false
+	}
+	accept = strings.ToLower(accept)
+	return strings.Contains(accept, "text/plain") || strings.Contains(accept, "openmetrics")
 }

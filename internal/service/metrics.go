@@ -1,8 +1,8 @@
 package service
 
 import (
+	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/census/shard"
@@ -12,137 +12,157 @@ import (
 	"repro/internal/telemetry"
 )
 
-// metrics aggregates the service counters exposed at GET /metrics. All
-// counters are monotonic except InFlight (a gauge).
+// metrics holds the handles of the service instruments. Each instrument
+// is declared once, in newMetrics, on reg, which renders both GET
+// /metrics bodies: the JSON object and the Prometheus exposition.
 type metrics struct {
-	requests       atomic.Int64 // HTTP requests served, all endpoints
-	identifies     atomic.Int64 // identifications executed (sync + batch, cache misses)
-	cacheHits      atomic.Int64
-	cacheMisses    atomic.Int64
-	batchAccepted  atomic.Int64 // async jobs accepted
-	batchRejected  atomic.Int64 // async jobs rejected (queue full / bad request)
-	jobsCompleted  atomic.Int64
-	jobsFailed     atomic.Int64 // cancelled or shut down mid-run
-	inFlight       atomic.Int64 // probes currently executing (sync + batch)
-	modelsReloaded atomic.Int64
-	syncRejected   atomic.Int64 // sync identifies shed by the backlog bound (429)
+	reg *telemetry.Registry
 
-	// censusJobs counts census campaigns accepted on POST /v1/census;
-	// census is the process-wide sink every campaign's coordinator mirrors
-	// its fault-tolerance counters into (retries, backoff, steals,
-	// checkpoint writes, abandoned targets, per-target attempt histogram).
-	censusJobs atomic.Int64
+	requests, identifies, cacheHits, cacheMisses            *telemetry.Counter
+	batchAccepted, batchRejected, jobsCompleted, jobsFailed *telemetry.Counter
+	modelsReloaded, syncRejected                            *telemetry.Counter
+	inFlight, queueHighWater, workersBusy, finishedRetained *telemetry.Gauge
+
+	// censusJobs counts accepted campaigns; census is the sink every
+	// campaign's coordinator mirrors its fault-tolerance counters into.
+	censusJobs *telemetry.Counter
 	census     shard.Metrics
 
-	// Capture-ingestion counters (POST /v1/pcap).
-	pcapUploads           atomic.Int64 // capture uploads received
-	pcapFlowsSeen         atomic.Int64 // TCP flows reassembled from uploads
-	pcapFlowsClassifiable atomic.Int64 // flows that yielded a valid trace
-	pcapDecodeErrors      atomic.Int64 // uploads rejected as undecodable
-	pcapBytes             atomic.Int64 // capture bytes ingested (throughput numerator)
-	// pcapDecode observes each upload's decode+reassembly wall clock (the
-	// throughput denominator, and the passive pipeline's gather latency at
-	// upload granularity).
+	pcapUploads, pcapFlowsSeen, pcapFlowsClassifiable *telemetry.Counter
+	pcapDecodeErrors, pcapBytes                       *telemetry.Counter
+	// pcapDecode observes each upload's decode+reassembly wall clock.
 	pcapDecode telemetry.Histogram
 
-	// Streaming-capture counters (POST /v1/pcap/stream). The gauges
-	// aggregate across concurrent streams: streamLive is the total flows
-	// resident in every running pipeline right now -- the number an
-	// operator watches to confirm live-capture memory stays flat.
-	streamRequests      atomic.Int64      // stream requests received
-	streamRejected      atomic.Int64      // streams shed by the MaxStreams bound (429)
-	streamErrors        atomic.Int64      // streams ended by a decode/transport error
-	streamActive        telemetry.Gauge   // streams currently running
-	streamLive          telemetry.Gauge   // flows live across all streams
-	streamLiveHighWater telemetry.Gauge   // most flows ever live at once
-	streamEpochs        telemetry.Counter // expiry sweep epochs completed
-	streamExpired       telemetry.Counter // flows closed by idle expiry
-	streamBytes         telemetry.Counter // capture bytes accepted by streams
-	streamPackets       telemetry.Counter // capture records read
-	streamFlows         telemetry.Counter // flows emitted (expired+evicted+drained)
-	streamRingHighWater telemetry.Gauge   // fullest any ingest ring has been
+	streamRequests, streamRejected, streamErrors *telemetry.Counter
+	streamActive                                 *telemetry.Gauge
+	// stream is shared by every capture stream, so its gauges aggregate
+	// across concurrent uploads.
+	stream flow.StreamMetrics
 
-	// Outcome-class counters, one per identification, mirroring
-	// internal/eval's accounting classes so /metrics and the evaluation
-	// matrix slice results the same way. Exactly one of these increments
-	// per identification; labeled covers confident labels (eval's
-	// correct+wrong -- the service has no ground truth to split them).
-	outcomeLabeled atomic.Int64
-	outcomeUnsure  atomic.Int64
-	outcomeSpecial atomic.Int64
-	outcomeInvalid atomic.Int64
+	// outcomes holds exactly one increment per identification, in
+	// internal/eval's accounting classes (labeled covers eval's
+	// correct+wrong: the service has no ground truth to split them);
+	// labels counts the reported labels.
+	outcomes, labels *telemetry.CounterVec
 
-	// pipeline aggregates per-stage spans (queue wait, gather, feature,
-	// classify, cache) from every recording path: sync identifies, batch
-	// workers' block sessions, and pcap classification.
-	pipeline telemetry.Pipeline
-
-	// endpoints maps the matched route pattern -> *telemetry.Histogram of
-	// request latency. Same sync.Map rationale as labels: a tiny key set
-	// that stabilizes immediately.
+	// pipeline aggregates per-stage spans from every recording path;
+	// endpoints maps the matched route pattern to a *telemetry.Histogram
+	// of request latency.
+	pipeline  telemetry.Pipeline
 	endpoints sync.Map
-
-	// queueHighWater tracks the deepest the batch queue has been;
-	// workersBusy counts workers currently executing a job;
-	// finishedRetained is the finished-job retention window's occupancy.
-	queueHighWater   telemetry.Gauge
-	workersBusy      telemetry.Gauge
-	finishedRetained telemetry.Gauge
-
-	// labels maps reported label -> *atomic.Int64. The label set is tiny
-	// and stabilizes after warm-up, which is sync.Map's sweet spot: the
-	// request path is a lock-free read-and-add, with the store path taken
-	// only the first time a label appears. (The previous mutex-guarded
-	// map serialized every identification on one lock; see
-	// BenchmarkCountLabel for the measured difference.)
-	labels sync.Map
 }
 
-func newMetrics() *metrics {
-	return &metrics{}
-}
+// newMetrics declares every instrument of s, in exposition order.
+func newMetrics(s *Service) *metrics {
+	r := new(telemetry.Registry)
+	m := &metrics{reg: r}
+	m.requests = r.Counter("requests_total", "caai_requests_total", "HTTP requests served, all endpoints.")
+	m.identifies = r.Counter("identifications_total", "caai_identifications_total", "Identifications executed (sync + batch, cache misses).")
+	m.inFlight = r.Gauge("in_flight", "caai_in_flight", "Probes currently executing (sync + batch).")
+	r.GaugeFunc("queue_depth", "caai_queue_depth", "Batch jobs waiting in the bounded queue.", func() int64 { return int64(len(s.queue)) })
+	m.queueHighWater = r.Gauge("queue_high_water", "caai_queue_high_water", "Deepest the batch queue has been since start.")
+	r.GaugeFunc("workers", "caai_workers", "Configured batch workers.", func() int64 { return int64(s.cfg.Workers) })
+	m.workersBusy = r.Gauge("workers_busy", "caai_workers_busy", "Workers currently executing a job.")
+	m.finishedRetained = r.Gauge("finished_jobs_retained", "caai_finished_jobs_retained", "Finished jobs kept pollable by the retention window.")
+	m.batchAccepted = r.Counter("batch_jobs_accepted", "caai_batch_jobs_accepted_total", "Async jobs accepted.")
+	m.batchRejected = r.Counter("batch_jobs_rejected", "caai_batch_jobs_rejected_total", "Async jobs rejected (queue full / bad request).")
+	m.jobsCompleted = r.Counter("batch_jobs_completed", "caai_batch_jobs_completed_total", "Async jobs finished successfully.")
+	m.jobsFailed = r.Counter("batch_jobs_failed", "caai_batch_jobs_failed_total", "Async jobs cancelled or failed.")
+	m.modelsReloaded = r.Counter("models_reloaded", "caai_models_reloaded_total", "Model hot-swaps applied.")
+	m.syncRejected = r.Counter("sync_rejected", "caai_sync_rejected_total", "Sync identifies shed by the backlog bound (429).")
 
-// streamMetrics binds the flow pipeline's instrument set to the service
-// counters. Every stream shares the same instruments, so the gauges
-// aggregate across concurrent uploads.
-func (m *metrics) streamMetrics() *flow.StreamMetrics {
-	return &flow.StreamMetrics{
+	m.censusJobs = r.Counter("census.jobs", "caai_census_jobs_total", "Census campaigns accepted on POST /v1/census.")
+	r.CounterFunc("census.probes", "caai_census_probes_total", "Census probes executed (injected faults excluded).", m.census.Probes.Load)
+	r.CounterFunc("census.retries", "caai_census_retries_total", "Census probe attempts re-queued after a transient timeout.", m.census.Retries.Load)
+	r.CounterFunc("census.deferrals", "caai_census_deferrals_total", "Census rate-limited attempts deferred without consuming an attempt.", m.census.Deferrals.Load)
+	r.CounterFunc("census.rate_limit_waits", "caai_census_rate_limit_waits_total", "Census probes delayed by per-target/per-worker token buckets.", m.census.RateLimitWaits.Load)
+	r.CounterFunc("census.steals", "caai_census_steals_total", "Census work batches stolen from another worker's queue.", m.census.Steals.Load)
+	r.CounterFunc("census.targets_abandoned", "caai_census_targets_abandoned_total", "Census targets abandoned (retries/deferrals exhausted or unreachable).", m.census.TargetsAbandoned.Load)
+	r.FloatFunc("census.backoff_seconds", "caai_census_backoff_seconds_total", "Total scheduled census retry/deferral backoff delay.", telemetry.KindCounter,
+		func() float64 { return time.Duration(m.census.BackoffNanos.Load()).Seconds() })
+	r.CounterFunc("census.checkpoint_writes", "caai_census_checkpoint_writes_total", "Census checkpoint records durably appended.", m.census.CheckpointWrites.Load)
+	r.CounterFunc("census.worker_crashes", "caai_census_worker_crashes_total", "Census worker deaths injected by fault plans.", m.census.WorkerCrashes.Load)
+	r.Family("census.attempts", func() any { return m.census.Attempts.Snapshot() },
+		"caai_census_attempts", "Per-target census contact attempts consumed (1 = first-try success).", telemetry.KindHistogram,
+		func(p *telemetry.PromWriter, name string) {
+			p.CountHistSamples(name, nil, m.census.Attempts.Snapshot())
+		})
+
+	m.cacheHits = r.Counter("cache.hits", "caai_cache_hits_total", "Result-cache hits (incl. coalesced followers).")
+	m.cacheMisses = r.Counter("cache.misses", "caai_cache_misses_total", "Result-cache misses.")
+	r.GaugeFunc("cache.entries", "caai_cache_entries", "Result-cache occupancy.", func() int64 { return int64(s.cache.Len()) })
+	r.Family("cache.max_entries", func() any { return s.cfg.CacheSize }, "", "", "", nil)
+	r.Family("cache.hit_rate", func() any {
+		hits, misses := m.cacheHits.Load(), m.cacheMisses.Load()
+		if hits+misses == 0 {
+			return 0.0
+		}
+		return float64(hits) / float64(hits+misses)
+	}, "", "", "", nil)
+
+	m.pcapUploads = r.Counter("pcap.uploads", "caai_pcap_uploads_total", "Capture uploads received.")
+	m.pcapFlowsSeen = r.Counter("pcap.flows_seen", "caai_pcap_flows_total", "TCP flows reassembled from uploads.")
+	m.pcapFlowsClassifiable = r.Counter("pcap.flows_classifiable", "caai_pcap_flows_classifiable_total", "Reassembled flows with a valid CAAI trace.")
+	m.pcapDecodeErrors = r.Counter("pcap.decode_errors", "caai_pcap_decode_errors_total", "Uploads rejected as undecodable.")
+	m.pcapBytes = r.Counter("pcap.bytes", "caai_pcap_bytes_total", "Capture bytes ingested.")
+	r.Family("pcap.decode_ms", func() any { return float64(m.pcapDecode.Snapshot().Sum) / float64(time.Millisecond) },
+		"caai_pcap_decode_seconds", "Per-upload capture decode+reassembly time.", telemetry.KindHistogram,
+		func(p *telemetry.PromWriter, name string) { p.HistogramSamples(name, nil, m.pcapDecode.Snapshot()) })
+
+	m.streamRequests = r.Counter("stream.requests", "caai_stream_requests_total", "Capture stream requests received (POST /v1/pcap/stream).")
+	m.streamRejected = r.Counter("stream.rejected", "caai_stream_rejected_total", "Capture streams shed by the concurrency bound (429).")
+	m.streamErrors = r.Counter("stream.errors", "caai_stream_errors_total", "Capture streams ended by a decode or transport error.")
+	m.streamActive = r.Gauge("stream.active", "caai_stream_active", "Capture streams running now.")
+	m.stream = flow.StreamMetrics{
 		Tracker: flow.TrackerMetrics{
-			Live:          &m.streamLive,
-			LiveHighWater: &m.streamLiveHighWater,
-			Epochs:        &m.streamEpochs,
-			Expired:       &m.streamExpired,
+			Live:          r.Gauge("stream.live_flows", "caai_stream_live_flows", "Flows resident across all running stream pipelines."),
+			LiveHighWater: r.Gauge("stream.live_flows_high_water", "caai_stream_live_flows_high_water", "Most flows ever resident at once."),
+			Epochs:        r.Counter("stream.epochs", "caai_stream_epochs_total", "Idle-expiry sweep epochs completed."),
+			Expired:       r.Counter("stream.expired_flows", "caai_stream_expired_flows_total", "Flows closed by idle expiry."),
 		},
-		Bytes:         &m.streamBytes,
-		Packets:       &m.streamPackets,
-		Flows:         &m.streamFlows,
-		RingHighWater: &m.streamRingHighWater,
+		Bytes:         r.Counter("stream.bytes", "caai_stream_bytes_total", "Capture bytes accepted by stream uploads."),
+		Packets:       r.Counter("stream.packets", "caai_stream_packets_total", "Capture records framed by stream pipelines."),
+		Flows:         r.Counter("stream.flows", "caai_stream_flows_total", "Flows emitted by stream pipelines (expired+evicted+drained)."),
+		RingHighWater: r.Gauge("stream.ring_high_water_bytes", "caai_stream_ring_high_water_bytes", "Fullest any stream ingest ring has been."),
 	}
+
+	s.flight.Declare(r, "traces")
+	telemetry.DeclareRuntime(r, "runtime")
+
+	m.outcomes = r.CounterVec("outcomes", "caai_outcomes_total",
+		"Identifications by outcome class (labeled/unsure/special/invalid, mirrors internal/eval).",
+		"outcome", "labeled", "unsure", "special", "invalid")
+	m.labels = r.CounterVec("labels", "caai_labels_total", "Identifications by reported label.", "label")
+	latencyFamily(r, "stages", "caai_stage_duration_seconds",
+		"Pipeline per-stage latency (queue wait, gather, feature, classify, cache).", "stage", m.stageSeries)
+	latencyFamily(r, "endpoints", "caai_request_duration_seconds",
+		"HTTP request latency by matched route.", "endpoint", m.endpointSeries)
+
+	r.Family("models", func() any { return s.modelInfos() }, "", "", "", nil)
+	r.Family("eval", func() any {
+		if e := s.latestEvalSummary(); e != nil {
+			return e
+		}
+		return nil
+	}, "", "", "", nil)
+	return m
 }
 
-// countLabel tallies one identification outcome under its reported label
-// (special shapes and invalid traces get their own buckets) and under its
-// outcome class. Lock-free on the request path once a label's counter
-// exists.
+// countLabel tallies one identification under its outcome class and its
+// reported label (special shapes and invalid traces get their own
+// labels).
 func (m *metrics) countLabel(resp IdentifyResponse) {
-	label := resp.Label
+	label, outcome := resp.Label, "labeled"
 	switch {
 	case !resp.Valid:
-		label = "INVALID"
-		m.outcomeInvalid.Add(1)
+		label, outcome = "INVALID", "invalid"
 	case resp.Special != "":
-		label = "SPECIAL:" + resp.Special
-		m.outcomeSpecial.Add(1)
+		label, outcome = "SPECIAL:"+resp.Special, "special"
 	case resp.Label == core.LabelUnsure:
-		m.outcomeUnsure.Add(1)
-	default:
-		m.outcomeLabeled.Add(1)
+		outcome = "unsure"
 	}
-	c, ok := m.labels.Load(label)
-	if !ok {
-		c, _ = m.labels.LoadOrStore(label, new(atomic.Int64))
-	}
-	c.(*atomic.Int64).Add(1)
+	m.outcomes.Add(outcome, 1)
+	m.labels.Add(label, 1)
 }
 
 // observeEndpoint records one request's latency under its matched route
@@ -155,17 +175,58 @@ func (m *metrics) observeEndpoint(pattern string, d time.Duration) {
 	h.(*telemetry.Histogram).Observe(d)
 }
 
-// endpointSnapshots copies every endpoint histogram, keyed by pattern.
-func (m *metrics) endpointSnapshots() map[string]telemetry.HistogramSnapshot {
-	out := map[string]telemetry.HistogramSnapshot{}
-	m.endpoints.Range(func(k, v any) bool {
-		out[k.(string)] = v.(*telemetry.Histogram).Snapshot()
-		return true
-	})
+// series is one labelled latency histogram of a family.
+type series struct {
+	label string
+	snap  telemetry.HistogramSnapshot
+}
+
+// stageSeries returns the stages that have observations, in pipeline
+// order.
+func (m *metrics) stageSeries() []series {
+	var out []series
+	for st, snap := range m.pipeline.Snapshot() {
+		if snap.Count > 0 {
+			out = append(out, series{telemetry.Stage(st).String(), snap})
+		}
+	}
 	return out
 }
 
-// MetricsSnapshot is the GET /metrics response body.
+// endpointSeries returns every route's histogram, sorted by pattern.
+func (m *metrics) endpointSeries() []series {
+	var out []series
+	m.endpoints.Range(func(k, v any) bool {
+		out = append(out, series{k.(string), v.(*telemetry.Histogram).Snapshot()})
+		return true
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].label < out[j].label })
+	return out
+}
+
+// latencyFamily declares a labelled latency-histogram family: the JSON
+// body summarizes each series under key (left out while there is none),
+// the exposition carries every bucket.
+func latencyFamily(r *telemetry.Registry, key, name, help, label string, read func() []series) {
+	r.Family(key, func() any {
+		out := map[string]LatencySummary{}
+		for _, s := range read() {
+			out[s.label] = summarize(s.snap)
+		}
+		if len(out) == 0 {
+			return nil
+		}
+		return out
+	}, name, help, telemetry.KindHistogram, func(p *telemetry.PromWriter, name string) {
+		for _, s := range read() {
+			p.HistogramSamples(name, map[string]string{label: s.label}, s.snap)
+		}
+	})
+}
+
+// MetricsSnapshot is the GET /metrics JSON body as clients decode it.
+// The server renders that body from the registry newMetrics declares;
+// TestMetricsSnapshotMirrorsRegistry keeps the two in step.
 type MetricsSnapshot struct {
 	Requests       int64 `json:"requests_total"`
 	Identifies     int64 `json:"identifications_total"`
@@ -322,101 +383,6 @@ type ModelInfo struct {
 	LoadedAt   string `json:"loaded_at"`
 	Generation int    `json:"generation"`
 	Default    bool   `json:"default,omitempty"`
-}
-
-// snapshot captures the counters plus live queue/cache/registry state.
-func (s *Service) snapshot() MetricsSnapshot {
-	m := s.metrics
-	var out MetricsSnapshot
-	out.Requests = m.requests.Load()
-	out.Identifies = m.identifies.Load()
-	out.InFlight = m.inFlight.Load()
-	out.QueueDepth = len(s.queue)
-	out.Workers = s.cfg.Workers
-	out.BatchAccepted = m.batchAccepted.Load()
-	out.BatchRejected = m.batchRejected.Load()
-	out.JobsCompleted = m.jobsCompleted.Load()
-	out.JobsFailed = m.jobsFailed.Load()
-	out.ModelsReloaded = m.modelsReloaded.Load()
-	out.SyncRejected = m.syncRejected.Load()
-
-	out.Census.Jobs = m.censusJobs.Load()
-	out.Census.Probes = m.census.Probes.Load()
-	out.Census.Retries = m.census.Retries.Load()
-	out.Census.Deferrals = m.census.Deferrals.Load()
-	out.Census.RateLimitWaits = m.census.RateLimitWaits.Load()
-	out.Census.Steals = m.census.Steals.Load()
-	out.Census.TargetsAbandoned = m.census.TargetsAbandoned.Load()
-	out.Census.BackoffSeconds = time.Duration(m.census.BackoffNanos.Load()).Seconds()
-	out.Census.CheckpointWrites = m.census.CheckpointWrites.Load()
-	out.Census.WorkerCrashes = m.census.WorkerCrashes.Load()
-	out.Census.Attempts = m.census.Attempts.Snapshot()
-
-	out.Cache.Hits = m.cacheHits.Load()
-	out.Cache.Misses = m.cacheMisses.Load()
-	if total := out.Cache.Hits + out.Cache.Misses; total > 0 {
-		out.Cache.HitRate = float64(out.Cache.Hits) / float64(total)
-	}
-	out.Cache.Entries = s.cache.Len()
-	out.Cache.Max = s.cfg.CacheSize
-
-	out.QueueHighWater = m.queueHighWater.Load()
-	out.WorkersBusy = m.workersBusy.Load()
-	out.FinishedRetained = m.finishedRetained.Load()
-
-	out.Outcomes.Labeled = m.outcomeLabeled.Load()
-	out.Outcomes.Unsure = m.outcomeUnsure.Load()
-	out.Outcomes.Special = m.outcomeSpecial.Load()
-	out.Outcomes.Invalid = m.outcomeInvalid.Load()
-
-	out.Pcap.Uploads = m.pcapUploads.Load()
-	out.Pcap.FlowsSeen = m.pcapFlowsSeen.Load()
-	out.Pcap.Classifiable = m.pcapFlowsClassifiable.Load()
-	out.Pcap.DecodeErrors = m.pcapDecodeErrors.Load()
-	out.Pcap.Bytes = m.pcapBytes.Load()
-	out.Pcap.DecodeMs = float64(m.pcapDecode.Snapshot().Sum) / float64(time.Millisecond)
-
-	out.Stream.Requests = m.streamRequests.Load()
-	out.Stream.Rejected = m.streamRejected.Load()
-	out.Stream.Errors = m.streamErrors.Load()
-	out.Stream.Active = m.streamActive.Load()
-	out.Stream.LiveFlows = m.streamLive.Load()
-	out.Stream.LiveHighWater = m.streamLiveHighWater.Load()
-	out.Stream.Epochs = m.streamEpochs.Load()
-	out.Stream.Expired = m.streamExpired.Load()
-	out.Stream.Bytes = m.streamBytes.Load()
-	out.Stream.Packets = m.streamPackets.Load()
-	out.Stream.Flows = m.streamFlows.Load()
-	out.Stream.RingHighWater = m.streamRingHighWater.Load()
-
-	for st, snap := range m.pipeline.Snapshot() {
-		if snap.Count == 0 {
-			continue
-		}
-		if out.Stages == nil {
-			out.Stages = map[string]LatencySummary{}
-		}
-		out.Stages[telemetry.Stage(st).String()] = summarize(snap)
-	}
-	for pattern, snap := range m.endpointSnapshots() {
-		if out.Endpoints == nil {
-			out.Endpoints = map[string]LatencySummary{}
-		}
-		out.Endpoints[pattern] = summarize(snap)
-	}
-
-	out.Labels = map[string]int64{}
-	m.labels.Range(func(k, v any) bool {
-		out.Labels[k.(string)] = v.(*atomic.Int64).Load()
-		return true
-	})
-
-	out.Traces = s.flight.Stats()
-	out.Runtime = telemetry.ReadRuntimeStats()
-
-	out.Models = s.modelInfos()
-	out.Eval = s.latestEvalSummary()
-	return out
 }
 
 // newModelInfo renders one registry entry for /metrics, /v1/models, and

@@ -103,7 +103,7 @@ func goldenMetricsService(t *testing.T) *Service {
 	m.streamRejected.Add(1031)
 	m.streamErrors.Add(1032)
 	m.streamActive.Add(33)
-	sm := m.streamMetrics()
+	sm := &m.stream
 	sm.Tracker.Live.Set(34)
 	sm.Tracker.LiveHighWater.Set(35)
 	sm.Tracker.Epochs.Add(1036)
@@ -236,6 +236,38 @@ func TestMetricsGolden(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		enc, _ := json.MarshalIndent(got, "", "  ")
 		t.Errorf("JSON body differs from %s:\n%s", jsonPath, lineDiff(string(wantBody), string(enc)+"\n"))
+	}
+}
+
+// TestMetricsSnapshotMirrorsRegistry: the JSON body decodes into
+// MetricsSnapshot with no unknown field, and re-encoding that struct
+// gives back the same value, so no registry declaration can drift from
+// the wire type clients decode. A fresh service covers the keys that
+// are left out until they have a value (stages, endpoints, eval).
+func TestMetricsSnapshotMirrorsRegistry(t *testing.T) {
+	fresh, _ := newTestService(t, Config{}, &fakeClassifier{Label: "RENO", Confidence: 1})
+	for name, s := range map[string]*Service{"fresh": fresh, "golden": goldenMetricsService(t)} {
+		body := renderMetrics(t, s, "", "application/json")
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		var snap MetricsSnapshot
+		if err := dec.Decode(&snap); err != nil {
+			t.Fatalf("%s: decoding into MetricsSnapshot: %v", name, err)
+		}
+		again, err := json.MarshalIndent(snap, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want, got any
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(again, &got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: MetricsSnapshot does not mirror the body:\n%s", name, lineDiff(string(body), string(again)))
+		}
 	}
 }
 

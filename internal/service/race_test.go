@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -90,7 +91,7 @@ func TestConcurrentSubmitCancelReloadRace(t *testing.T) {
 				return
 			}
 			resp.Body.Close()
-			_ = s.snapshot()
+			_ = s.metrics.reg.WritePrometheus(io.Discard)
 		}
 	}()
 
@@ -102,7 +103,8 @@ func TestConcurrentSubmitCancelReloadRace(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-storm identify status %d: %s", resp.StatusCode, data)
 	}
-	snap := s.snapshot()
+	var snap MetricsSnapshot
+	getJSON(t, ts.URL+"/metrics", &snap)
 	if snap.BatchAccepted < 1 {
 		t.Fatalf("no batches were ever accepted: %+v", snap)
 	}

@@ -54,8 +54,8 @@ type Config struct {
 	// under steady batch traffic. <= 0 means DefaultJobRetention.
 	JobRetention int
 	// MaxStreams bounds concurrent POST /v1/pcap/stream uploads (each
-	// runs its own sharded decode pipeline); excess requests are shed
-	// with 429. 0 means DefaultMaxStreams.
+	// runs one decode-and-track goroutine over a bounded ingest ring);
+	// excess requests are shed with 429. 0 means DefaultMaxStreams.
 	MaxStreams int
 	// Probe customizes trace gathering (zero = paper defaults).
 	Probe probe.Config
@@ -180,7 +180,6 @@ func New(reg *Registry, cfg Config) *Service {
 		cfg:      cfg,
 		registry: reg,
 		cache:    newResultCache(cfg.CacheSize),
-		metrics:  newMetrics(),
 		flight: telemetry.NewFlight(telemetry.FlightConfig{
 			SampleN: cfg.TraceSampleN,
 			Slow:    cfg.TraceSlow,
@@ -194,6 +193,7 @@ func New(reg *Registry, cfg Config) *Service {
 		ctx:       ctx,
 		cancel:    cancel,
 	}
+	s.metrics = newMetrics(s)
 	for w := 0; w < cfg.Workers; w++ {
 		s.wg.Add(1)
 		go s.worker()

@@ -71,7 +71,7 @@ func (s *Service) handlePcapStream(w http.ResponseWriter, r *http.Request) {
 	// flush, on this goroutine after the pipeline exits), so encoding to
 	// w needs no lock.
 	st := flow.NewIdentifyStream(r.Context(), model.Identifier().Classifier(),
-		flow.StreamConfig{Metrics: s.metrics.streamMetrics()},
+		flow.StreamConfig{Metrics: &s.metrics.stream},
 		func(fi flow.FlowIdentification) {
 			resp := toFlowResponse(version, fi)
 			s.metrics.identifies.Add(1)

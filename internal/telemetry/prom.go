@@ -6,19 +6,18 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
-// Prometheus text exposition (version 0.0.4) writers. The service's
-// GET /metrics composes these into its scrape body; they are plain
-// formatting helpers with no registry -- the caller owns metric naming
-// and snapshot consistency.
+// Prometheus text exposition (version 0.0.4) sample writers. A
+// Registry writes each family's HELP/TYPE preamble and hands its
+// PromWriter to the family's samples function, which writes the samples
+// with these helpers.
 
 // PromContentType is the Content-Type of the text exposition format.
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// PromWriter accumulates one exposition body. Families must be written
-// as a unit (HELP/TYPE then samples), which the Write* helpers enforce.
+// PromWriter accumulates one exposition body and keeps the first write
+// error.
 type PromWriter struct {
 	w   io.Writer
 	err error
@@ -36,15 +35,6 @@ func (p *PromWriter) printf(format string, args ...any) {
 	}
 	_, p.err = fmt.Fprintf(p.w, format, args...)
 }
-
-// header emits the HELP/TYPE preamble of one metric family.
-func (p *PromWriter) header(name, help, typ string) {
-	p.printf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-// Header writes one family's HELP/TYPE preamble explicitly, for callers
-// emitting a labelled histogram vector via HistogramSamples.
-func (p *PromWriter) Header(name, help, typ string) { p.header(name, help, typ) }
 
 // labelString renders a label set as {k="v",...}, keys sorted for a
 // deterministic exposition (empty map renders empty).
@@ -78,46 +68,9 @@ func escapeLabel(v string) string {
 	return r.Replace(v)
 }
 
-// Counter writes one counter family with a single unlabelled sample.
-func (p *PromWriter) Counter(name, help string, v int64) {
-	p.header(name, help, "counter")
-	p.printf("%s %d\n", name, v)
-}
-
-// FloatCounter writes one counter family whose sample is a monotonic
-// float total (e.g. accumulated seconds).
-func (p *PromWriter) FloatCounter(name, help string, v float64) {
-	p.header(name, help, "counter")
+// Sample writes one unlabelled sample with a float value.
+func (p *PromWriter) Sample(name string, v float64) {
 	p.printf("%s %s\n", name, formatFloat(v))
-}
-
-// CounterVec writes one counter family with one sample per label set.
-// samples maps the rendered label value (for the given label name) to the
-// count; keys are emitted sorted.
-func (p *PromWriter) CounterVec(name, help, label string, samples map[string]int64) {
-	p.header(name, help, "counter")
-	keys := make([]string, 0, len(samples))
-	for k := range samples {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		p.printf("%s{%s=\"%s\"} %d\n", name, label, escapeLabel(k), samples[k])
-	}
-}
-
-// Gauge writes one gauge family with a single unlabelled sample.
-func (p *PromWriter) Gauge(name, help string, v float64) {
-	p.header(name, help, "gauge")
-	p.printf("%s %s\n", name, formatFloat(v))
-}
-
-// Histogram writes one histogram family in seconds: cumulative le
-// buckets, +Inf, _sum, and _count, with the optional shared label set on
-// every sample.
-func (p *PromWriter) Histogram(name, help string, labels map[string]string, s HistogramSnapshot) {
-	p.header(name, help, "histogram")
-	p.HistogramSamples(name, labels, s)
 }
 
 // HistogramSamples writes the samples of one histogram series without a
@@ -141,11 +94,11 @@ func (p *PromWriter) HistogramSamples(name string, labels map[string]string, s H
 	p.printf("%s_count%s %d\n", name, ls, s.Count)
 }
 
-// CountHistogram writes one small-integer histogram family: cumulative le
-// buckets at the exact values 0..NumCountBuckets-2, +Inf for the overflow,
-// then _sum and _count. Values are plain counts (not seconds).
-func (p *PromWriter) CountHistogram(name, help string, labels map[string]string, s CountHistSnapshot) {
-	p.header(name, help, "histogram")
+// CountHistSamples writes the samples of one small-integer histogram
+// series: cumulative le buckets at the exact values
+// 0..NumCountBuckets-2, +Inf for the overflow, then _sum and _count.
+// Values are plain counts (not seconds).
+func (p *PromWriter) CountHistSamples(name string, labels map[string]string, s CountHistSnapshot) {
 	ls := labelString(labels)
 	bucketLabels := func(le string) string {
 		if ls == "" {
@@ -169,6 +122,3 @@ func (p *PromWriter) CountHistogram(name, help string, labels map[string]string,
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
-
-// Seconds converts a duration to float seconds (exposition convention).
-func Seconds(d time.Duration) float64 { return d.Seconds() }

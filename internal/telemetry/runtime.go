@@ -71,6 +71,20 @@ func ReadRuntimeStats() RuntimeStats {
 	return rs
 }
 
+// DeclareRuntime declares the runtime readings on r: RuntimeStats
+// under key and one Prometheus family per reading, in seconds where the
+// JSON has microseconds. Every render samples the runtime afresh.
+func DeclareRuntime(r *Registry, key string) {
+	r.Family(key, func() any { return ReadRuntimeStats() }, "", "", "", nil)
+	r.GaugeFunc("", "caai_runtime_goroutines", "Live goroutines.", func() int64 { return ReadRuntimeStats().Goroutines })
+	r.GaugeFunc("", "caai_runtime_heap_bytes", "Bytes of live heap objects.", func() int64 { return ReadRuntimeStats().HeapBytes })
+	r.CounterFunc("", "caai_runtime_gc_cycles_total", "Completed GC cycles.", func() int64 { return ReadRuntimeStats().GCCycles })
+	r.FloatFunc("", "caai_runtime_gc_pause_p50_seconds", "Median stop-the-world GC pause.", KindGauge, func() float64 { return ReadRuntimeStats().GCPauseP50Us / usPerSec })
+	r.FloatFunc("", "caai_runtime_gc_pause_p99_seconds", "p99 stop-the-world GC pause.", KindGauge, func() float64 { return ReadRuntimeStats().GCPauseP99Us / usPerSec })
+	r.FloatFunc("", "caai_runtime_sched_latency_p50_seconds", "Median goroutine scheduling latency.", KindGauge, func() float64 { return ReadRuntimeStats().SchedLatencyP50Us / usPerSec })
+	r.FloatFunc("", "caai_runtime_sched_latency_p99_seconds", "p99 goroutine scheduling latency.", KindGauge, func() float64 { return ReadRuntimeStats().SchedLatencyP99Us / usPerSec })
+}
+
 const usPerSec = float64(time.Second / time.Microsecond)
 
 // float64HistQuantile estimates a quantile of a runtime/metrics

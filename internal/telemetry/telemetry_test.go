@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -337,10 +338,12 @@ func TestPromHistogramExposition(t *testing.T) {
 	h.Observe(time.Microsecond)       // bucket 0
 	h.Observe(500 * time.Microsecond) // bucket 9
 	h.Observe(500 * time.Microsecond) // bucket 9
+	var r Registry
+	r.Family("", nil, "caai_test_seconds", "test family", KindHistogram, func(p *PromWriter, name string) {
+		p.HistogramSamples(name, map[string]string{"stage": "gather"}, h.Snapshot())
+	})
 	var b strings.Builder
-	pw := NewPromWriter(&b)
-	pw.Histogram("caai_test_seconds", "test family", map[string]string{"stage": "gather"}, h.Snapshot())
-	if err := pw.Err(); err != nil {
+	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -363,10 +366,10 @@ func TestPromHistogramExposition(t *testing.T) {
 // once -- not escaped and then re-quoted.
 func TestPromCounterVecEscapesOnce(t *testing.T) {
 	const v = "a\"b\\c\nd"
+	var r Registry
+	r.CounterVec("", "caai_test_total", "test family", "label").Add(v, 2)
 	var b strings.Builder
-	pw := NewPromWriter(&b)
-	pw.CounterVec("caai_test_total", "test family", "label", map[string]int64{v: 2})
-	if err := pw.Err(); err != nil {
+	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	want := `caai_test_total{label="a\"b\\c\nd"} 2` + "\n"
@@ -375,6 +378,40 @@ func TestPromCounterVecEscapesOnce(t *testing.T) {
 	}
 	if ls := labelString(map[string]string{"label": v}); !strings.Contains(want, ls) {
 		t.Fatalf("CounterVec and labelString disagree: %q vs %q", want, ls)
+	}
+}
+
+// TestRegistryJSON: dotted keys nest, a nil value leaves its key out,
+// Prometheus-only families stay out of the JSON, and preset CounterVec
+// series render at zero in both bodies.
+func TestRegistryJSON(t *testing.T) {
+	var r Registry
+	r.Counter("cache.hits", "caai_test_hits_total", "hits").Add(3)
+	r.GaugeFunc("cache.entries", "", "", func() int64 { return 4 })
+	r.Family("absent", func() any { return nil }, "", "", "", nil)
+	r.CounterFunc("", "caai_test_prom_only_total", "prom only", func() int64 { return 5 })
+	r.CounterVec("outcomes", "caai_test_outcomes_total", "outcomes", "outcome", "labeled", "unsure").Add("unsure", 2)
+
+	got, err := json.Marshal(r.JSON())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"cache":{"entries":4,"hits":3},"outcomes":{"labeled":0,"unsure":2}}`
+	if string(got) != want {
+		t.Fatalf("JSON = %s, want %s", got, want)
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		"caai_test_hits_total 3\n",
+		"caai_test_prom_only_total 5\n",
+		`caai_test_outcomes_total{outcome="labeled"} 0` + "\n",
+	} {
+		if !strings.Contains(b.String(), line) {
+			t.Errorf("exposition missing %q\n%s", line, b.String())
+		}
 	}
 }
 

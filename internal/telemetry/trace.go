@@ -703,6 +703,18 @@ func (f *Flight) List(fl TraceFilter) []TraceSummary {
 	return f.store.list(fl)
 }
 
+// Declare declares the recorder's accounting on r: FlightStats under
+// key and one Prometheus family per field.
+func (f *Flight) Declare(r *Registry, key string) {
+	r.Family(key, func() any { return f.Stats() }, "", "", "", nil)
+	r.CounterFunc("", "caai_trace_spans_total", "Spans written into the flight-recorder rings.", f.spans.Load)
+	r.CounterFunc("", "caai_trace_finished_total", "Traces offered to tail sampling at completion.", f.finished.Load)
+	r.CounterFunc("", "caai_trace_retained_total", "Traces kept by tail sampling (outcome / slow / sampled).", f.retained.Load)
+	r.CounterFunc("", "caai_trace_dropped_total", "Normal traces discarded by tail sampling.", f.dropped.Load)
+	r.CounterFunc("", "caai_trace_lost_total", "Trace completions lost to a full collector queue.", f.lost.Load)
+	r.GaugeFunc("", "caai_trace_stored", "Traces currently held in the bounded retained store.", func() int64 { return int64(f.store.len()) })
+}
+
 // FlightStats is the recorder's own accounting, exposed on /metrics.
 type FlightStats struct {
 	// Spans counts span/event records written into the rings.
