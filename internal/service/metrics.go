@@ -23,10 +23,10 @@ type metrics struct {
 	modelsReloaded, syncRejected                            *telemetry.Counter
 	inFlight, queueHighWater, workersBusy, finishedRetained *telemetry.Gauge
 
-	// censusJobs counts accepted campaigns; census is the sink every
-	// campaign's coordinator mirrors its fault-tolerance counters into.
 	censusJobs *telemetry.Counter
-	census     shard.Metrics
+	// census is the sink every campaign's coordinator mirrors its
+	// fault-tolerance counters into.
+	census shard.Metrics
 
 	pcapUploads, pcapFlowsSeen, pcapFlowsClassifiable *telemetry.Counter
 	pcapDecodeErrors, pcapBytes                       *telemetry.Counter
@@ -84,9 +84,7 @@ func newMetrics(s *Service) *metrics {
 	r.CounterFunc("census.worker_crashes", "caai_census_worker_crashes_total", "Census worker deaths injected by fault plans.", m.census.WorkerCrashes.Load)
 	r.Family("census.attempts", func() any { return m.census.Attempts.Snapshot() },
 		"caai_census_attempts", "Per-target census contact attempts consumed (1 = first-try success).", telemetry.KindHistogram,
-		func(p *telemetry.PromWriter, name string) {
-			p.CountHistSamples(name, nil, m.census.Attempts.Snapshot())
-		})
+		func(p *telemetry.PromWriter, name string) { p.CountHistSamples(name, m.census.Attempts.Snapshot()) })
 
 	m.cacheHits = r.Counter("cache.hits", "caai_cache_hits_total", "Result-cache hits (incl. coalesced followers).")
 	m.cacheMisses = r.Counter("cache.misses", "caai_cache_misses_total", "Result-cache misses.")
@@ -94,10 +92,7 @@ func newMetrics(s *Service) *metrics {
 	r.Family("cache.max_entries", func() any { return s.cfg.CacheSize }, "", "", "", nil)
 	r.Family("cache.hit_rate", func() any {
 		hits, misses := m.cacheHits.Load(), m.cacheMisses.Load()
-		if hits+misses == 0 {
-			return 0.0
-		}
-		return float64(hits) / float64(hits+misses)
+		return float64(hits) / max(float64(hits+misses), 1)
 	}, "", "", "", nil)
 
 	m.pcapUploads = r.Counter("pcap.uploads", "caai_pcap_uploads_total", "Capture uploads received.")
@@ -140,10 +135,12 @@ func newMetrics(s *Service) *metrics {
 
 	r.Family("models", func() any { return s.modelInfos() }, "", "", "", nil)
 	r.Family("eval", func() any {
-		if e := s.latestEvalSummary(); e != nil {
-			return e
+		s.evalMu.RLock()
+		defer s.evalMu.RUnlock()
+		if s.evalSummary == nil {
+			return nil // an untyped nil leaves the key out
 		}
-		return nil
+		return s.evalSummary
 	}, "", "", "", nil)
 	return m
 }

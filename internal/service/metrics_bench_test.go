@@ -9,9 +9,9 @@ import (
 // parallel load: "atomic" is the shipped path, an outcome and a label
 // telemetry.CounterVec (sync.Map + atomic.Int64, lock-free once a
 // series exists), "mutex" re-creates the design before it (one mutex
-// around a plain map) for comparison. On a
-// multi-core box the mutex variant serializes every identification through
-// one lock; the atomic variant scales with cores.
+// around a plain map) for comparison. On a multi-core box the mutex
+// variant serializes every identification through one lock; the atomic
+// variant scales with cores.
 func BenchmarkCountLabel(b *testing.B) {
 	resp := IdentifyResponse{Valid: true, Label: "CUBIC2"}
 

@@ -219,14 +219,6 @@ func (s *Service) SetEvalSummary(sum eval.Summary) {
 	s.evalMu.Unlock()
 }
 
-// latestEvalSummary returns the installed summary pointer (immutable), or
-// nil when none was set.
-func (s *Service) latestEvalSummary() *eval.Summary {
-	s.evalMu.RLock()
-	defer s.evalMu.RUnlock()
-	return s.evalSummary
-}
-
 // Close stops the batch executors and cancels running jobs. In-flight
 // probes finish; queued jobs are marked failed. Safe to call twice.
 func (s *Service) Close() {

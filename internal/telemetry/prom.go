@@ -16,18 +16,12 @@ import (
 // PromContentType is the Content-Type of the text exposition format.
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// PromWriter accumulates one exposition body and keeps the first write
-// error.
+// PromWriter writes the samples of one exposition body and keeps the
+// first write error; Registry.WritePrometheus owns it.
 type PromWriter struct {
 	w   io.Writer
 	err error
 }
-
-// NewPromWriter wraps w.
-func NewPromWriter(w io.Writer) *PromWriter { return &PromWriter{w: w} }
-
-// Err returns the first write error.
-func (p *PromWriter) Err() error { return p.err }
 
 func (p *PromWriter) printf(format string, args ...any) {
 	if p.err != nil {
@@ -55,66 +49,48 @@ func labelString(labels map[string]string) string {
 		}
 		b.WriteString(k)
 		b.WriteString(`="`)
-		b.WriteString(escapeLabel(labels[k]))
+		b.WriteString(labelEscaper.Replace(labels[k]))
 		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()
 }
 
-// escapeLabel escapes a label value per the exposition format.
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(v)
-}
+// labelEscaper escapes a label value per the exposition format.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
 
-// Sample writes one unlabelled sample with a float value.
-func (p *PromWriter) Sample(name string, v float64) {
-	p.printf("%s %s\n", name, formatFloat(v))
-}
-
-// HistogramSamples writes the samples of one histogram series without a
-// family header, so several label sets share one HELP/TYPE preamble.
+// HistogramSamples writes one latency-histogram series in seconds, with
+// labels on every sample.
 func (p *PromWriter) HistogramSamples(name string, labels map[string]string, s HistogramSnapshot) {
-	ls := labelString(labels)
-	bucketLabels := func(le string) string {
-		if ls == "" {
-			return `{le="` + le + `"}`
-		}
-		return ls[:len(ls)-1] + `,le="` + le + `"}`
-	}
-	var cum int64
-	for i := 0; i < NumHistBuckets-1; i++ {
-		cum += s.Buckets[i]
-		p.printf("%s_bucket%s %d\n", name, bucketLabels(formatFloat(BucketBound(i).Seconds())), cum)
-	}
-	cum += s.Buckets[NumHistBuckets-1]
-	p.printf("%s_bucket%s %d\n", name, bucketLabels("+Inf"), cum)
-	p.printf("%s_sum%s %s\n", name, ls, formatFloat(s.Sum.Seconds()))
-	p.printf("%s_count%s %d\n", name, ls, s.Count)
+	le := func(i int) string { return formatFloat(BucketBound(i).Seconds()) }
+	p.histogram(name, labels, s.Buckets[:], le, formatFloat(s.Sum.Seconds()), s.Count)
 }
 
-// CountHistSamples writes the samples of one small-integer histogram
-// series: cumulative le buckets at the exact values
-// 0..NumCountBuckets-2, +Inf for the overflow, then _sum and _count.
-// Values are plain counts (not seconds).
-func (p *PromWriter) CountHistSamples(name string, labels map[string]string, s CountHistSnapshot) {
+// CountHistSamples writes one unlabelled small-integer histogram series:
+// a bucket per exact value 0..NumCountBuckets-2, +Inf for the overflow.
+func (p *PromWriter) CountHistSamples(name string, s CountHistSnapshot) {
+	p.histogram(name, nil, s.Buckets[:], strconv.Itoa, strconv.FormatInt(s.Sum, 10), s.Count)
+}
+
+// histogram writes one histogram series: a cumulative bucket per bound
+// le(i), +Inf for the last bucket, then _sum and _count.
+func (p *PromWriter) histogram(name string, labels map[string]string, buckets []int64, le func(int) string, sum string, count int64) {
 	ls := labelString(labels)
-	bucketLabels := func(le string) string {
-		if ls == "" {
-			return `{le="` + le + `"}`
-		}
-		return ls[:len(ls)-1] + `,le="` + le + `"}`
-	}
 	var cum int64
-	for i := 0; i < NumCountBuckets-1; i++ {
-		cum += s.Buckets[i]
-		p.printf("%s_bucket%s %d\n", name, bucketLabels(strconv.Itoa(i)), cum)
+	for i, n := range buckets {
+		cum += n
+		bound := "+Inf"
+		if i < len(buckets)-1 {
+			bound = le(i)
+		}
+		if ls == "" {
+			p.printf("%s_bucket{le=\"%s\"} %d\n", name, bound, cum)
+		} else {
+			p.printf("%s_bucket%s,le=\"%s\"} %d\n", name, ls[:len(ls)-1], bound, cum)
+		}
 	}
-	cum += s.Buckets[NumCountBuckets-1]
-	p.printf("%s_bucket%s %d\n", name, bucketLabels("+Inf"), cum)
-	p.printf("%s_sum%s %d\n", name, ls, s.Sum)
-	p.printf("%s_count%s %d\n", name, ls, s.Count)
+	p.printf("%s_sum%s %s\n", name, ls, sum)
+	p.printf("%s_count%s %d\n", name, ls, count)
 }
 
 // formatFloat renders a float the way Prometheus clients do: shortest

@@ -2,7 +2,8 @@ package telemetry
 
 import (
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -78,7 +79,7 @@ func (r *Registry) intFunc(key, name, help string, kind Kind, load func() int64)
 // time (accumulated seconds, latency quantiles).
 func (r *Registry) FloatFunc(key, name, help string, kind Kind, load func() float64) {
 	r.Family(key, func() any { return load() }, name, help, kind, func(p *PromWriter, name string) {
-		p.Sample(name, load())
+		p.printf("%s %s\n", name, formatFloat(load()))
 	})
 }
 
@@ -92,13 +93,8 @@ func (r *Registry) CounterVec(key, name, help, label string, preset ...string) *
 	}
 	r.Family(key, func() any { return v.Snapshot() }, name, help, KindCounter, func(p *PromWriter, name string) {
 		counts := v.Snapshot()
-		values := make([]string, 0, len(counts))
-		for value := range counts {
-			values = append(values, value)
-		}
-		sort.Strings(values)
-		for _, value := range values {
-			p.printf("%s{%s=\"%s\"} %d\n", name, label, escapeLabel(value), counts[value])
+		for _, value := range slices.Sorted(maps.Keys(counts)) {
+			p.printf("%s{%s=\"%s\"} %d\n", name, label, labelEscaper.Replace(value), counts[value])
 		}
 	})
 	return v
@@ -107,7 +103,7 @@ func (r *Registry) CounterVec(key, name, help, label string, preset ...string) *
 // WritePrometheus writes every family that has a Prometheus name, in
 // declaration order, and returns the first write error.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	p := NewPromWriter(w)
+	p := &PromWriter{w: w}
 	for _, f := range r.families {
 		if f.name == "" {
 			continue
@@ -115,7 +111,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		p.printf("# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
 		f.samples(p, f.name)
 	}
-	return p.Err()
+	return p.err
 }
 
 // JSON returns the value of every keyed family, nested on the dots of

@@ -21,9 +21,10 @@ type RuntimeStats struct {
 	SchedLatencyP99Us float64 `json:"sched_latency_p99_us"`
 }
 
-// runtimeSamples are the runtime/metrics names ReadRuntimeStats reads;
-// fixed set, sampled on demand (snapshot/scrape time) so there is no
-// background sampler goroutine to manage.
+// runtimeSamples are the runtime/metrics names ReadRuntimeStats reads,
+// in the order it indexes them; fixed set, sampled on demand
+// (snapshot/scrape time) so there is no background sampler goroutine to
+// manage.
 var runtimeSamples = []string{
 	"/sched/goroutines:goroutines",
 	"/memory/classes/heap/objects:bytes",
@@ -39,36 +40,27 @@ func ReadRuntimeStats() RuntimeStats {
 		samples[i].Name = name
 	}
 	metrics.Read(samples)
-	var rs RuntimeStats
-	for _, s := range samples {
-		switch s.Name {
-		case "/sched/goroutines:goroutines":
-			if s.Value.Kind() == metrics.KindUint64 {
-				rs.Goroutines = int64(s.Value.Uint64())
-			}
-		case "/memory/classes/heap/objects:bytes":
-			if s.Value.Kind() == metrics.KindUint64 {
-				rs.HeapBytes = int64(s.Value.Uint64())
-			}
-		case "/gc/cycles/total:gc-cycles":
-			if s.Value.Kind() == metrics.KindUint64 {
-				rs.GCCycles = int64(s.Value.Uint64())
-			}
-		case "/gc/pauses:seconds":
-			if s.Value.Kind() == metrics.KindFloat64Histogram {
-				h := s.Value.Float64Histogram()
-				rs.GCPauseP50Us = float64HistQuantile(h, 0.5) * usPerSec
-				rs.GCPauseP99Us = float64HistQuantile(h, 0.99) * usPerSec
-			}
-		case "/sched/latencies:seconds":
-			if s.Value.Kind() == metrics.KindFloat64Histogram {
-				h := s.Value.Float64Histogram()
-				rs.SchedLatencyP50Us = float64HistQuantile(h, 0.5) * usPerSec
-				rs.SchedLatencyP99Us = float64HistQuantile(h, 0.99) * usPerSec
-			}
+	count := func(i int) int64 {
+		if samples[i].Value.Kind() != metrics.KindUint64 {
+			return 0
 		}
+		return int64(samples[i].Value.Uint64())
 	}
-	return rs
+	quantileUs := func(i int, q float64) float64 {
+		if samples[i].Value.Kind() != metrics.KindFloat64Histogram {
+			return 0
+		}
+		return float64HistQuantile(samples[i].Value.Float64Histogram(), q) * usPerSec
+	}
+	return RuntimeStats{
+		Goroutines:        count(0),
+		HeapBytes:         count(1),
+		GCCycles:          count(2),
+		GCPauseP50Us:      quantileUs(3, 0.5),
+		GCPauseP99Us:      quantileUs(3, 0.99),
+		SchedLatencyP50Us: quantileUs(4, 0.5),
+		SchedLatencyP99Us: quantileUs(4, 0.99),
+	}
 }
 
 // DeclareRuntime declares the runtime readings on r: RuntimeStats

@@ -160,9 +160,14 @@ func TestHistogramSnapshotCountMatchesBuckets(t *testing.T) {
 		wg.Wait()
 	}()
 
+	var s HistogramSnapshot
+	var r Registry
+	r.Family("", nil, "caai_test_seconds", "test family", KindHistogram, func(p *PromWriter, name string) {
+		p.HistogramSamples(name, nil, s)
+	})
 	var b strings.Builder
 	for i := 0; i < snapshots; i++ {
-		s := h.Snapshot()
+		s = h.Snapshot()
 		var total int64
 		for _, n := range s.Buckets {
 			total += n
@@ -180,8 +185,9 @@ func TestHistogramSnapshotCountMatchesBuckets(t *testing.T) {
 		}
 
 		b.Reset()
-		pw := NewPromWriter(&b)
-		pw.HistogramSamples("caai_test_seconds", nil, s)
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
 		var inf, count string
 		for _, line := range strings.Split(b.String(), "\n") {
 			if v, ok := strings.CutPrefix(line, `caai_test_seconds_bucket{le="+Inf"} `); ok {
