@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -384,40 +383,6 @@ func TestPromCounterVecEscapesOnce(t *testing.T) {
 	}
 	if ls := labelString(map[string]string{"label": v}); !strings.Contains(want, ls) {
 		t.Fatalf("CounterVec and labelString disagree: %q vs %q", want, ls)
-	}
-}
-
-// TestRegistryJSON: dotted keys nest, a nil value leaves its key out,
-// Prometheus-only families stay out of the JSON, and preset CounterVec
-// series render at zero in both bodies.
-func TestRegistryJSON(t *testing.T) {
-	var r Registry
-	r.Counter("cache.hits", "caai_test_hits_total", "hits").Add(3)
-	r.GaugeFunc("cache.entries", "", "", func() int64 { return 4 })
-	r.Family("absent", func() any { return nil }, "", "", "", nil)
-	r.CounterFunc("", "caai_test_prom_only_total", "prom only", func() int64 { return 5 })
-	r.CounterVec("outcomes", "caai_test_outcomes_total", "outcomes", "outcome", "labeled", "unsure").Add("unsure", 2)
-
-	got, err := json.Marshal(r.JSON())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := `{"cache":{"entries":4,"hits":3},"outcomes":{"labeled":0,"unsure":2}}`
-	if string(got) != want {
-		t.Fatalf("JSON = %s, want %s", got, want)
-	}
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range []string{
-		"caai_test_hits_total 3\n",
-		"caai_test_prom_only_total 5\n",
-		`caai_test_outcomes_total{outcome="labeled"} 0` + "\n",
-	} {
-		if !strings.Contains(b.String(), line) {
-			t.Errorf("exposition missing %q\n%s", line, b.String())
-		}
 	}
 }
 
