@@ -34,7 +34,7 @@
 //	server := caai.NewTestbedServer("CUBIC2")
 //	rng := rand.New(rand.NewSource(1))
 //	result := id.Identify(server, caai.LosslessCondition(), rng)
-//	fmt.Println(result) // CUBIC2 (confidence 98%, wmax=512, mss=100)
+//	fmt.Println(result) // CUBIC2 (confidence 98%, wmax=256, mss=100)
 //
 // Train once, identify many (the production flow):
 //
@@ -64,6 +64,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
 	"time"
 
 	"repro/internal/cc"
@@ -94,7 +95,8 @@ type (
 	Vector = feature.Vector
 	// Trace is a gathered window trace.
 	Trace = trace.Trace
-	// ProbeConfig tunes trace gathering (zero value = paper defaults).
+	// ProbeConfig tunes trace gathering (zero fields resolve to the
+	// served lean budget, not the paper's).
 	ProbeConfig = probe.Config
 	// Algorithm is the congestion avoidance extension point: implement
 	// it to fingerprint your own algorithm (see examples/customcc).
@@ -111,7 +113,8 @@ type (
 	BatchResult = engine.Result[core.Identification]
 	// BatchOptions tunes IdentifyBatch (parallelism, probe config, seed,
 	// an optional streaming OnResult callback, and an optional per-worker
-	// session factory; nil runs IdentifyBatch's default session).
+	// session factory; nil runs IdentifyBatch's default session). A zero
+	// probe config probes at the model's budget.
 	BatchOptions = engine.BatchConfig[core.Identification]
 	// FlowIdentification is the classification of one captured flow pair
 	// (see Identifier.IdentifyCapture).
@@ -171,7 +174,8 @@ type TrainingOptions struct {
 	Parallelism int
 }
 
-// Identifier is a trained CAAI instance. Safe for concurrent use.
+// Identifier is a trained CAAI instance, served at the probe budget its
+// model was trained at. Safe for concurrent use.
 type Identifier struct {
 	core    *core.Identifier
 	model   classify.Classifier
@@ -190,7 +194,7 @@ func Train(opts TrainingOptions) (*Identifier, error) {
 		Subspace: opts.Subspace,
 		Seed:     opts.Seed + 1,
 	})
-	return newIdentifier(model, ds), nil
+	return newIdentifier(core.NewIdentifier(model), ds), nil
 }
 
 // TrainWithClassifier is Train with a pluggable backend: "randomforest"
@@ -210,7 +214,7 @@ func TrainWithClassifier(opts TrainingOptions, backend string) (*Identifier, err
 	if err != nil {
 		return nil, err
 	}
-	return newIdentifier(model, ds), nil
+	return newIdentifier(core.NewIdentifier(model), ds), nil
 }
 
 // ClassifierBackends lists the backend names TrainWithClassifier accepts.
@@ -224,18 +228,24 @@ func generateTrainingSet(opts TrainingOptions) (*forest.Dataset, error) {
 	})
 }
 
-func newIdentifier(model classify.Classifier, ds *forest.Dataset) *Identifier {
-	return &Identifier{core: core.NewIdentifier(model), model: model, dataset: ds}
+func newIdentifier(c *core.Identifier, ds *forest.Dataset) *Identifier {
+	return &Identifier{core: c, model: c.Classifier(), dataset: ds}
 }
 
 // Identify runs the full CAAI pipeline against server under cond: ladder
-// probing in environments A and B, feature extraction, special-case
-// detection, and classification with the Unsure rule.
+// probing in environments A and B at the model's budget, feature
+// extraction, special-case detection, and classification with the Unsure
+// rule.
 func (id *Identifier) Identify(server *Server, cond Condition, rng *rand.Rand) Identification {
-	return id.core.Identify(server, cond, ProbeConfig{}, rng)
+	return id.core.Identify(server, cond, id.core.Probe(), rng)
 }
 
-// IdentifyWithConfig is Identify with a custom probe configuration.
+// Probe returns the probe budget the model was trained at, resolved: the
+// budget Identify and IdentifyBatch probe with.
+func (id *Identifier) Probe() ProbeConfig { return id.core.Probe() }
+
+// IdentifyWithConfig is Identify with a custom probe configuration. A
+// trace gathered above the model's top trained wmax comes back UNSURE.
 func (id *Identifier) IdentifyWithConfig(server *Server, cond Condition, cfg ProbeConfig, rng *rand.Rand) Identification {
 	return id.core.Identify(server, cond, cfg, rng)
 }
@@ -257,6 +267,9 @@ func (id *Identifier) IdentifyTimed(server *Server, cond Condition, cfg ProbeCon
 // runs a reusable session that recycles probe and feature scratch across
 // its jobs and classifies each probe as soon as it is gathered.
 func (id *Identifier) IdentifyBatch(jobs []BatchJob, opts BatchOptions) []BatchResult {
+	if reflect.ValueOf(opts.Probe).IsZero() {
+		opts.Probe = id.core.Probe()
+	}
 	if opts.NewWorkerBlock == nil {
 		opts.NewWorkerBlock = func() engine.BlockIdentifier[core.Identification] {
 			return id.core.NewBlockSession()
@@ -275,7 +288,7 @@ func (id *Identifier) IdentifyBatch(jobs []BatchJob, opts BatchOptions) []BatchR
 // command-line front end and the service's POST /v1/pcap for the HTTP
 // one.
 func (id *Identifier) IdentifyCapture(r io.Reader, opts CaptureOptions) ([]FlowIdentification, CaptureStats, error) {
-	return flow.IdentifyCapture(r, id.model, opts)
+	return flow.IdentifyCapture(r, id.core, opts)
 }
 
 // IdentifyStream starts the streaming form of IdentifyCapture for live
@@ -292,38 +305,39 @@ func (id *Identifier) IdentifyCapture(r io.Reader, opts CaptureOptions) ([]FlowI
 // cmd/caai-pcap -follow and the service's POST /v1/pcap/stream for the
 // command-line and HTTP fronts.
 func (id *Identifier) IdentifyStream(ctx context.Context, opts StreamOptions, onResult func(FlowIdentification)) *CaptureStream {
-	return flow.NewIdentifyStream(ctx, id.model, opts, onResult)
+	return flow.NewIdentifyStream(ctx, id.core, opts, onResult)
 }
 
-// SaveModel writes the trained model to path so later runs can LoadModel
-// instead of retraining. The backend must have a registered persistence
-// codec (the random forest does).
+// SaveModel writes the trained model and its probe budget to path so
+// later runs can LoadModel instead of retraining. The backend must have a
+// registered persistence codec (the random forest does).
 func (id *Identifier) SaveModel(path string) error {
-	if err := classify.SaveFile(path, id.model); err != nil {
+	if err := id.core.SaveFile(path); err != nil {
 		return fmt.Errorf("caai: saving model: %w", err)
 	}
 	return nil
 }
 
 // LoadModel reads a model saved with SaveModel and returns a ready
-// identifier without regenerating the training set. The loaded model
-// reproduces the saved model's classifications exactly. TrainingSet
-// returns nil on a loaded identifier.
+// identifier without regenerating the training set, served at the probe
+// budget the file records (the paper's for files that record none). The
+// loaded model reproduces the saved model's classifications exactly.
+// TrainingSet returns nil on a loaded identifier.
 func LoadModel(path string) (*Identifier, error) {
-	model, err := classify.LoadFile(path)
+	c, err := core.LoadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("caai: loading model: %w", err)
 	}
-	return newIdentifier(model, nil), nil
+	return newIdentifier(c, nil), nil
 }
 
 // NewIdentifierFromClassifier wraps an already trained (or loaded)
 // classifier in a ready identifier, for callers that manage models
 // themselves (custom registries, out-of-tree persistence) rather than
-// going through Train or LoadModel. TrainingSet returns nil on the
-// result.
+// going through Train or LoadModel. The classifier is taken as trained at
+// the default probe budget. TrainingSet returns nil on the result.
 func NewIdentifierFromClassifier(c Classifier) *Identifier {
-	return newIdentifier(c, nil)
+	return newIdentifier(core.NewIdentifier(c), nil)
 }
 
 // Classifier exposes the trained classification backend.

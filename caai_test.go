@@ -61,8 +61,8 @@ func TestGatherAndExtract(t *testing.T) {
 	if !valid {
 		t.Fatal("gather failed")
 	}
-	if wmax != 512 {
-		t.Fatalf("wmax = %d, want 512 (first ladder entry works on the testbed)", wmax)
+	if wmax != 256 {
+		t.Fatalf("wmax = %d, want 256 (the served ladder's first entry works on the testbed)", wmax)
 	}
 	v := ExtractFeatures(ta, tb)
 	if v[0] != 0.5 {
@@ -83,7 +83,8 @@ func TestTrainingSetExposed(t *testing.T) {
 		t.Skip("expensive")
 	}
 	id := identifier(t)
-	if id.TrainingSet().Len() != 14*4*8 {
+	// 14 algorithms x the served ladder's 3 wmax rungs x 8 conditions.
+	if id.TrainingSet().Len() != 14*3*8 {
 		t.Fatalf("training set = %d", id.TrainingSet().Len())
 	}
 }

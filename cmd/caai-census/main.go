@@ -31,7 +31,6 @@ import (
 	caai "repro"
 	"repro/internal/census"
 	"repro/internal/census/shard"
-	"repro/internal/classify"
 	"repro/internal/core"
 	"repro/internal/netem"
 	"repro/internal/prof"
@@ -98,12 +97,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 	var id *core.Identifier
 	if *model != "" {
-		c, err := classify.LoadFile(*model)
+		id, err = core.LoadFile(*model)
 		if err != nil {
 			return err
 		}
-		id = core.NewIdentifier(c)
-		fmt.Fprintf(stdout, "loaded %s model from %s, probing %d servers...\n\n", c.Name(), *model, *servers)
+		fmt.Fprintf(stdout, "loaded %s model from %s, probing %d servers...\n\n", id.Name(), *model, *servers)
 	} else {
 		fmt.Fprintf(stdout, "training CAAI (%d conditions per pair), then probing %d servers...\n\n", *conditions, *servers)
 		trained, err := caai.Train(caai.TrainingOptions{ConditionsPerPair: *conditions, Seed: *seed})
@@ -123,6 +121,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	coord, err := shard.New(pop, id, netem.MeasuredDatabase(), shard.Config{
 		Workers:      *workers,
 		Seed:         *seed + 99,
+		Probe:        id.Probe(),
 		MaxAttempts:  *maxAttempts,
 		MaxDeferrals: *maxDeferrals,
 		Checkpoint:   *checkpoint,

@@ -7,8 +7,8 @@
 //
 // Usage:
 //
-//	caai-eval -train 25                 # train in-process, sweep the matrix, write ACCURACY_<n>.json
-//	caai-eval -model model.json         # evaluate a saved model
+//	caai-eval -train 25                 # train one model per budget, sweep the matrix, write ACCURACY_<n>.json
+//	caai-eval -model model.json         # sweep a saved model at its own budget (exploratory: no file, no gate)
 //	caai-eval -scenarios clean,loss_5   # sweep a subset (exploratory: no file, no gate)
 //	caai-eval -compare ACCURACY_0.json ACCURACY_1.json   # render a before/after table
 package main
@@ -21,7 +21,6 @@ import (
 	"strings"
 
 	"repro/internal/cc"
-	"repro/internal/classify"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/forest"
@@ -40,7 +39,7 @@ func run(args []string, stdout io.Writer) error {
 	fs.SetOutput(io.Discard)
 	out := fs.String("out", ".", "directory holding the ACCURACY_<n>.json history")
 	label := fs.String("label", "", "free-form provenance label for the point")
-	modelPath := fs.String("model", "", "saved model to evaluate (see caai-train -save); empty trains in-process")
+	modelPath := fs.String("model", "", "saved model to evaluate at the budget it was trained at (see caai-train -save); empty trains one model per budget in-process")
 	train := fs.Int("train", 25, "training conditions per (algorithm, wmax) pair when no -model is given")
 	trees := fs.Int("trees", 80, "forest size for in-process training")
 	trials := fs.Int("trials", 12, "identification trials per matrix cell")
@@ -115,31 +114,47 @@ func run(args []string, stdout io.Writer) error {
 		cfg.Budgets = selected
 	}
 
-	var model classify.Classifier
+	var modelFor func(eval.ProbeBudget) *core.Identifier
 	modelDesc := ""
 	if *modelPath != "" {
-		var err error
-		model, err = classify.LoadFile(*modelPath)
+		// A saved model is graded at its own budget only: probing it at
+		// another budget measures the mismatch, not the model.
+		if *budgets != "" {
+			return fmt.Errorf("-budgets does not apply to -model: a saved model is swept at the budget it was trained at")
+		}
+		id, err := core.LoadFile(*modelPath)
 		if err != nil {
 			return err
 		}
-		modelDesc = fmt.Sprintf("%s (%s)", model.Name(), *modelPath)
-		fmt.Fprintf(stdout, "evaluating %s model from %s\n", model.Name(), *modelPath)
+		b := eval.BudgetOf(id.Probe())
+		cfg.Budgets = []eval.ProbeBudget{b}
+		filtered = true
+		modelFor = func(eval.ProbeBudget) *core.Identifier { return id }
+		modelDesc = fmt.Sprintf("%s (%s)", id.Name(), *modelPath)
+		fmt.Fprintf(stdout, "evaluating %s model from %s at its %s budget\n", id.Name(), *modelPath, b.Name)
 	} else {
-		fmt.Fprintf(stdout, "training the evaluation model (%d conditions per pair, %d trees)...\n", *train, *trees)
-		ds, err := core.GenerateTrainingSet(netem.MeasuredDatabase(), core.TrainingConfig{
-			ConditionsPerPair: *train,
-			Seed:              *seed,
-			Parallelism:       *parallelism,
-		})
-		if err != nil {
-			return err
+		if len(cfg.Budgets) == 0 {
+			cfg.Budgets = eval.DefaultBudgets()
 		}
-		model = forest.Train(ds, forest.Config{Trees: *trees, Subspace: 4, Seed: *seed + 1})
-		modelDesc = fmt.Sprintf("randomforest (in-process, conditions=%d trees=%d seed=%d)", *train, *trees, *seed)
+		fmt.Fprintf(stdout, "training one evaluation model per budget (%d conditions per pair, %d trees)...\n", *train, *trees)
+		models := map[string]*core.Identifier{}
+		for _, b := range cfg.Budgets {
+			ds, err := core.GenerateTrainingSet(netem.MeasuredDatabase(), core.TrainingConfig{
+				ConditionsPerPair: *train,
+				Seed:              *seed,
+				Parallelism:       *parallelism,
+				Probe:             b.Probe,
+			})
+			if err != nil {
+				return fmt.Errorf("training the %s model: %w", b.Name, err)
+			}
+			models[b.Name] = core.NewIdentifierAt(forest.Train(ds, forest.Config{Trees: *trees, Subspace: 4, Seed: *seed + 1}), b.Probe)
+		}
+		modelFor = func(b eval.ProbeBudget) *core.Identifier { return models[b.Name] }
+		modelDesc = fmt.Sprintf("randomforest per budget (in-process, conditions=%d trees=%d seed=%d)", *train, *trees, *seed)
 	}
 
-	matrix := eval.Run(core.NewIdentifier(model), cfg)
+	matrix := eval.Run(modelFor, cfg)
 	fmt.Fprint(stdout, matrix.Table())
 	point := eval.NewPoint(*label, modelDesc, *seed, matrix)
 

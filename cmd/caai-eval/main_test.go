@@ -6,7 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/eval"
+	"repro/internal/forest"
+	"repro/internal/netem"
+	"repro/internal/probe"
 )
 
 // TestEvalWritesPointAndEnforcesBudget drives the command end to end at a
@@ -78,6 +82,40 @@ func TestEvalFilteredRunSkipsWriteAndGate(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "ACCURACY_0.json")); !os.IsNotExist(err) {
 		t.Fatal("filtered run must not write a trajectory point")
+	}
+}
+
+// TestEvalModelSweepsItsOwnBudget: a saved model is graded only at the
+// budget its file records, so its one-budget matrix is exploratory, and
+// asking for another budget is an error.
+func TestEvalModelSweepsItsOwnBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model")
+	}
+	ds, err := core.GenerateTrainingSet(netem.MeasuredDatabase(), core.TrainingConfig{
+		ConditionsPerPair: 2, Algorithms: []string{"CUBIC2", "RENO"}, Seed: 3, Probe: probe.Paper,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "paper.json")
+	if err := core.NewIdentifierAt(forest.Train(ds, forest.Config{Trees: 5, Seed: 4}), probe.Paper).SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run([]string{"-model", path, "-trials", "1", "-algorithms", "CUBIC2", "-out", dir}, &out); err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "at its paper budget") || !strings.Contains(out.String(), "budget paper (") ||
+		strings.Contains(out.String(), "budget lean (") {
+		t.Fatalf("the paper-budget model was not swept at its budget alone:\n%s", out.String())
+	}
+	if _, err := os.Stat(filepath.Join(dir, "ACCURACY_0.json")); !os.IsNotExist(err) {
+		t.Fatal("a one-budget run must not write a trajectory point")
+	}
+	if err := run([]string{"-model", path, "-budgets", "lean"}, &out); err == nil {
+		t.Fatal("-budgets with -model should fail")
 	}
 }
 

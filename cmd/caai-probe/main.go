@@ -88,7 +88,7 @@ func run(args []string, stdout io.Writer) error {
 	cond := caai.Condition{MeanRTT: 50 * time.Millisecond, RTTStdDev: *rttStddev, LossRate: *loss}
 	rng := rand.New(rand.NewSource(*seed))
 
-	ta, tb, wmax, valid := caai.GatherTraces(server, cond, caai.ProbeConfig{}, rng)
+	ta, tb, wmax, valid := caai.GatherTraces(server, cond, id.Probe(), rng)
 	if !valid {
 		return fmt.Errorf("no valid trace gathered from %s", server.Name)
 	}
@@ -99,7 +99,7 @@ func run(args []string, stdout io.Writer) error {
 
 	var result caai.Identification
 	if *timings {
-		result = id.IdentifyTimed(server, cond, caai.ProbeConfig{}, rand.New(rand.NewSource(*seed+1)))
+		result = id.IdentifyTimed(server, cond, id.Probe(), rand.New(rand.NewSource(*seed+1)))
 	} else {
 		result = id.Identify(server, cond, rand.New(rand.NewSource(*seed+1)))
 	}

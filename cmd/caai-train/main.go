@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/classify"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/prof"
 )
@@ -79,7 +79,9 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if err := classify.SaveFile(*save, model); err != nil {
+		// The context trains at the default probe budget; the file
+		// records it so every loader serves the model at that budget.
+		if err := core.NewIdentifier(model).SaveFile(*save); err != nil {
 			return err
 		}
 		fmt.Printf("saved trained %s model to %s\n", model.Name(), *save)

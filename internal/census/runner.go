@@ -20,7 +20,8 @@ type RunConfig struct {
 	Seed int64
 	// Parallelism bounds concurrent servers; 0 = GOMAXPROCS.
 	Parallelism int
-	// Probe customizes the prober (zero = paper defaults).
+	// Probe is the probe budget (zero fields resolve to the prober's
+	// defaults; serve a model at the budget it was trained at).
 	Probe probe.Config
 }
 

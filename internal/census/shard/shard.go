@@ -65,8 +65,9 @@ type Config struct {
 	// run with no faults is outcome-identical to census.Run with the
 	// same seed.
 	Seed int64
-	// Probe customizes the prober (zero = paper defaults). Retries grow
-	// MaxPreRounds by 50% per attempt on top of this base.
+	// Probe is the probe budget (zero fields resolve to the prober's
+	// defaults; serve a model at the budget it was trained at). Retries
+	// grow the resolved MaxPreRounds by 50% per attempt.
 	Probe probe.Config
 
 	// MaxAttempts bounds probe attempts per target before abandoning
@@ -581,10 +582,7 @@ func (c *Coordinator) probeConfig(attempt int) probe.Config {
 	if attempt == 0 {
 		return cfg
 	}
-	pre := cfg.MaxPreRounds
-	if pre <= 0 {
-		pre = 40 // the prober's own default
-	}
+	pre := cfg.Resolved().MaxPreRounds
 	cfg.MaxPreRounds = pre + attempt*pre/2
 	return cfg
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/census"
 	"repro/internal/core"
 	"repro/internal/netem"
+	"repro/internal/probe"
 )
 
 // stubClassifier is a deterministic zero-cost model: shard tests exercise
@@ -346,6 +347,25 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 	prog := r.Progress()
 	if prog.Resumed != len(pop) || prog.Probes != 0 {
 		t.Fatalf("fully-resumed run should not probe: %+v", prog)
+	}
+}
+
+// TestRetryEscalatesResolvedBudget: retries grow the pre-timeout rounds
+// from the budget the first attempt actually ran -- the prober's resolved
+// default when the config leaves it zero -- by 50% per attempt.
+func TestRetryEscalatesResolvedBudget(t *testing.T) {
+	base := probe.Config{}.Resolved().MaxPreRounds
+	for _, tc := range []struct {
+		cfg  probe.Config
+		base int
+	}{{probe.Config{}, base}, {probe.Paper, probe.Paper.MaxPreRounds}} {
+		c := &Coordinator{cfg: Config{Probe: tc.cfg}}
+		if got := c.probeConfig(0); got.MaxPreRounds != tc.cfg.MaxPreRounds {
+			t.Errorf("attempt 0 of %+v: MaxPreRounds %d, want the config's own %d", tc.cfg, got.MaxPreRounds, tc.cfg.MaxPreRounds)
+		}
+		if got, want := c.probeConfig(1).MaxPreRounds, tc.base*3/2; got != want {
+			t.Errorf("attempt 1 of %+v: MaxPreRounds %d, want 1.5 x %d = %d", tc.cfg, got, tc.base, want)
+		}
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"sync"
 )
@@ -89,16 +88,20 @@ func codecFor(backend string) (Codec, error) {
 const envelopeVersion = 1
 
 // envelope is the self-describing model file layout: the backend name
-// selects the codec, Model holds the codec's own payload.
+// selects the codec, Model holds the codec's own payload, and Probe the
+// probe budget the model's training set was gathered at -- opaque here,
+// written and read by core, and absent from files that predate it.
 type envelope struct {
 	Version int             `json:"version"`
 	Backend string          `json:"backend"`
+	Probe   json.RawMessage `json:"probe,omitempty"`
 	Model   json.RawMessage `json:"model"`
 }
 
 // Save writes c to w as a versioned envelope using the codec registered
-// for c.Name().
-func Save(w io.Writer, c Classifier) error {
+// for c.Name(). A non-nil probe is JSON-encoded into the envelope's probe
+// field.
+func Save(w io.Writer, c Classifier, probe any) error {
 	codec, err := codecFor(c.Name())
 	if err != nil {
 		return err
@@ -107,13 +110,20 @@ func Save(w io.Writer, c Classifier) error {
 	if err := codec.Encode(&payload, c); err != nil {
 		return fmt.Errorf("classify: encoding %s model: %w", c.Name(), err)
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(envelope{Version: envelopeVersion, Backend: c.Name(), Model: json.RawMessage(payload.Bytes())})
+	env := envelope{Version: envelopeVersion, Backend: c.Name(), Model: json.RawMessage(payload.Bytes())}
+	if probe != nil {
+		if env.Probe, err = json.Marshal(probe); err != nil {
+			return fmt.Errorf("classify: encoding probe budget: %w", err)
+		}
+	}
+	return json.NewEncoder(w).Encode(env)
 }
 
 // Load reads a classifier previously written by Save, dispatching to the
-// codec named in the envelope.
-func Load(r io.Reader) (Classifier, error) {
+// codec named in the envelope. When the envelope has a probe field and
+// probe is non-nil, the field is decoded into probe; otherwise probe is
+// left as it was.
+func Load(r io.Reader, probe any) (Classifier, error) {
 	var env envelope
 	if err := json.NewDecoder(r).Decode(&env); err != nil {
 		return nil, fmt.Errorf("classify: reading model envelope: %w", err)
@@ -125,32 +135,14 @@ func Load(r io.Reader) (Classifier, error) {
 	if err != nil {
 		return nil, err
 	}
+	if probe != nil && len(env.Probe) > 0 {
+		if err := json.Unmarshal(env.Probe, probe); err != nil {
+			return nil, fmt.Errorf("classify: decoding probe budget: %w", err)
+		}
+	}
 	c, err := codec.Decode(bytes.NewReader(env.Model))
 	if err != nil {
 		return nil, fmt.Errorf("classify: decoding %s model: %w", env.Backend, err)
 	}
 	return c, nil
-}
-
-// SaveFile writes c to path (see Save).
-func SaveFile(path string, c Classifier) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := Save(f, c); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile reads a classifier from path (see Load).
-func LoadFile(path string) (Classifier, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
 }

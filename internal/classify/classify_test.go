@@ -43,10 +43,10 @@ func init() { RegisterCodec(constantCodec{}) }
 func TestEnvelopeRoundTrip(t *testing.T) {
 	orig := constant{Label: "CUBIC2", Conf: 0.9}
 	var buf bytes.Buffer
-	if err := Save(&buf, orig); err != nil {
+	if err := Save(&buf, orig, nil); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := Load(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,27 +64,27 @@ func (unregistered) Classify([]float64) (string, float64) { return "", 0 }
 
 func TestSaveUnknownBackend(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Save(&buf, unregistered{}); err == nil {
+	if err := Save(&buf, unregistered{}, nil); err == nil {
 		t.Fatal("Save accepted a backend with no codec")
 	}
 }
 
 func TestLoadUnknownBackend(t *testing.T) {
 	doc := `{"version":1,"backend":"Mystery","model":{}}`
-	if _, err := Load(strings.NewReader(doc)); err == nil {
+	if _, err := Load(strings.NewReader(doc), nil); err == nil {
 		t.Fatal("Load accepted an unknown backend")
 	}
 }
 
 func TestLoadBadVersion(t *testing.T) {
 	doc := `{"version":42,"backend":"Constant","model":{"label":"x","conf":1}}`
-	if _, err := Load(strings.NewReader(doc)); err == nil {
+	if _, err := Load(strings.NewReader(doc), nil); err == nil {
 		t.Fatal("Load accepted a future envelope version")
 	}
 }
 
 func TestLoadGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("not json at all")); err == nil {
+	if _, err := Load(strings.NewReader("not json at all"), nil); err == nil {
 		t.Fatal("Load accepted garbage")
 	}
 }

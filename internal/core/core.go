@@ -1,15 +1,19 @@
 // Package core assembles the CAAI pipeline, the paper's primary
 // contribution: training-set generation on the emulated testbed (14
-// algorithms x 4 wmax thresholds x 100 network conditions = 5600 feature
-// vectors, with RENO/CTCP merged into RC-small at small thresholds),
-// random forest training, and the identifier that turns gathered traces
-// into an algorithm label with the 40% confidence rule and the special
-// trace shapes of Section VII-B.
+// algorithms x the probe budget's wmax ladder x 100 network conditions --
+// 5600 feature vectors at the paper's four-rung ladder -- with RENO/CTCP
+// merged into RC-small at small thresholds), random forest training, and
+// the identifier that turns gathered traces into an algorithm label with
+// the 40% confidence rule and the special trace shapes of Section VII-B.
+// A model is served at the probe budget it was trained at: the
+// identifier carries that budget and model files record it.
 package core
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
 	"sort"
 	"time"
 
@@ -61,7 +65,8 @@ type TrainingConfig struct {
 	// ConditionsPerPair is how many random network conditions are
 	// emulated per (algorithm, wmax) pair; the paper uses 100.
 	ConditionsPerPair int
-	// WmaxValues are the thresholds to train at; default 512/256/128/64.
+	// WmaxValues are the thresholds to train at; default the resolved
+	// Probe budget's wmax ladder.
 	WmaxValues []int
 	// MSS is the training segment size (the paper found MSS has no
 	// impact on feature vectors; default 536).
@@ -72,7 +77,9 @@ type TrainingConfig struct {
 	Seed int64
 	// Parallelism bounds concurrent trace gathering; 0 = GOMAXPROCS.
 	Parallelism int
-	// Probe customizes the prober; zero value = paper defaults.
+	// Probe is the probe budget the training set is gathered at (zero
+	// fields resolve to the served lean budget; probe.Paper is the
+	// paper's). The trained model must be served at the same budget.
 	Probe probe.Config
 }
 
@@ -81,7 +88,7 @@ func (c TrainingConfig) withDefaults() TrainingConfig {
 		c.ConditionsPerPair = 100
 	}
 	if len(c.WmaxValues) == 0 {
-		c.WmaxValues = []int{512, 256, 128, 64}
+		c.WmaxValues = c.Probe.Resolved().WmaxLadder
 	}
 	if c.MSS <= 0 {
 		c.MSS = 536
@@ -231,18 +238,106 @@ func (id Identification) String() string {
 }
 
 // Identifier classifies Web servers from gathered traces using any
-// trained classifier backend (the paper's random forest by default). Safe
-// for concurrent use when the classifier is.
+// trained classifier backend (the paper's random forest by default),
+// serving it at the probe budget its training set was gathered at. It is
+// itself a classify.Classifier (its model's votes), so a pipeline handed
+// an Identifier where it takes a classifier -- the passive flow engine --
+// keeps the budget. Safe for concurrent use when the classifier is.
 type Identifier struct {
 	model classify.Classifier
+	// budget is the resolved probe budget the model was trained at;
+	// topWmax is its ladder's largest rung, the largest wmax the
+	// training data covers.
+	budget  probe.Config
+	topWmax int
 }
 
-// NewIdentifier wraps a trained classifier (e.g. *forest.Forest, or any of
-// the internal/ml backends).
-func NewIdentifier(c classify.Classifier) *Identifier { return &Identifier{model: c} }
+// NewIdentifier wraps a classifier trained at the default probe budget
+// (a zero TrainingConfig.Probe). Wrapping an *Identifier returns it
+// unchanged, budget included.
+func NewIdentifier(c classify.Classifier) *Identifier {
+	if id, ok := c.(*Identifier); ok {
+		return id
+	}
+	return NewIdentifierAt(c, probe.Config{})
+}
+
+// NewIdentifierAt wraps a classifier trained at the given probe budget:
+// its wmax ladder, pipelined requests and pre-timeout rounds, with zero
+// fields resolved to their defaults.
+func NewIdentifierAt(c classify.Classifier, budget probe.Config) *Identifier {
+	b := probe.Config{WmaxLadder: budget.WmaxLadder, Requests: budget.Requests, MaxPreRounds: budget.MaxPreRounds}.Resolved()
+	top := 0
+	for _, w := range b.WmaxLadder {
+		top = max(top, w)
+	}
+	return &Identifier{model: c, budget: b, topWmax: top}
+}
 
 // Classifier exposes the underlying model.
 func (id *Identifier) Classifier() classify.Classifier { return id.model }
+
+// Probe returns the probe budget the model was trained at, resolved: the
+// configuration to probe with when serving it.
+func (id *Identifier) Probe() probe.Config { return id.budget }
+
+// Name reports the model's backend name.
+func (id *Identifier) Name() string { return id.model.Name() }
+
+// Classify returns the model's raw vote for a feature vector.
+func (id *Identifier) Classify(features []float64) (string, float64) {
+	return id.model.Classify(features)
+}
+
+// budgetFile is the probe budget as a model file records it.
+type budgetFile struct {
+	WmaxLadder   []int `json:"wmax_ladder"`
+	Requests     int   `json:"requests"`
+	MaxPreRounds int   `json:"max_pre_rounds"`
+}
+
+// SaveFile writes the model and its probe budget to path as a model file
+// (see classify.Save).
+func (id *Identifier) SaveFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	b := id.budget
+	if err := classify.Save(f, id.model, budgetFile{WmaxLadder: b.WmaxLadder, Requests: b.Requests, MaxPreRounds: b.MaxPreRounds}); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// load reads a model file written by SaveFile: the classifier, served at
+// the probe budget the file records, or at probe.Paper when it records
+// none (true of every file written before budgets were recorded).
+func load(r io.Reader) (*Identifier, error) {
+	var b budgetFile
+	c, err := classify.Load(r, &b)
+	if err != nil {
+		return nil, err
+	}
+	if b.WmaxLadder == nil && b.Requests == 0 && b.MaxPreRounds == 0 {
+		return NewIdentifierAt(c, probe.Paper), nil
+	}
+	return NewIdentifierAt(c, probe.Config{WmaxLadder: b.WmaxLadder, Requests: b.Requests, MaxPreRounds: b.MaxPreRounds}), nil
+}
+
+// LoadFile reads a model file written by SaveFile from path: the
+// classifier, served at the probe budget the file records, or at
+// probe.Paper when it records none (true of every file written before
+// budgets were recorded).
+func LoadFile(path string) (*Identifier, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return load(f)
+}
 
 // IdentifyResult classifies an already-gathered probe result.
 func (id *Identifier) IdentifyResult(res *probe.Result) Identification {
@@ -255,7 +350,7 @@ func (id *Identifier) IdentifyResult(res *probe.Result) Identification {
 // clock records nothing). The passive pipeline classifies every flow
 // pair through it.
 func (id *Identifier) IdentifyResultWith(sc *feature.Scratch, clock *telemetry.SpanClock, res *probe.Result) Identification {
-	out, need := prepareResult(res, sc)
+	out, need := id.prepare(res, sc)
 	clock.Lap(&out.Timings, telemetry.StageFeature)
 	if need {
 		label, conf := id.model.Classify(out.Vector[:])
@@ -265,11 +360,13 @@ func (id *Identifier) IdentifyResultWith(sc *feature.Scratch, clock *telemetry.S
 	return out
 }
 
-// prepareResult runs every pipeline stage before model inference --
-// validity, special-shape detection, feature extraction -- and reports
-// whether the outcome still needs a classification, so span-recording
-// paths can time feature extraction and the model call apart.
-func prepareResult(res *probe.Result, sc *feature.Scratch) (Identification, bool) {
+// prepare runs every pipeline stage before model inference -- validity,
+// special-shape detection, feature extraction -- and reports whether the
+// outcome still needs a classification, so span-recording paths can time
+// feature extraction and the model call apart. A trace gathered above the
+// model's top trained rung (a passive flow probed at a larger budget) is
+// UNSURE without a vote: its wmax feature lies outside the training data.
+func (id *Identifier) prepare(res *probe.Result, sc *feature.Scratch) (Identification, bool) {
 	out := Identification{Wmax: res.Wmax, MSS: res.MSS, Reason: res.Reason}
 	if !res.Valid {
 		return out, false
@@ -280,6 +377,10 @@ func prepareResult(res *probe.Result, sc *feature.Scratch) (Identification, bool
 		return out, false
 	}
 	out.Vector = feature.ExtractWith(sc, res.TraceA, res.TraceB)
+	if res.Wmax > id.topWmax {
+		out.Label = LabelUnsure
+		return out, false
+	}
 	return out, true
 }
 

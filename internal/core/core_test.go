@@ -70,9 +70,9 @@ func trainingSet(t *testing.T) *forest.Dataset {
 
 func TestGenerateTrainingSetShape(t *testing.T) {
 	ds := trainingSet(t)
-	// 14 algorithms x 4 wmax x 8 conditions.
-	if ds.Len() != 14*4*8 {
-		t.Fatalf("training set size = %d, want %d", ds.Len(), 14*4*8)
+	// 14 algorithms x the served ladder's 3 wmax rungs x 8 conditions.
+	if ds.Len() != 14*3*8 {
+		t.Fatalf("training set size = %d, want %d", ds.Len(), 14*3*8)
 	}
 	classes := ds.Classes()
 	if len(classes) != 15 {
@@ -95,8 +95,8 @@ func TestGenerateTrainingSetShape(t *testing.T) {
 	if counts[LabelRCSmall] != 3*2*8 {
 		t.Fatalf("RC-SMALL count = %d, want %d", counts[LabelRCSmall], 3*2*8)
 	}
-	if counts["BIC"] != 4*8 {
-		t.Fatalf("BIC count = %d, want %d", counts["BIC"], 4*8)
+	if counts["BIC"] != 3*8 {
+		t.Fatalf("BIC count = %d, want %d", counts["BIC"], 3*8)
 	}
 }
 

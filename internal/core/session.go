@@ -88,7 +88,7 @@ func (s *Session) Identify(server *websim.Server, cond netem.Condition, cfg prob
 	}
 	if !s.record {
 		res := s.p.Gather(server)
-		out, need := prepareResult(res, &s.sc)
+		out, need := s.id.prepare(res, &s.sc)
 		if need {
 			s.classify(&out)
 		}
@@ -101,7 +101,7 @@ func (s *Session) Identify(server *websim.Server, cond netem.Condition, cfg prob
 	clock.StartAt(start)
 	res := s.p.Gather(server)
 	clock.Lap(&tm, telemetry.StageGather)
-	out, need := prepareResult(res, &s.sc)
+	out, need := s.id.prepare(res, &s.sc)
 	clock.Lap(&tm, telemetry.StageFeature)
 	if need {
 		s.classify(&out)

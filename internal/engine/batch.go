@@ -74,7 +74,8 @@ type BatchConfig[R any] struct {
 	Ctx context.Context
 	// Parallelism bounds concurrent probes; 0 = DefaultParallelism.
 	Parallelism int
-	// Probe customizes the prober (zero = paper defaults).
+	// Probe is the probe budget (zero fields resolve to the served lean
+	// budget); serve a model at the budget it was trained at.
 	Probe probe.Config
 	// Seed derives per-job seeds for jobs that leave Job.Seed zero.
 	Seed int64

@@ -173,16 +173,18 @@ func (m *Matrix) Cell(algorithm, scenario, budget string) *Cell {
 // elsewhere in the pipeline).
 const trialSeedStride = 6700417
 
-// Run sweeps the full matrix against id on the engine worker pool: every
+// Run sweeps the full matrix on the engine worker pool, grading each
+// budget with the identifier modelFor returns for it -- a model trained
+// at that budget, since accuracy follows the training paths. Every
 // (algorithm, scenario, budget, trial) tuple is one pool job with its own
 // deterministically derived RNG, probing a cooperative testbed server
 // through the scenario's netem condition with the budget's prober — the
 // same session pipeline the service and census use. Each budget sweeps as
 // one engine.IdentifyBatch whose workers each reuse one session and
 // classify every trial as soon as it is gathered. Outcomes are a pure
-// function of (model, cfg), independent of parallelism and worker
+// function of (models, cfg), independent of parallelism and worker
 // scheduling.
-func Run(id *core.Identifier, cfg Config) *Matrix {
+func Run(modelFor func(ProbeBudget) *core.Identifier, cfg Config) *Matrix {
 	cfg = cfg.withDefaults()
 	type cellDef struct {
 		alg    string
@@ -203,6 +205,7 @@ func Run(id *core.Identifier, cfg Config) *Matrix {
 	// matrix partitions into one batch per budget (defs are budget-major).
 	perBudget := len(cfg.Scenarios) * len(cfg.Algorithms) * cfg.Trials
 	for b := range cfg.Budgets {
+		id := modelFor(cfg.Budgets[b])
 		base := b * perBudget
 		ejobs := make([]engine.Job, perBudget)
 		for k := range ejobs {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/probe"
 )
 
 // stub is a fixed-answer classifier: it makes matrix accounting exact
@@ -19,6 +20,11 @@ type stub struct {
 
 func (s stub) Name() string                         { return "stub" }
 func (s stub) Classify([]float64) (string, float64) { return s.label, s.conf }
+
+// fixed grades every budget with id.
+func fixed(id *core.Identifier) func(ProbeBudget) *core.Identifier {
+	return func(ProbeBudget) *core.Identifier { return id }
+}
 
 // smallConfig is a two-algorithm, two-scenario, one-budget matrix that
 // still exercises the impaired netem path (burst loss).
@@ -36,18 +42,18 @@ func smallConfig() Config {
 	return Config{
 		Algorithms: []string{"CUBIC2", "RENO"},
 		Scenarios:  []Scenario{clean, burst},
-		Budgets:    []ProbeBudget{{Name: "paper"}},
+		Budgets:    []ProbeBudget{{Name: "paper", Probe: probe.Paper}},
 		Trials:     3,
 		Seed:       42,
 	}
 }
 
 func TestRunDeterministicAcrossParallelism(t *testing.T) {
-	id := core.NewIdentifier(stub{label: "CUBIC2", conf: 1})
+	id := core.NewIdentifierAt(stub{label: "CUBIC2", conf: 1}, probe.Paper)
 	cfg := smallConfig()
-	m1 := Run(id, cfg)
+	m1 := Run(fixed(id), cfg)
 	cfg.Parallelism = 1
-	m2 := Run(id, cfg)
+	m2 := Run(fixed(id), cfg)
 	if !reflect.DeepEqual(m1.Cells, m2.Cells) {
 		t.Fatalf("cells differ across parallelism:\n%+v\nvs\n%+v", m1.Cells, m2.Cells)
 	}
@@ -64,17 +70,17 @@ func TestRunDeterministicAcrossParallelism(t *testing.T) {
 // bits from run to run once there were three or more scenarios, so the
 // written ACCURACY point was not byte-stable.
 func TestRunDriftIsRepeatable(t *testing.T) {
-	id := core.NewIdentifier(stub{label: "CUBIC2", conf: 1})
+	id := core.NewIdentifierAt(stub{label: "CUBIC2", conf: 1}, probe.Paper)
 	cfg := Config{
 		Algorithms: []string{"CUBIC2", "RENO", "HSTCP"},
 		Scenarios:  DefaultScenarios(),
-		Budgets:    []ProbeBudget{{Name: "paper"}},
+		Budgets:    []ProbeBudget{{Name: "paper", Probe: probe.Paper}},
 		Trials:     2,
 		Seed:       42,
 	}
-	want := Run(id, cfg).ByScenario
+	want := Run(fixed(id), cfg).ByScenario
 	for i := 0; i < 8; i++ {
-		got := Run(id, cfg).ByScenario
+		got := Run(fixed(id), cfg).ByScenario
 		for name, ws := range want {
 			if gs := got[name]; gs.Drift != ws.Drift {
 				t.Fatalf("run %d: scenario %s drift %v, first run %v", i+1, name, gs.Drift, ws.Drift)
@@ -84,8 +90,8 @@ func TestRunDriftIsRepeatable(t *testing.T) {
 }
 
 func TestRunAccountsOutcomes(t *testing.T) {
-	id := core.NewIdentifier(stub{label: "CUBIC2", conf: 1})
-	m := Run(id, smallConfig())
+	id := core.NewIdentifierAt(stub{label: "CUBIC2", conf: 1}, probe.Paper)
+	m := Run(fixed(id), smallConfig())
 	if len(m.Cells) != 4 {
 		t.Fatalf("want 4 cells, got %d", len(m.Cells))
 	}
@@ -127,8 +133,8 @@ func TestRunAccountsOutcomes(t *testing.T) {
 }
 
 func TestRunCountsUnsure(t *testing.T) {
-	id := core.NewIdentifier(stub{label: "CUBIC2", conf: 0.2}) // below the 40% rule
-	m := Run(id, smallConfig())
+	id := core.NewIdentifierAt(stub{label: "CUBIC2", conf: 0.2}, probe.Paper) // below the 40% rule
+	m := Run(fixed(id), smallConfig())
 	for _, c := range m.Cells {
 		if c.Correct != 0 {
 			t.Fatalf("nothing should be correct at 20%% confidence: %+v", c)
@@ -140,8 +146,8 @@ func TestRunCountsUnsure(t *testing.T) {
 }
 
 func TestTableRenders(t *testing.T) {
-	id := core.NewIdentifier(stub{label: "CUBIC2", conf: 1})
-	m := Run(id, smallConfig())
+	id := core.NewIdentifierAt(stub{label: "CUBIC2", conf: 1}, probe.Paper)
+	m := Run(fixed(id), smallConfig())
 	table := m.Table()
 	for _, want := range []string{"CUBIC2", "RENO", "clean", "burst_loss", "overall accuracy"} {
 		if !strings.Contains(table, want) {
@@ -151,8 +157,8 @@ func TestTableRenders(t *testing.T) {
 }
 
 func TestPointRoundTripAndHistory(t *testing.T) {
-	id := core.NewIdentifier(stub{label: "CUBIC2", conf: 1})
-	m := Run(id, smallConfig())
+	id := core.NewIdentifierAt(stub{label: "CUBIC2", conf: 1}, probe.Paper)
+	m := Run(fixed(id), smallConfig())
 	p := NewPoint("test", "stub", 42, m)
 	if p.Summary.OverallAccuracy != m.Accuracy() {
 		t.Fatalf("summary accuracy %v != matrix accuracy %v", p.Summary.OverallAccuracy, m.Accuracy())
@@ -204,8 +210,8 @@ func TestPointRoundTripAndHistory(t *testing.T) {
 }
 
 func TestBudgetCheck(t *testing.T) {
-	id := core.NewIdentifier(stub{label: "CUBIC2", conf: 1})
-	m := Run(id, smallConfig())
+	id := core.NewIdentifierAt(stub{label: "CUBIC2", conf: 1}, probe.Paper)
+	m := Run(fixed(id), smallConfig())
 	p := NewPoint("test", "stub", 42, m)
 
 	min := func(v float64) *float64 { return &v }
@@ -275,5 +281,21 @@ func TestBudgetLoadRejectsUnknownLimitField(t *testing.T) {
 	}
 	if _, err := LoadBudget(path); err == nil {
 		t.Fatal("a typoed limit field must fail loudly, not silently disable the gate")
+	}
+}
+
+func TestBudgetOfNamesDefaultBudgets(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  probe.Config
+		want string
+	}{
+		{probe.Paper, "paper"},
+		{probe.Config{}, "lean"},
+		{probe.Config{}.Resolved(), "lean"},
+		{probe.Config{WmaxLadder: []int{128, 64}}, "model"},
+	} {
+		if got := BudgetOf(tc.cfg).Name; got != tc.want {
+			t.Errorf("BudgetOf(%+v) = %s, want %s", tc.cfg, got, tc.want)
+		}
 	}
 }

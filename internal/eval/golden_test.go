@@ -89,9 +89,11 @@ type goldenFile struct {
 	Fixtures    []goldenFixture `json:"fixtures"`
 }
 
-// gatherGolden runs the real prober for one algorithm at its pinned seed.
+// gatherGolden runs the real prober at the paper's budget (the budget the
+// committed fixtures and model were made at) for one algorithm at its
+// pinned seed.
 func gatherGolden(alg string, seed int64) *probe.Result {
-	p := probe.New(probe.Config{}, goldenCondition(), xrand.New(seed))
+	p := probe.New(probe.Paper, goldenCondition(), xrand.New(seed))
 	return p.Gather(websim.Testbed(alg))
 }
 
@@ -106,6 +108,7 @@ func trainGoldenModel(t *testing.T) classify.Classifier {
 	ds, err := core.GenerateTrainingSet(netem.MeasuredDatabase(), core.TrainingConfig{
 		ConditionsPerPair: 6,
 		Seed:              991,
+		Probe:             probe.Paper,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +132,7 @@ func TestGoldenTraces(t *testing.T) {
 		if err := os.MkdirAll(goldenDir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := classify.SaveFile(filepath.Join(goldenDir, goldenModelFile), model); err != nil {
+		if err := core.NewIdentifierAt(model, probe.Paper).SaveFile(filepath.Join(goldenDir, goldenModelFile)); err != nil {
 			t.Fatal(err)
 		}
 		file := goldenFile{
@@ -178,7 +181,7 @@ func TestGoldenTraces(t *testing.T) {
 		t.Fatalf("fixtures cover %d algorithms, registry has %d CAAI targets — regenerate with -update",
 			len(file.Fixtures), len(names))
 	}
-	model, err := classify.LoadFile(filepath.Join(goldenDir, goldenModelFile))
+	model, err := core.LoadFile(filepath.Join(goldenDir, goldenModelFile))
 	if err != nil {
 		t.Fatal(err)
 	}

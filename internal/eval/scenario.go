@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"reflect"
 	"time"
 
 	"repro/internal/netem"
@@ -90,28 +91,33 @@ func DefaultScenarios() []Scenario {
 // ProbeBudget is one probing-effort point of the matrix: a named
 // probe.Config. The paper's prober retries a four-step wmax ladder with up
 // to 40 pre-timeout rounds; a deployment that probes millions of servers
-// wants to know what a leaner budget costs in accuracy.
+// wants to know what a leaner budget costs in accuracy. Each budget is
+// graded with a model trained at it (see Run).
 type ProbeBudget struct {
 	// Name is the stable budget key used in cells and budgets.
 	Name string
-	// Probe is the prober configuration of this budget (zero value =
-	// paper defaults).
+	// Probe is the prober configuration of this budget (zero fields
+	// resolve to the served lean budget).
 	Probe probe.Config
 }
 
 // DefaultBudgets returns the two standard probing budgets: the paper's
-// full ladder and a lean budget that skips wmax 512 and caps rounds and
-// pipelined requests.
+// full ladder and the lean budget the zero probe.Config resolves to,
+// which skips wmax 512 and caps rounds and pipelined requests.
 func DefaultBudgets() []ProbeBudget {
 	return []ProbeBudget{
-		{Name: "paper", Probe: probe.Config{}},
-		{
-			Name: "lean",
-			Probe: probe.Config{
-				WmaxLadder:   []int{256, 128, 64},
-				Requests:     8,
-				MaxPreRounds: 30,
-			},
-		},
+		{Name: "paper", Probe: probe.Paper},
+		{Name: "lean", Probe: probe.Config{}},
 	}
+}
+
+// BudgetOf names a model's probe budget: the default budget it resolves
+// to, or "model" when it matches none.
+func BudgetOf(cfg probe.Config) ProbeBudget {
+	for _, b := range DefaultBudgets() {
+		if reflect.DeepEqual(b.Probe.Resolved(), cfg.Resolved()) {
+			return b
+		}
+	}
+	return ProbeBudget{Name: "model", Probe: cfg}
 }

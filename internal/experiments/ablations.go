@@ -114,7 +114,7 @@ func AblationEnvB(ctx *Context, trials int) (AblationResult, error) {
 			alg := pairs[i%len(pairs)]
 			rng := ctx.rng(salt + int64(i)*13)
 			cond := ctx.DB.Sample(rng)
-			p := probe.New(probe.Config{}, cond, rng)
+			p := probe.New(id.Probe(), cond, rng)
 			res := p.Gather(websim.Testbed(alg))
 			if !res.Valid {
 				continue

@@ -97,8 +97,9 @@ func (ctx *Context) Model() (classify.Classifier, error) {
 }
 
 // UseModel injects a pretrained classifier (e.g. one loaded from disk with
-// classify.LoadFile), so experiments that only classify skip the expensive
-// training-set generation and model training entirely.
+// core.LoadFile, which carries its probe budget), so experiments that only
+// classify skip the expensive training-set generation and model training
+// entirely.
 func (ctx *Context) UseModel(c classify.Classifier) {
 	ctx.mu.Lock()
 	defer ctx.mu.Unlock()

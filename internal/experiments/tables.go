@@ -127,7 +127,8 @@ func TableIV(ctx *Context) (*TableIVResult, error) {
 	cfg.Servers = ctx.CensusServers
 	cfg.Seed = ctx.Seed + 77
 	pop := census.GeneratePopulation(cfg)
-	report := census.Run(pop, core.NewIdentifier(model), ctx.DB, census.RunConfig{Seed: ctx.Seed + 99})
+	id := core.NewIdentifier(model)
+	report := census.Run(pop, id, ctx.DB, census.RunConfig{Seed: ctx.Seed + 99, Probe: id.Probe()})
 	return &TableIVResult{Report: report}, nil
 }
 

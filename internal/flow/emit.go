@@ -108,16 +108,19 @@ func (t *Tracker) finalize(s *state) *FlowTrace {
 
 // estimateWmax infers the prober's wmax threshold from a reconstructed
 // trace: the timeout fired when the window first exceeded the threshold,
-// so the largest standard ladder value below the pre-timeout peak is the
-// best estimate (exact whenever the peak did not overshoot past the next
-// ladder rung, which clean slow-start paths do not). Without a timeout
-// the peak window itself is reported.
+// so the largest rung of the paper's full ladder below the pre-timeout
+// peak is the best estimate (exact whenever the peak did not overshoot
+// past the next rung, which clean slow-start paths do not). The paper's
+// ladder, not the served one: a foreign prober can time out at any of its
+// rungs, and a flow above the model's top trained rung is left for the
+// identifier to answer UNSURE. Without a timeout the peak window itself
+// is reported.
 func estimateWmax(tr *trace.Trace) int {
 	if !tr.TimedOut || len(tr.Pre) == 0 {
 		return tr.MaxWindow()
 	}
 	wTmo := tr.Pre[len(tr.Pre)-1]
-	for _, rung := range probe.DefaultWmaxLadder {
+	for _, rung := range probe.Paper.WmaxLadder {
 		if rung < wTmo {
 			return rung
 		}

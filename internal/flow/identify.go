@@ -126,6 +126,9 @@ type ClassifyOptions struct {
 // ClassifyAll classifies paired flows in place, fanning the per-pair
 // classification an IdentifyStream runs inline out on the engine worker
 // pool. A cancelled run returns ctx's error without invoking OnResult.
+// model is taken as trained at the default probe budget unless it is a
+// *core.Identifier, which carries its own (see core.NewIdentifier): a
+// pair whose wmax lies above the budget's top rung answers UNSURE.
 func ClassifyAll(ctx context.Context, pairs []FlowIdentification, model classify.Classifier, opts ClassifyOptions) error {
 	id := core.NewIdentifier(model)
 	record := opts.Timings || opts.Telemetry != nil

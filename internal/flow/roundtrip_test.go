@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/cc"
-	"repro/internal/classify"
 	"repro/internal/core"
 	"repro/internal/pcapgen"
 )
@@ -18,9 +17,9 @@ import (
 // same model without committing a second copy.
 var goldenModelPath = filepath.Join("..", "eval", "testdata", "golden", "model.json")
 
-func loadGoldenModel(t *testing.T) classify.Classifier {
+func loadGoldenModel(t *testing.T) *core.Identifier {
 	t.Helper()
-	model, err := classify.LoadFile(goldenModelPath)
+	model, err := core.LoadFile(goldenModelPath)
 	if err != nil {
 		t.Fatalf("loading the committed golden model: %v", err)
 	}

@@ -273,7 +273,7 @@ type IdentifyStream struct {
 // goroutine; it owns the FlowIdentification. Flow pairing holds a valid
 // timed-out flow until its group's next flow closes (or the stream
 // ends), exactly like the active prober's environment A then
-// environment B.
+// environment B. model's probe budget is taken as in ClassifyAll.
 func NewIdentifyStream(ctx context.Context, model classify.Classifier, cfg StreamConfig, onResult func(FlowIdentification)) *IdentifyStream {
 	st := &IdentifyStream{id: core.NewIdentifier(model), onResult: onResult}
 	st.p = pairer{pending: map[string]pendingFlow{}, max: maxPending, onPair: st.classify}

@@ -137,10 +137,10 @@ func TestForestCodecRegistered(t *testing.T) {
 	ds := persistDataset(t)
 	orig := Train(ds, Config{Trees: 8, Subspace: 2, Seed: 9})
 	var buf bytes.Buffer
-	if err := classify.Save(&buf, orig); err != nil {
+	if err := classify.Save(&buf, orig, nil); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := classify.Load(&buf)
+	loaded, err := classify.Load(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

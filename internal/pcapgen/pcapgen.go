@@ -56,7 +56,8 @@ type Options struct {
 	// BaseTime is the capture epoch; zero means a fixed deterministic
 	// epoch so identical specs produce byte-identical captures.
 	BaseTime time.Time
-	// Probe customizes the gathering (zero value: paper defaults).
+	// Probe customizes the gathering (zero fields resolve to the served
+	// lean budget; probe.Paper is the paper's).
 	Probe probe.Config
 }
 

@@ -270,17 +270,21 @@ func TestProbeClockAdvances(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	if cfg.Requests != 12 || cfg.PostRounds != trace.ValidPostRounds {
+	cfg := Config{}.Resolved()
+	if cfg.Requests != 8 || cfg.MaxPreRounds != 20 || cfg.PostRounds != trace.ValidPostRounds {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 	if cfg.InterEnvWait != 10*time.Minute {
 		t.Fatalf("InterEnvWait = %v, want 10m", cfg.InterEnvWait)
 	}
-	if len(cfg.WmaxLadder) != 4 || cfg.WmaxLadder[0] != 512 {
+	if len(cfg.WmaxLadder) != 3 || cfg.WmaxLadder[0] != 256 {
 		t.Fatalf("wmax ladder = %v", cfg.WmaxLadder)
 	}
 	if len(cfg.MSSLadder) != 4 || cfg.MSSLadder[0] != 100 {
 		t.Fatalf("mss ladder = %v", cfg.MSSLadder)
+	}
+	paper := Paper.Resolved()
+	if paper.Requests != 12 || paper.MaxPreRounds != 40 || len(paper.WmaxLadder) != 4 || paper.WmaxLadder[0] != 512 {
+		t.Fatalf("paper budget = %+v", paper)
 	}
 }

@@ -10,26 +10,41 @@ import (
 	"repro/internal/websim"
 )
 
-// Default ladders and budgets from Section IV of the paper.
-var (
-	// DefaultWmaxLadder is tried in decreasing order: traces above 512
-	// are hard to obtain, traces below 64 are almost useless.
-	DefaultWmaxLadder = []int{512, 256, 128, 64}
-	// DefaultMSSLadder is tried in increasing order: the smaller the
-	// MSS, the higher the achievable window.
-	DefaultMSSLadder = []int{100, 300, 536, 1460}
+// Paper is the probe budget of Section IV of the paper: a four-rung wmax
+// ladder tried in decreasing order (traces above 512 are hard to obtain,
+// traces below 64 are almost useless), 12 pipelined requests and up to 40
+// pre-timeout rounds. Model files that record no budget were trained at
+// it.
+var Paper = Config{WmaxLadder: []int{512, 256, 128, 64}, Requests: 12, MaxPreRounds: 40}
+
+// DefaultMSSLadder is tried in increasing order: the smaller the MSS, the
+// higher the achievable window.
+var DefaultMSSLadder = []int{100, 300, 536, 1460}
+
+// The lean budget zero Config fields resolve to: the frontier point of a
+// sweep of ladder top {512, 256} x requests {6, 8, 12} x pre-timeout
+// rounds {20, 30, 40}, each point trained on its own budget (DESIGN.md
+// §5.4). Dropping wmax 512 roughly halves the segments per
+// identification, and the matrix reads higher overall, most of all
+// under loss.
+var leanWmaxLadder = []int{256, 128, 64}
+
+const (
+	leanRequests     = 8
+	leanMaxPreRounds = 20
 )
 
-// Config tunes a Prober. The zero value selects the paper's defaults.
+// Config tunes a Prober. Zero fields resolve to the lean served budget
+// (see Resolved); Paper is the paper's budget.
 type Config struct {
-	// WmaxLadder overrides DefaultWmaxLadder.
+	// WmaxLadder is tried in decreasing order (default 256, 128, 64).
 	WmaxLadder []int
 	// MSSLadder overrides DefaultMSSLadder.
 	MSSLadder []int
 	// Requests is how many pipelined HTTP requests CAAI repeats
-	// (default 12).
+	// (default 8).
 	Requests int
-	// MaxPreRounds bounds the pre-timeout gathering (default 40).
+	// MaxPreRounds bounds the pre-timeout gathering (default 20).
 	MaxPreRounds int
 	// PostRounds is the required post-timeout rounds (default 18).
 	PostRounds int
@@ -47,18 +62,20 @@ type Config struct {
 	PageSearchSuccess float64
 }
 
-func (c Config) withDefaults() Config {
+// Resolved returns c with every zero field replaced by its default: the
+// configuration a Prober built from c actually runs.
+func (c Config) Resolved() Config {
 	if len(c.WmaxLadder) == 0 {
-		c.WmaxLadder = DefaultWmaxLadder
+		c.WmaxLadder = leanWmaxLadder
 	}
 	if len(c.MSSLadder) == 0 {
 		c.MSSLadder = DefaultMSSLadder
 	}
 	if c.Requests <= 0 {
-		c.Requests = 12
+		c.Requests = leanRequests
 	}
 	if c.MaxPreRounds <= 0 {
-		c.MaxPreRounds = 40
+		c.MaxPreRounds = leanMaxPreRounds
 	}
 	if c.PostRounds <= 0 {
 		c.PostRounds = trace.ValidPostRounds
@@ -140,7 +157,7 @@ type Prober struct {
 
 // New returns a prober for the given network condition.
 func New(cfg Config, cond netem.Condition, rng *rand.Rand) *Prober {
-	return &Prober{cfg: cfg.withDefaults(), cond: cond, rng: rng}
+	return &Prober{cfg: cfg.Resolved(), cond: cond, rng: rng}
 }
 
 // Reuse opts the prober into buffer reuse: each environment records into a
@@ -160,7 +177,7 @@ func (p *Prober) Reuse() { p.reuse = true }
 // buffers. It lets one prober serve a stream of independent identification
 // jobs with results identical to a fresh prober per job.
 func (p *Prober) Rearm(cfg Config, cond netem.Condition, rng *rand.Rand) {
-	p.cfg = cfg.withDefaults()
+	p.cfg = cfg.Resolved()
 	p.cond = cond
 	p.rng = rng
 	p.clock = 0

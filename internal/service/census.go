@@ -134,7 +134,7 @@ func (s *Service) runCensus(j *job) {
 	coord, err := shard.New(pop, model.Identifier(), netem.MeasuredDatabase(), shard.Config{
 		Workers:      req.Workers,
 		Seed:         req.Seed + 99, // experiments.TableIV's probing seed
-		Probe:        s.cfg.Probe,
+		Probe:        model.Identifier().Probe(),
 		MaxAttempts:  req.MaxAttempts,
 		MaxDeferrals: req.MaxDeferrals,
 		Fault:        req.Fault,

@@ -100,7 +100,7 @@ func (s *Service) runPcap(j *job) {
 		return
 	}
 	version := model.Version()
-	_ = flow.ClassifyAll(j.ctx, j.pcap, model.Identifier().Classifier(), flow.ClassifyOptions{
+	_ = flow.ClassifyAll(j.ctx, j.pcap, model.Identifier(), flow.ClassifyOptions{
 		Parallelism: s.cfg.Parallelism,
 		Timings:     true,
 		Telemetry:   &s.metrics.pipeline,

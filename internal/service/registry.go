@@ -67,7 +67,7 @@ func NewRegistry() *Registry {
 // generation. Path is taken as given: swapping a file-backed name with an
 // in-process classifier (Add) clears the backing file, so a later Reload
 // cannot silently resurrect the old on-disk model over it.
-func (r *Registry) install(name, path string, c classify.Classifier) *Model {
+func (r *Registry) install(name, path string, id *core.Identifier) *Model {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	gen := 1
@@ -77,10 +77,10 @@ func (r *Registry) install(name, path string, c classify.Classifier) *Model {
 	m := &Model{
 		Name:       name,
 		Generation: gen,
-		Backend:    c.Name(),
+		Backend:    id.Name(),
 		Path:       path,
 		LoadedAt:   time.Now(),
-		identifier: core.NewIdentifier(c),
+		identifier: id,
 	}
 	m.sessions.New = func() any { return m.identifier.NewSession() }
 	r.models[name] = m
@@ -91,20 +91,23 @@ func (r *Registry) install(name, path string, c classify.Classifier) *Model {
 }
 
 // Add installs an in-process trained classifier under name (no backing
-// file, so Reload skips it). Re-adding a name hot-swaps it.
+// file, so Reload skips it). Re-adding a name hot-swaps it. The model is
+// served at the default probe budget unless c is a *core.Identifier,
+// which carries its own.
 func (r *Registry) Add(name string, c classify.Classifier) *Model {
-	return r.install(name, "", c)
+	return r.install(name, "", core.NewIdentifier(c))
 }
 
-// Load reads a model file saved with classify.Save and installs it under
-// name. The new entry is built entirely before the swap: a load error
-// leaves the currently served model untouched.
+// Load reads a model file (see core.LoadFile) and installs it under name,
+// served at the probe budget the file records. The new entry is built
+// entirely before the swap: a load error leaves the currently served
+// model untouched.
 func (r *Registry) Load(name, path string) (*Model, error) {
-	c, err := classify.LoadFile(path)
+	id, err := core.LoadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("service: loading model %q: %w", name, err)
 	}
-	return r.install(name, path, c), nil
+	return r.install(name, path, id), nil
 }
 
 // ErrNoModel marks a lookup of an unregistered model name (mapped to

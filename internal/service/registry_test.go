@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/classify"
+	"repro/internal/core"
 )
 
 // fakeClassifier is a deterministic stand-in for a trained model: it
@@ -71,7 +72,7 @@ func saveFakeModel(t *testing.T, dir, name, label string, conf float64) string {
 	t.Helper()
 	registerFakeCodec()
 	path := filepath.Join(dir, name)
-	if err := classify.SaveFile(path, &fakeClassifier{Label: label, Confidence: conf}); err != nil {
+	if err := core.NewIdentifier(&fakeClassifier{Label: label, Confidence: conf}).SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	return path

@@ -57,8 +57,6 @@ type Config struct {
 	// runs one decode-and-track goroutine over a bounded ingest ring);
 	// excess requests are shed with 429. 0 means DefaultMaxStreams.
 	MaxStreams int
-	// Probe customizes trace gathering (zero = paper defaults).
-	Probe probe.Config
 	// TraceSampleN keeps a deterministic 1-in-N of normal-outcome traces
 	// in the flight recorder's retained store (errors/UNSURE/slow are
 	// always kept): 0 means telemetry.DefaultTraceSampleN, 1 keeps all,
@@ -350,7 +348,7 @@ func (s *Service) identify(ctx context.Context, modelName string, spec JobSpec) 
 	sess := model.acquireSession()
 	sess.EnableTimings(&s.metrics.pipeline)
 	sess.BindTrace(s.flight, tr)
-	id := sess.Identify(server, cond, s.cfg.Probe, rng)
+	id := sess.Identify(server, cond, model.Identifier().Probe(), rng)
 	model.releaseSession(sess)
 	// Fold the service-side spans into the result's breakdown so the wire
 	// timings cover the whole request, not just the pipeline core.
@@ -479,7 +477,7 @@ func (s *Service) runBatch(j *job) {
 		engine.IdentifyBatch[core.Identification](id, engineJobs, engine.BatchConfig[core.Identification]{
 			Ctx:         j.ctx,
 			Parallelism: s.cfg.Parallelism,
-			Probe:       s.cfg.Probe,
+			Probe:       id.Probe(),
 			NewWorkerBlock: func() engine.BlockIdentifier[core.Identification] {
 				bs := id.NewBlockSession()
 				bs.EnableTimings(&s.metrics.pipeline)

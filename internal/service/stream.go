@@ -70,7 +70,7 @@ func (s *Service) handlePcapStream(w http.ResponseWriter, r *http.Request) {
 	// tracks and classifies inline (and, for the end-of-stream pairing
 	// flush, on this goroutine after the pipeline exits), so encoding to
 	// w needs no lock.
-	st := flow.NewIdentifyStream(r.Context(), model.Identifier().Classifier(),
+	st := flow.NewIdentifyStream(r.Context(), model.Identifier(),
 		flow.StreamConfig{Metrics: &s.metrics.stream},
 		func(fi flow.FlowIdentification) {
 			resp := toFlowResponse(version, fi)

@@ -67,7 +67,8 @@ type FlightConfig struct {
 	// regardless of outcome. 0 means DefaultTraceSlow.
 	Slow time.Duration
 	// Retain bounds the retained-trace store (FIFO eviction). 0 means
-	// DefaultTraceRetain.
+	// DefaultTraceRetain. The store also evicts its oldest traces while
+	// it holds more spans than the rings do (8 x Slots).
 	Retain int
 	// Slots is the per-shard ring capacity in span records, rounded up
 	// to a power of two. 0 means defaultRingSlots.
@@ -149,8 +150,9 @@ func NewFlight(cfg FlightConfig) *Flight {
 		finishCh: make(chan finishMsg, 256),
 		stop:     make(chan struct{}),
 		store: retainedStore{
-			cap:  cfg.Retain,
-			byID: make(map[TraceID]*Trace, cfg.Retain),
+			cap:     cfg.Retain,
+			spanCap: flightShards * cfg.Slots,
+			byID:    make(map[TraceID]*Trace, cfg.Retain),
 		},
 	}
 	for i := range f.rings {
@@ -602,27 +604,36 @@ type TraceFilter struct {
 	Limit int
 }
 
-// retainedStore is the bounded FIFO keep of sampled traces. A re-finish
-// of an ID already stored (an async job completing after its accepting
-// request was retained) replaces the entry in place with the fuller scan.
+// retainedStore is the bounded FIFO keep of sampled traces. It holds at
+// most cap traces and, past the newest one, at most spanCap spans -- the
+// rings' own capacity -- so a run of span-heavy traces (a batch job keeps
+// one span per stage per job) cannot grow the store with throughput. A
+// re-finish of an ID already stored (an async job completing after its
+// accepting request was retained) replaces the entry in place with the
+// fuller scan.
 type retainedStore struct {
-	mu    sync.RWMutex
-	cap   int
-	byID  map[TraceID]*Trace
-	order []TraceID
+	mu      sync.RWMutex
+	cap     int
+	spanCap int
+	spans   int // spans held across all stored traces
+	byID    map[TraceID]*Trace
+	order   []TraceID
 }
 
 func (st *retainedStore) put(t *Trace) {
 	id, _ := ParseTraceID(t.ID)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if _, ok := st.byID[id]; ok {
+	if old, ok := st.byID[id]; ok {
+		st.spans += len(t.Spans) - len(old.Spans)
 		st.byID[id] = t // replace in place, keep FIFO position
-		return
+	} else {
+		st.byID[id] = t
+		st.spans += len(t.Spans)
+		st.order = append(st.order, id)
 	}
-	st.byID[id] = t
-	st.order = append(st.order, id)
-	for len(st.order) > st.cap {
+	for len(st.order) > st.cap || (st.spans > st.spanCap && len(st.order) > 1) {
+		st.spans -= len(st.byID[st.order[0]].Spans)
 		delete(st.byID, st.order[0])
 		st.order = st.order[1:]
 	}

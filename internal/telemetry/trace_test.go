@@ -300,3 +300,48 @@ func TestFlightStoreReplacesByID(t *testing.T) {
 		t.Fatalf("store holds %d entries after re-finish, want 1", got)
 	}
 }
+
+// TestRetainedStoreBoundsSpans: 256 batch-sized traces (a 256-job batch
+// keeps about 1,027 spans) fill the store by spans long before its trace
+// count bound, so it keeps only the newest that fit in the rings'
+// capacity; a re-finish re-accounts its spans, and one trace larger than
+// the whole bound is still kept.
+func TestRetainedStoreBoundsSpans(t *testing.T) {
+	const perBatch = 1027
+	f := NewFlight(FlightConfig{})
+	f.Close()
+	st := &f.store
+	if st.spanCap != flightShards*defaultRingSlots {
+		t.Fatalf("span bound %d, want the rings' capacity %d", st.spanCap, flightShards*defaultRingSlots)
+	}
+	spans := make([]Span, perBatch)
+	for i := 1; i <= DefaultTraceRetain; i++ {
+		st.put(&Trace{ID: TraceID(i).String(), Spans: spans})
+		if st.spans > st.spanCap {
+			t.Fatalf("after trace %d the store holds %d spans, bound %d", i, st.spans, st.spanCap)
+		}
+	}
+	keep := st.spanCap / perBatch
+	if st.len() != keep {
+		t.Fatalf("store holds %d traces, want the newest %d that fit", st.len(), keep)
+	}
+	if _, ok := st.get(TraceID(DefaultTraceRetain)); !ok {
+		t.Fatal("the newest trace was evicted")
+	}
+	if _, ok := st.get(TraceID(DefaultTraceRetain - keep)); ok {
+		t.Fatal("a trace older than the span bound allows is still stored")
+	}
+
+	// Re-finishing the newest trace with fewer spans frees room.
+	newest := TraceID(DefaultTraceRetain).String()
+	st.put(&Trace{ID: newest, Spans: spans[:1]})
+	if want := (keep-1)*perBatch + 1; st.spans != want {
+		t.Fatalf("after a re-finish the store counts %d spans, want %d", st.spans, want)
+	}
+
+	huge := make([]Span, st.spanCap+1)
+	st.put(&Trace{ID: TraceID(1 << 40).String(), Spans: huge})
+	if st.len() != 1 || st.spans != len(huge) {
+		t.Fatalf("an oversized trace left %d traces and %d spans, want it alone", st.len(), st.spans)
+	}
+}
