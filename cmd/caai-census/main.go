@@ -1,8 +1,9 @@
 // Command caai-census reproduces the paper's Internet measurement as a
 // fault-tolerant campaign: it generates the synthetic population of Web
-// servers, shards it across coordinator workers (retry/backoff, work
-// stealing, optional checkpointing), and prints Table IV. With -model it
-// loads a model saved by caai-train -save and skips retraining entirely.
+// servers, probes it with coordinator workers that share one queue
+// (retry/backoff, optional checkpointing), and prints Table IV. With
+// -model it loads a model saved by caai-train -save and skips retraining
+// entirely.
 //
 // Usage:
 //
@@ -57,7 +58,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	conditions := fs.Int("conditions", 100, "training conditions per (algorithm, wmax) pair (ignored with -model)")
 	seed := fs.Int64("seed", 2011, "random seed")
 	model := fs.String("model", "", "load a saved model instead of retraining (see caai-train -save)")
-	workers := fs.Int("workers", 0, "coordinator shard workers (0 = default 4)")
+	workers := fs.Int("workers", 0, "coordinator workers (0 = GOMAXPROCS)")
 	maxAttempts := fs.Int("max-attempts", 0, "probe attempts per target before abandoning (0 = default 4)")
 	maxDeferrals := fs.Int("max-deferrals", 0, "rate-limit deferrals per target before abandoning (0 = default 8)")
 	checkpoint := fs.String("checkpoint", "", "directory for incremental checkpointing (enables kill+resume)")

@@ -41,13 +41,13 @@ type FaultPlan struct {
 
 	// LatencySpikeRate injects a pre-probe latency spike of LatencySpikeMs
 	// on that fraction of trials. Spikes slow the run without changing any
-	// outcome, exercising pacing and steal paths.
+	// outcome, so other workers take the queue's next targets meanwhile.
 	LatencySpikeRate float64 `json:"latency_spike_rate,omitempty"`
 	LatencySpikeMs   float64 `json:"latency_spike_ms,omitempty"`
 
 	// WorkerCrashes kills coordinator workers mid-run: worker Worker stops
-	// (without draining its queue) after completing AfterCompleted targets.
-	// Surviving workers steal the dead worker's backlog.
+	// after completing AfterCompleted targets. Workers share one queue, so
+	// the survivors finish every target the dead worker would have taken.
 	WorkerCrashes []WorkerCrash `json:"worker_crashes,omitempty"`
 
 	// CheckpointFailEvery fails every Nth checkpoint append (the write

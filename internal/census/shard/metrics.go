@@ -17,11 +17,6 @@ type Metrics struct {
 	Deferrals telemetry.Counter
 	// BackoffNanos accumulates scheduled retry/deferral backoff delay.
 	BackoffNanos telemetry.Counter
-	// RateLimitWaits counts probes delayed or re-queued by the per-target
-	// or per-worker token buckets.
-	RateLimitWaits telemetry.Counter
-	// Steals counts work batches taken from another worker's queue.
-	Steals telemetry.Counter
 	// TargetsAbandoned counts targets given up on (retries exhausted,
 	// deferral budget exhausted, or permanently unreachable).
 	TargetsAbandoned telemetry.Counter
@@ -49,9 +44,14 @@ type Progress struct {
 	Probes           int64 `json:"probes"`
 	Retries          int64 `json:"retries"`
 	Deferrals        int64 `json:"deferrals"`
-	RateLimitWaits   int64 `json:"rate_limit_waits"`
-	Steals           int64 `json:"steals"`
 	TargetsAbandoned int64 `json:"targets_abandoned"`
+
+	// Steals is always 0: every worker pops the one shared queue, so no
+	// worker takes work from another.
+	//
+	// Deprecated: kept only while the end-to-end benchmark
+	// (e2ebench/workloads.go) still reads it.
+	Steals int64 `json:"steals"`
 
 	// BackoffSeconds is the total scheduled backoff delay.
 	BackoffSeconds float64 `json:"backoff_seconds"`
@@ -70,9 +70,7 @@ type Progress struct {
 
 // WorkerProgress is one worker's slice of a Progress snapshot.
 type WorkerProgress struct {
-	// Assigned is the worker's initial consistent-hash shard size.
-	Assigned int `json:"assigned"`
-	// Completed counts targets the worker finished (including steals).
+	// Completed counts targets the worker finished.
 	Completed int64 `json:"completed"`
 	// Crashed reports an injected death.
 	Crashed bool `json:"crashed"`

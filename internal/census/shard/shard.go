@@ -4,24 +4,23 @@
 // time out, targets rate-limit, workers die, and the process itself may
 // be killed and restarted.
 //
-// The coordinator consistent-hash-shards the population across N workers.
-// Each worker owns a queue and steals from the busiest peer when its own
-// runs dry, so a crashed worker's backlog is absorbed by the survivors.
-// Failures follow a three-way taxonomy: timeouts retry with a longer
-// probe budget under exponential backoff with jitter, rate-limited
-// attempts are deferred without consuming a retry, and permanently
-// unreachable targets are abandoned with the reason recorded in the
-// census report's InvalidByReason. Completed targets stream to an
-// append-only JSONL checkpoint with an atomic manifest, so a killed
-// census resumes where it stopped.
+// The coordinator puts the population on one shared FIFO queue that N
+// workers pop from, so a crashed worker simply stops popping and the
+// survivors finish the rest. Failures follow a three-way taxonomy:
+// timeouts retry with a longer probe budget under exponential backoff
+// with jitter, rate-limited attempts are deferred without consuming a
+// retry, and permanently unreachable targets are abandoned with the
+// reason recorded in the census report's InvalidByReason. Completed
+// targets stream to an append-only JSONL checkpoint with an atomic
+// manifest, so a killed census resumes where it stopped.
 //
 // Everything is deterministic by construction: probe outcomes derive from
 // per-(target, attempt) seeds and injected faults (FaultPlan) from
 // per-(target, trial) seeds, never from shared streams, and tables
 // aggregate in population order. A run that crashes, resumes, loses
-// checkpoint writes, or reshuffles work across workers therefore produces
-// bit-identical Table IV output to an uninterrupted run with the same
-// seed -- the contract the determinism-under-failure tests enforce.
+// checkpoint writes, or hands work to different workers therefore
+// produces bit-identical Table IV output to an uninterrupted run with the
+// same seed -- the contract the determinism-under-failure tests enforce.
 package shard
 
 import (
@@ -58,8 +57,8 @@ const (
 
 // Config controls a sharded census run.
 type Config struct {
-	// Workers is the worker (shard) count; 0 = engine default
-	// parallelism, clamped to the population size.
+	// Workers is the worker count; 0 = engine default parallelism,
+	// clamped to the population size.
 	Workers int
 	// Seed drives probing exactly like census.RunConfig.Seed: a shard
 	// run with no faults is outcome-identical to census.Run with the
@@ -74,18 +73,6 @@ type Config struct {
 	// (default 4). MaxDeferrals bounds rate-limit deferrals (default 8).
 	MaxAttempts  int
 	MaxDeferrals int
-
-	// BackoffBase and BackoffMax shape the exponential backoff between
-	// attempts: delay = min(BackoffBase * 2^(n-1), BackoffMax), scaled
-	// by a deterministic jitter in [0.5, 1.5). Defaults 100ms / 5s.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-
-	// TargetInterval is the per-target token-bucket floor: a target is
-	// contacted at most once per interval. WorkerInterval rate-limits
-	// each worker's own probe launches. 0 disables either.
-	TargetInterval time.Duration
-	WorkerInterval time.Duration
 
 	// Checkpoint is a directory for incremental checkpointing ("" =
 	// disabled). Resume loads completed targets from it before running.
@@ -106,12 +93,14 @@ type Config struct {
 	Trace   *telemetry.Flight
 	TraceID telemetry.TraceID
 
-	// Test hooks: clock, sleeper, and pre-probe observer. Nil = real
-	// time. In-package tests inject a fake clock to verify pacing
-	// without wall-clock waits.
-	nowFn       func() time.Time
-	sleepFn     func(context.Context, time.Duration)
-	beforeProbe func(worker, target, attempt int, now time.Time)
+	// Test hooks: backoff shape and pre-probe observer. The backoff
+	// between attempts is min(backoffBase * 2^(n-1), backoffMax), scaled
+	// by a deterministic jitter in [0.5, 1.5); zero means the defaults,
+	// 100ms and 5s. In-package tests shrink it so fault-heavy runs do not
+	// sleep real milliseconds.
+	backoffBase time.Duration
+	backoffMax  time.Duration
+	beforeProbe func()
 }
 
 const (
@@ -144,20 +133,6 @@ func (c Config) maxDeferrals() int {
 	return defaultMaxDeferrals
 }
 
-func (c Config) backoffBase() time.Duration {
-	if c.BackoffBase > 0 {
-		return c.BackoffBase
-	}
-	return defaultBackoffBase
-}
-
-func (c Config) backoffMax() time.Duration {
-	if c.BackoffMax > 0 {
-		return c.BackoffMax
-	}
-	return defaultBackoffMax
-}
-
 // ErrStalled reports a run whose workers all crashed with work pending.
 var ErrStalled = errors.New("shard: census stalled: every worker exited with targets pending")
 
@@ -170,9 +145,9 @@ type task struct {
 	notBefore time.Time
 }
 
-// workQueue is one worker's FIFO deque. The owner pops from the head,
-// thieves take from the tail -- the classic work-stealing split that
-// keeps owner and thieves off the same end.
+// workQueue is the FIFO every worker pops from. Which worker takes a
+// target never changes its outcome, so one queue is all the scheduling
+// the census needs.
 type workQueue struct {
 	mu    sync.Mutex
 	tasks []task
@@ -183,13 +158,6 @@ func (q *workQueue) push(t task) {
 	q.mu.Lock()
 	q.tasks = append(q.tasks, t)
 	q.mu.Unlock()
-}
-
-func (q *workQueue) size() int {
-	q.mu.Lock()
-	n := len(q.tasks) - q.head
-	q.mu.Unlock()
-	return n
 }
 
 // pop removes the first ready task. When nothing is ready it returns the
@@ -220,20 +188,6 @@ func (q *workQueue) pop(now time.Time) (task, bool, time.Time) {
 	return task{}, false, earliest
 }
 
-// steal removes up to max ready tasks from the tail.
-func (q *workQueue) steal(now time.Time, max int) []task {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var out []task
-	for i := len(q.tasks) - 1; i >= q.head && len(out) < max; i-- {
-		if !q.tasks[i].notBefore.After(now) {
-			out = append(out, q.tasks[i])
-			q.tasks = append(q.tasks[:i], q.tasks[i+1:]...)
-		}
-	}
-	return out
-}
-
 // Coordinator owns one sharded census run. Build with New, drive with
 // Run; Progress and Report are safe to call concurrently with Run (the
 // service polls them for job status and partial tables).
@@ -243,8 +197,7 @@ type Coordinator struct {
 	id  *core.Identifier
 	db  *netem.Database
 
-	queues   []*workQueue
-	assigned []int
+	queue workQueue
 
 	outcomes []census.Outcome
 	done     []atomic.Bool
@@ -256,13 +209,6 @@ type Coordinator struct {
 	workerDone []atomic.Int64
 	crashed    []atomic.Bool
 
-	// workerNext is each worker's next allowed launch time; index w is
-	// touched only by worker w's goroutine.
-	workerNext []time.Time
-
-	targetMu  sync.Mutex
-	lastProbe map[int]time.Time
-
 	ckpt *checkpointWriter
 
 	m   Metrics  // per-run counters, feeds Progress
@@ -271,8 +217,8 @@ type Coordinator struct {
 	ran atomic.Bool
 }
 
-// New validates the config, loads any resumable checkpoint, and shards
-// the remaining targets across the workers' queues.
+// New validates the config, loads any resumable checkpoint, and queues
+// the remaining targets in population order.
 func New(pop []census.GroundTruth, id *core.Identifier, db *netem.Database, cfg Config) (*Coordinator, error) {
 	if len(pop) == 0 {
 		return nil, errors.New("shard: empty population")
@@ -286,18 +232,11 @@ func New(pop []census.GroundTruth, id *core.Identifier, db *netem.Database, cfg 
 		pop:        pop,
 		id:         id,
 		db:         db,
-		queues:     make([]*workQueue, nw),
-		assigned:   make([]int, nw),
 		outcomes:   make([]census.Outcome, len(pop)),
 		done:       make([]atomic.Bool, len(pop)),
 		workerDone: make([]atomic.Int64, nw),
 		crashed:    make([]atomic.Bool, nw),
-		workerNext: make([]time.Time, nw),
-		lastProbe:  map[int]time.Time{},
 		ext:        cfg.Metrics,
-	}
-	for w := range c.queues {
-		c.queues[w] = &workQueue{}
 	}
 
 	fp := fingerprint(cfg, len(pop))
@@ -335,18 +274,12 @@ func New(pop []census.GroundTruth, id *core.Identifier, db *netem.Database, cfg 
 		c.ckpt = w
 	}
 
-	ring := newRing(nw)
-	pending := 0
 	for i := range pop {
-		if c.done[i].Load() {
-			continue
+		if !c.done[i].Load() {
+			c.queue.push(task{idx: i})
 		}
-		w := ring.owner(pop[i].Server.Name)
-		c.queues[w].push(task{idx: i})
-		c.assigned[w]++
-		pending++
 	}
-	c.remaining.Store(int64(pending))
+	c.remaining.Store(int64(len(pop) - c.resumed))
 	c.completed.Store(int64(c.resumed))
 	return c, nil
 }
@@ -364,7 +297,7 @@ func (c *Coordinator) Run(ctx context.Context) error {
 		return nil
 	}
 	var wg sync.WaitGroup
-	for w := range c.queues {
+	for w := range c.workerDone {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -381,8 +314,9 @@ func (c *Coordinator) Run(ctx context.Context) error {
 	return nil
 }
 
-// worker is one shard's loop: drain the own queue, steal when dry, die
-// on schedule when the fault plan says so.
+// worker is one worker's loop: pop the shared queue until the census is
+// done, sleeping while every pending task is backing off, and die on
+// schedule when the fault plan says so.
 func (c *Coordinator) worker(ctx context.Context, w int, sess *core.Session) {
 	crashAfter := c.cfg.Fault.crashAfter(w)
 	for {
@@ -401,91 +335,30 @@ func (c *Coordinator) worker(ctx context.Context, w int, sess *core.Session) {
 		if c.remaining.Load() == 0 {
 			return
 		}
-		t, ok, wait := c.nextTask(w)
+		now := time.Now()
+		t, ok, wait := c.queue.pop(now)
 		if !ok {
 			d := idlePoll
 			if !wait.IsZero() {
-				if until := wait.Sub(c.now()); until > d {
-					d = until
-				}
+				d = max(d, wait.Sub(now))
 			}
-			if d > maxIdleWait {
-				d = maxIdleWait
-			}
-			c.sleep(ctx, d)
+			sleep(ctx, min(d, maxIdleWait))
 			continue
 		}
 		c.process(ctx, w, t, sess)
 	}
 }
 
-// nextTask pops from the worker's own queue, then steals from the
-// busiest peer. The wait hint is the own queue's earliest backoff expiry.
-func (c *Coordinator) nextTask(w int) (task, bool, time.Time) {
-	now := c.now()
-	t, ok, earliest := c.queues[w].pop(now)
-	if ok {
-		return t, true, time.Time{}
-	}
-	victim, best := -1, 0
-	for v := range c.queues {
-		if v == w {
-			continue
-		}
-		if n := c.queues[v].size(); n > best {
-			best, victim = n, v
-		}
-	}
-	if victim >= 0 {
-		if batch := c.queues[victim].steal(now, best/2+1); len(batch) > 0 {
-			c.bump(func(m *Metrics) *telemetry.Counter { return &m.Steals }, 1)
-			for _, r := range batch[1:] {
-				c.queues[w].push(r)
-			}
-			return batch[0], true, time.Time{}
-		}
-	}
-	return task{}, false, earliest
-}
-
-// process runs one task trial: pacing gates, injected faults, then the
-// real probe. Transient failures requeue; everything else finishes the
-// target.
+// process runs one task trial: injected faults, then the real probe.
+// Transient failures requeue; everything else finishes the target.
 func (c *Coordinator) process(ctx context.Context, w int, t task, sess *core.Session) {
-	now := c.now()
-	if iv := c.cfg.WorkerInterval; iv > 0 {
-		if next := c.workerNext[w]; now.Before(next) {
-			c.bump(func(m *Metrics) *telemetry.Counter { return &m.RateLimitWaits }, 1)
-			c.sleep(ctx, next.Sub(now))
-			if ctx.Err() != nil {
-				return
-			}
-			now = c.now()
-		}
-		c.workerNext[w] = now.Add(iv)
-	}
-	if iv := c.cfg.TargetInterval; iv > 0 {
-		c.targetMu.Lock()
-		last, seen := c.lastProbe[t.idx]
-		if seen && now.Sub(last) < iv {
-			c.targetMu.Unlock()
-			c.bump(func(m *Metrics) *telemetry.Counter { return &m.RateLimitWaits }, 1)
-			t.notBefore = last.Add(iv)
-			c.queues[w].push(t)
-			return
-		}
-		c.lastProbe[t.idx] = now
-		c.targetMu.Unlock()
-	}
-
 	trial := t.attempt + t.deferrals
 	if d := c.cfg.Fault.spike(t.idx, trial); d > 0 {
-		c.sleep(ctx, d)
+		sleep(ctx, d)
 		if ctx.Err() != nil {
 			return
 		}
 	}
-
 	switch c.cfg.Fault.decide(t.idx, trial) {
 	case failUnreachable:
 		c.bump(func(m *Metrics) *telemetry.Counter { return &m.TargetsAbandoned }, 1)
@@ -500,7 +373,7 @@ func (c *Coordinator) process(ctx context.Context, w int, t task, sess *core.Ses
 		}
 		c.bump(func(m *Metrics) *telemetry.Counter { return &m.Retries }, 1)
 		c.cfg.Trace.Event(c.cfg.TraceID, telemetry.EventRetry, uint64(t.attempt))
-		c.requeueAfter(w, t, c.backoffDelay(t.idx, t.attempt, 0))
+		c.requeueAfter(t, c.backoffDelay(t.idx, t.attempt, 0))
 
 	case failRateLimited:
 		t.deferrals++
@@ -511,13 +384,13 @@ func (c *Coordinator) process(ctx context.Context, w int, t task, sess *core.Ses
 		}
 		c.bump(func(m *Metrics) *telemetry.Counter { return &m.Deferrals }, 1)
 		c.cfg.Trace.Event(c.cfg.TraceID, telemetry.EventDeferral, uint64(t.deferrals))
-		c.requeueAfter(w, t, c.backoffDelay(t.idx, t.deferrals, 1))
+		c.requeueAfter(t, c.backoffDelay(t.idx, t.deferrals, 1))
 
 	default:
 		rng := c.probeRNG(t.idx, t.attempt)
 		cond := c.db.Sample(rng)
 		if f := c.cfg.beforeProbe; f != nil {
-			f(w, t.idx, t.attempt, now)
+			f()
 		}
 		// Pristine ssthresh cache per identification (see census.Run):
 		// without this, a target re-probed after a lost checkpoint record
@@ -530,37 +403,28 @@ func (c *Coordinator) process(ctx context.Context, w int, t task, sess *core.Ses
 	}
 }
 
-// requeueAfter schedules a retry/deferral after delay, floored by the
-// target's token bucket.
-func (c *Coordinator) requeueAfter(w int, t task, delay time.Duration) {
+// requeueAfter schedules a retry/deferral after delay.
+func (c *Coordinator) requeueAfter(t task, delay time.Duration) {
 	c.bump(func(m *Metrics) *telemetry.Counter { return &m.BackoffNanos }, int64(delay))
-	t.notBefore = c.now().Add(delay)
-	if iv := c.cfg.TargetInterval; iv > 0 {
-		c.targetMu.Lock()
-		last, seen := c.lastProbe[t.idx]
-		c.targetMu.Unlock()
-		if seen {
-			if floor := last.Add(iv); floor.After(t.notBefore) {
-				t.notBefore = floor
-				c.bump(func(m *Metrics) *telemetry.Counter { return &m.RateLimitWaits }, 1)
-			}
-		}
-	}
-	c.queues[w].push(t)
+	t.notBefore = time.Now().Add(delay)
+	c.queue.push(t)
 }
 
 // backoffDelay is the deterministic exponential backoff with jitter for
 // retry/deferral n (1-based) of target idx. kind salts the jitter stream
 // (0 = retry, 1 = deferral).
 func (c *Coordinator) backoffDelay(idx, n, kind int) time.Duration {
-	d := c.cfg.backoffBase()
-	max := c.cfg.backoffMax()
-	for i := 1; i < n && d < max; i++ {
+	d, ceil := c.cfg.backoffBase, c.cfg.backoffMax
+	if d <= 0 {
+		d = defaultBackoffBase
+	}
+	if ceil <= 0 {
+		ceil = defaultBackoffMax
+	}
+	for i := 1; i < n && d < ceil; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
-	}
+	d = min(d, ceil)
 	jitter := 0.5 + xrand.New(mix(c.cfg.Seed, int64(idx)|int64(kind+1)<<60, int64(n))).Float64()
 	return time.Duration(float64(d) * jitter)
 }
@@ -596,11 +460,6 @@ func (c *Coordinator) finish(w, idx, attempts int, ident core.Identification) {
 	if c.ext != nil {
 		c.ext.Attempts.Observe(int64(attempts))
 	}
-	if c.cfg.TargetInterval > 0 {
-		c.targetMu.Lock()
-		delete(c.lastProbe, idx)
-		c.targetMu.Unlock()
-	}
 	if c.ckpt != nil {
 		if err := c.ckpt.append(recordOf(idx, attempts, ident)); err != nil {
 			// Durability degraded, correctness intact: the outcome stays
@@ -624,18 +483,8 @@ func (c *Coordinator) bump(get func(*Metrics) *telemetry.Counter, n int64) {
 	}
 }
 
-func (c *Coordinator) now() time.Time {
-	if c.cfg.nowFn != nil {
-		return c.cfg.nowFn()
-	}
-	return time.Now()
-}
-
-func (c *Coordinator) sleep(ctx context.Context, d time.Duration) {
-	if c.cfg.sleepFn != nil {
-		c.cfg.sleepFn(ctx, d)
-		return
-	}
+// sleep waits d or until ctx is done, whichever comes first.
+func sleep(ctx context.Context, d time.Duration) {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -653,8 +502,6 @@ func (c *Coordinator) Progress() Progress {
 		Probes:             c.m.Probes.Load(),
 		Retries:            c.m.Retries.Load(),
 		Deferrals:          c.m.Deferrals.Load(),
-		RateLimitWaits:     c.m.RateLimitWaits.Load(),
-		Steals:             c.m.Steals.Load(),
 		TargetsAbandoned:   c.m.TargetsAbandoned.Load(),
 		BackoffSeconds:     float64(c.m.BackoffNanos.Load()) / float64(time.Second),
 		CheckpointWrites:   c.m.CheckpointWrites.Load(),
@@ -662,10 +509,9 @@ func (c *Coordinator) Progress() Progress {
 		CheckpointSkipped:  c.skipped,
 		Attempts:           c.m.Attempts.Snapshot(),
 	}
-	p.Workers = make([]WorkerProgress, len(c.queues))
-	for w := range c.queues {
+	p.Workers = make([]WorkerProgress, len(c.workerDone))
+	for w := range c.workerDone {
 		p.Workers[w] = WorkerProgress{
-			Assigned:  c.assigned[w],
 			Completed: c.workerDone[w].Load(),
 			Crashed:   c.crashed[w].Load(),
 		}

@@ -17,6 +17,12 @@ import (
 // workload, not an API request.
 const MaxCensusServers = 100_000
 
+// MaxCensusWorkers caps one census job's worker count. Each worker is a
+// goroutine with its own probe session, and the engine clamps the count
+// only to the population size, so without this bound one request could
+// start a hundred thousand of them.
+const MaxCensusWorkers = 64
+
 // censusState is the census payload of a job: the accepted request plus
 // the live coordinator, published once the run starts so status polls can
 // read progress and partial tables while probing is in flight.
@@ -88,6 +94,9 @@ func (s *Service) validateCensus(req CensusRequest) error {
 	if req.Workers < 0 || req.MaxAttempts < 0 || req.MaxDeferrals < 0 {
 		return fmt.Errorf("census workers, max_attempts and max_deferrals must be non-negative")
 	}
+	if req.Workers > MaxCensusWorkers {
+		return fmt.Errorf("census of %d workers exceeds the %d-worker limit", req.Workers, MaxCensusWorkers)
+	}
 	if err := req.Fault.Validate(); err != nil {
 		return err
 	}
@@ -116,7 +125,7 @@ func (s *Service) submitCensus(ctx context.Context, req CensusRequest) (*job, er
 
 // runCensus executes one accepted census job through the sharded
 // coordinator, mirroring its counters into the service-wide census
-// metrics sink so /metrics aggregates retry/backoff/steal behaviour
+// metrics sink so /metrics aggregates retry, backoff and abandonment
 // across every campaign.
 func (s *Service) runCensus(j *job) {
 	model, err := s.registry.Get(j.model)

@@ -198,6 +198,7 @@ func TestCensusValidation(t *testing.T) {
 		{"zero servers", map[string]any{"servers": 0}, http.StatusBadRequest},
 		{"oversized", map[string]any{"servers": MaxCensusServers + 1}, http.StatusBadRequest},
 		{"negative workers", map[string]any{"servers": 10, "workers": -1}, http.StatusBadRequest},
+		{"too many workers", map[string]any{"servers": 10, "workers": MaxCensusWorkers + 1}, http.StatusBadRequest},
 		{"unknown model", map[string]any{"servers": 10, "model": "nope"}, http.StatusNotFound},
 		{"bad fault plan", map[string]any{
 			"servers": 10,

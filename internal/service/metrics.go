@@ -75,8 +75,6 @@ func newMetrics(s *Service) *metrics {
 	r.CounterFunc("census.probes", "caai_census_probes_total", "Census probes executed (injected faults excluded).", m.census.Probes.Load)
 	r.CounterFunc("census.retries", "caai_census_retries_total", "Census probe attempts re-queued after a transient timeout.", m.census.Retries.Load)
 	r.CounterFunc("census.deferrals", "caai_census_deferrals_total", "Census rate-limited attempts deferred without consuming an attempt.", m.census.Deferrals.Load)
-	r.CounterFunc("census.rate_limit_waits", "caai_census_rate_limit_waits_total", "Census probes delayed by per-target/per-worker token buckets.", m.census.RateLimitWaits.Load)
-	r.CounterFunc("census.steals", "caai_census_steals_total", "Census work batches stolen from another worker's queue.", m.census.Steals.Load)
 	r.CounterFunc("census.targets_abandoned", "caai_census_targets_abandoned_total", "Census targets abandoned (retries/deferrals exhausted or unreachable).", m.census.TargetsAbandoned.Load)
 	r.FloatFunc("census.backoff_seconds", "caai_census_backoff_seconds_total", "Total scheduled census retry/deferral backoff delay.", telemetry.KindCounter,
 		func() float64 { return time.Duration(m.census.BackoffNanos.Load()).Seconds() })
@@ -301,16 +299,14 @@ type MetricsSnapshot struct {
 
 	// Census aggregates the fault-tolerance counters of every census
 	// campaign run through POST /v1/census: probe retries and their
-	// accumulated backoff, rate-limit deferrals, work steals, abandoned
-	// targets, checkpoint writes, and the per-target contact-attempt
+	// accumulated backoff, rate-limit deferrals, abandoned targets,
+	// checkpoint writes, worker crashes, and the per-target contact-attempt
 	// histogram (Attempts). Jobs counts accepted campaigns.
 	Census struct {
 		Jobs             int64                       `json:"jobs"`
 		Probes           int64                       `json:"probes"`
 		Retries          int64                       `json:"retries"`
 		Deferrals        int64                       `json:"deferrals"`
-		RateLimitWaits   int64                       `json:"rate_limit_waits"`
-		Steals           int64                       `json:"steals"`
 		TargetsAbandoned int64                       `json:"targets_abandoned"`
 		BackoffSeconds   float64                     `json:"backoff_seconds"`
 		CheckpointWrites int64                       `json:"checkpoint_writes"`

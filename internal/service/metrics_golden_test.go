@@ -81,8 +81,6 @@ func goldenMetricsService(t *testing.T) *Service {
 	m.census.Probes.Add(1016)
 	m.census.Retries.Add(1017)
 	m.census.Deferrals.Add(1018)
-	m.census.RateLimitWaits.Add(1019)
-	m.census.Steals.Add(1020)
 	m.census.TargetsAbandoned.Add(1021)
 	m.census.BackoffNanos.Add(int64(1500 * time.Millisecond))
 	m.census.CheckpointWrites.Add(1023)

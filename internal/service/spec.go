@@ -334,14 +334,16 @@ type CensusRequest struct {
 	// Seed+99) so a service census reproduces cmd/caai-census's table
 	// for the same seed and model. 0 is normalized to 2011.
 	Seed int64 `json:"seed,omitempty"`
-	// Workers is the shard count (0 = engine default parallelism).
+	// Workers is the coordinator's worker count (0 = engine default
+	// parallelism, at most MaxCensusWorkers).
 	Workers int `json:"workers,omitempty"`
 	// MaxAttempts and MaxDeferrals bound the retry taxonomy (0 = the
 	// shard package defaults: 4 attempts, 8 deferrals).
 	MaxAttempts  int `json:"max_attempts,omitempty"`
 	MaxDeferrals int `json:"max_deferrals,omitempty"`
 	// Fault optionally injects a deterministic fault plan, exercising
-	// the retry/steal/abandon machinery end to end over the API.
+	// the retry/abandon machinery and worker crashes end to end over the
+	// API.
 	Fault *shard.FaultPlan `json:"fault,omitempty"`
 }
 
