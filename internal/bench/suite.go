@@ -617,7 +617,6 @@ func TraceOverhead(model classify.Classifier) func(*testing.B) {
 		server := websim.Testbed("CUBIC2")
 		var tel telemetry.Pipeline
 		flight := telemetry.NewFlight(telemetry.FlightConfig{SampleN: 1})
-		defer flight.Close()
 		traced := id.NewSession()
 		traced.EnableTimings(&tel)
 		traced.BindTrace(flight, flight.Mint())

@@ -30,7 +30,6 @@ func TestSessionIdentifyAllocatesNothing(t *testing.T) {
 	plain := id.NewSession()
 
 	flight := telemetry.NewFlight(telemetry.FlightConfig{SampleN: 1})
-	defer flight.Close()
 	traced := id.NewSession()
 	traced.EnableTimings(&tel)
 	traced.BindTrace(flight, flight.Mint())

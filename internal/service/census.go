@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync/atomic"
@@ -22,6 +21,15 @@ const MaxCensusServers = 100_000
 // only to the population size, so without this bound one request could
 // start a hundred thousand of them.
 const MaxCensusWorkers = 64
+
+// MaxCensusAttempts and MaxCensusDeferrals cap one census job's retry
+// taxonomy. Every retry of a target waits up to 5 s of backoff and grows
+// its probe budget, so without these bounds one request could hold a
+// job-queue worker for as long as the process lives.
+const (
+	MaxCensusAttempts  = 16
+	MaxCensusDeferrals = 64
+)
 
 // censusState is the census payload of a job: the accepted request plus
 // the live coordinator, published once the run starts so status polls can
@@ -60,16 +68,7 @@ func (s *Service) handleCensus(w http.ResponseWriter, r *http.Request) {
 	}
 	j, err := s.submitCensus(r.Context(), req)
 	if err != nil {
-		switch {
-		case errors.Is(err, errQueueFull):
-			writeQueueFull(w, err)
-		case errors.Is(err, errShuttingDown):
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
-		case errors.Is(err, ErrNoModel):
-			writeError(w, http.StatusNotFound, "%v", err)
-		default:
-			writeError(w, http.StatusBadRequest, "%v", err)
-		}
+		writeSubmitError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, BatchAccepted{
@@ -96,6 +95,9 @@ func (s *Service) validateCensus(req CensusRequest) error {
 	}
 	if req.Workers > MaxCensusWorkers {
 		return fmt.Errorf("census of %d workers exceeds the %d-worker limit", req.Workers, MaxCensusWorkers)
+	}
+	if req.MaxAttempts > MaxCensusAttempts || req.MaxDeferrals > MaxCensusDeferrals {
+		return fmt.Errorf("census max_attempts and max_deferrals are limited to %d and %d", MaxCensusAttempts, MaxCensusDeferrals)
 	}
 	if err := req.Fault.Validate(); err != nil {
 		return err

@@ -199,6 +199,15 @@ func TestCensusValidation(t *testing.T) {
 		{"oversized", map[string]any{"servers": MaxCensusServers + 1}, http.StatusBadRequest},
 		{"negative workers", map[string]any{"servers": 10, "workers": -1}, http.StatusBadRequest},
 		{"too many workers", map[string]any{"servers": 10, "workers": MaxCensusWorkers + 1}, http.StatusBadRequest},
+		{"unbounded retries", map[string]any{
+			"servers":       1,
+			"max_attempts":  1 << 40,
+			"max_deferrals": 1 << 40,
+			"fault":         map[string]any{"probe_error_rate": 1},
+		}, http.StatusBadRequest},
+		{"too many attempts", map[string]any{"servers": 10, "max_attempts": MaxCensusAttempts + 1}, http.StatusBadRequest},
+		{"too many deferrals", map[string]any{"servers": 10, "max_deferrals": MaxCensusDeferrals + 1}, http.StatusBadRequest},
+		{"attempts at the limit", map[string]any{"servers": 1, "max_attempts": MaxCensusAttempts}, http.StatusAccepted},
 		{"unknown model", map[string]any{"servers": 10, "model": "nope"}, http.StatusNotFound},
 		{"bad fault plan", map[string]any{
 			"servers": 10,

@@ -128,6 +128,22 @@ func writeQueueFull(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusTooManyRequests, "%v", err)
 }
 
+// writeSubmitError answers a rejected async-job submission: 429 for a
+// full queue, 503 while shutting down, 404 for an unknown model, and 400
+// for anything else (a request that failed validation).
+func writeSubmitError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, errQueueFull):
+		writeQueueFull(w, err)
+	case errors.Is(err, errShuttingDown):
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
+	case errors.Is(err, ErrNoModel):
+		writeError(w, http.StatusNotFound, "%v", err)
+	default:
+		writeError(w, http.StatusBadRequest, "%v", err)
+	}
+}
+
 func (s *Service) handleIdentify(w http.ResponseWriter, r *http.Request) {
 	var req IdentifyRequest
 	if err := decodeBody(w, r, &req); err != nil {
@@ -176,16 +192,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	j, err := s.submit(r.Context(), req)
 	if err != nil {
-		switch {
-		case errors.Is(err, errQueueFull):
-			writeQueueFull(w, err)
-		case errors.Is(err, errShuttingDown):
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
-		case errors.Is(err, ErrNoModel):
-			writeError(w, http.StatusNotFound, "%v", err)
-		default:
-			writeError(w, http.StatusBadRequest, "%v", err)
-		}
+		writeSubmitError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, BatchAccepted{

@@ -51,7 +51,6 @@ func goldenMetricsService(t *testing.T) *Service {
 	for i := 0; i < 4; i++ {
 		s.flight.Finish(telemetry.TraceDone{ID: s.flight.Mint(), Outcome: telemetry.OutcomeOK})
 	}
-	s.flight.Drain()
 	// Stop the workers so the jobs queued below stay queued.
 	s.Close()
 	for i := 0; i < 5; i++ {

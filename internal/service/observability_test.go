@@ -97,7 +97,6 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		"# TYPE caai_trace_finished_total counter",
 		"# TYPE caai_trace_retained_total counter",
 		"# TYPE caai_trace_dropped_total counter",
-		"caai_trace_lost_total 0",
 		"# TYPE caai_trace_spans_total counter",
 		"# TYPE caai_trace_stored gauge",
 		"# TYPE caai_runtime_goroutines gauge",

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/flow"
-	"repro/internal/trace"
 )
 
 // handlePcap accepts a raw pcap/pcapng capture (octet-stream body),
@@ -59,15 +58,7 @@ func (s *Service) handlePcap(w http.ResponseWriter, r *http.Request) {
 		gatherSpan: decodeSpan,
 	})
 	if err != nil {
-		if errors.Is(err, errQueueFull) {
-			writeQueueFull(w, err)
-			return
-		}
-		if errors.Is(err, errShuttingDown) {
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writeSubmitError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, PcapAccepted{
@@ -128,25 +119,7 @@ func (s *Service) runPcap(j *job) {
 // toFlowResponse renders one classified flow pair on the wire: the shared
 // identification envelope plus the flow-level metadata.
 func toFlowResponse(modelVersion string, p flow.FlowIdentification) IdentifyResponse {
-	resp := IdentifyResponse{
-		Model:       modelVersion,
-		Server:      p.A.Server,
-		Valid:       p.ID.Valid,
-		Wmax:        p.ID.Wmax,
-		MSS:         p.ID.MSS,
-		SimulatedMs: float64(p.ID.Elapsed) / float64(time.Millisecond),
-		Text:        p.ID.String(),
-	}
-	switch {
-	case !p.ID.Valid:
-		resp.Reason = string(p.ID.Reason)
-	case p.ID.Special != trace.SpecialNone:
-		resp.Special = p.ID.Special.String()
-	default:
-		resp.Label = p.ID.Label
-		resp.Confidence = p.ID.Confidence
-		resp.Features = append([]float64(nil), p.ID.Vector.Slice()...)
-	}
+	resp := toResponse(modelVersion, p.A.Server, p.ID)
 	info := &FlowInfo{
 		ClientA:     p.A.Client,
 		Packets:     p.A.Packets,
@@ -161,7 +134,6 @@ func toFlowResponse(modelVersion string, p flow.FlowIdentification) IdentifyResp
 		info.Retransmits += p.B.Retransmits
 	}
 	resp.Flow = info
-	resp.Timings = stageTimingsMs(p.ID.Timings)
 	return resp
 }
 

@@ -225,7 +225,6 @@ func (s *Service) Close() {
 	s.closeMu.Unlock()
 	s.cancel()
 	s.wg.Wait()
-	s.flight.Close()
 }
 
 // Traces exposes the flight recorder (read-only surface for tooling and

@@ -338,7 +338,8 @@ type CensusRequest struct {
 	// parallelism, at most MaxCensusWorkers).
 	Workers int `json:"workers,omitempty"`
 	// MaxAttempts and MaxDeferrals bound the retry taxonomy (0 = the
-	// shard package defaults: 4 attempts, 8 deferrals).
+	// shard package defaults: 4 attempts, 8 deferrals; at most
+	// MaxCensusAttempts and MaxCensusDeferrals).
 	MaxAttempts  int `json:"max_attempts,omitempty"`
 	MaxDeferrals int `json:"max_deferrals,omitempty"`
 	// Fault optionally injects a deterministic fault plan, exercising

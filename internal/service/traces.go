@@ -43,9 +43,6 @@ func (s *Service) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		fl.Limit = n
 	}
-	// Read-your-writes: a request finished just before this poll may
-	// still sit in the collector's queue; the barrier makes it visible.
-	s.flight.Drain()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"traces": s.flight.List(fl),
 	})
@@ -58,12 +55,6 @@ func (s *Service) handleTraces(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("id")
 	t, ok := s.flight.Lookup(key)
-	if !ok {
-		// The trace may have finished milliseconds ago and still be in
-		// flight to the retained store; drain once before giving up.
-		s.flight.Drain()
-		t, ok = s.flight.Lookup(key)
-	}
 	if !ok {
 		writeError(w, http.StatusNotFound, "no retained trace %q (dropped by tail sampling, evicted, or never seen)", key)
 		return

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -401,20 +400,4 @@ func TestHistogramZeroAllocObserve(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("record path allocates %v per run, want 0", allocs)
 	}
-}
-
-// TestCounterSpread (informational invariant): shardIndex stays in range
-// whatever goroutine calls it.
-func TestCounterShardIndexRange(t *testing.T) {
-	var wg sync.WaitGroup
-	for g := 0; g < 32; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if i := shardIndex(); i < 0 || i >= counterShards {
-				panic(fmt.Sprintf("shardIndex out of range: %d", i))
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -10,13 +12,13 @@ import (
 
 // Flight is a flight recorder for per-identification traces: every span
 // and event of every request is written -- always on, no sampling
-// decision up front -- into per-shard preallocated ring buffers of
-// fixed-size atomic records, and only at completion does tail sampling
-// decide which traces survive the ring into the bounded retained store.
-// The recording path is allocation-free and lock-free: one span is a
-// handful of atomic stores into a preallocated slot, so the identify hot
-// path keeps its zero-allocs/op contract with tracing enabled (gated by
-// the telemetry/trace_overhead budget, like telemetry/overhead gates the
+// decision up front -- into one preallocated ring of fixed-size atomic
+// records, and only at completion does tail sampling decide which traces
+// survive the ring into the bounded retained store. The recording path is
+// allocation-free and lock-free: one span is a handful of atomic stores
+// into a preallocated slot, so the identify hot path keeps its
+// zero-allocs/op contract with tracing enabled (gated by the
+// telemetry/trace_overhead budget, like telemetry/overhead gates the
 // histogram path).
 //
 // Tail-sampling keep rules, checked in order at Finish:
@@ -24,21 +26,18 @@ import (
 //  1. outcome: every error / UNSURE / special / invalid trace is kept;
 //  2. slow: any trace at least Slow long is kept;
 //  3. sampled: a deterministic 1-in-SampleN of the remaining normal
-//     traffic (keep iff mix64(id^Seed) % SampleN == 0, see Sampled).
+//     traffic (keep iff mix64(id^flightSeed) % SampleN == 0, see Sampled).
 //
-// Retention runs on one collector goroutine: Finish enqueues a small
-// completion record, the collector scans the rings for the trace's spans
-// and inserts the assembled Trace into a bounded FIFO store. A full
-// completion queue drops the trace (counted in Stats().Lost) rather than
-// ever blocking a request. Drain is the read-your-writes barrier the
-// HTTP surface uses; Close stops the collector (goroutine-leak-free,
-// pinned by test).
+// Retention happens inside Finish, on the caller's goroutine: a kept
+// trace's spans are collected from the ring and the assembled Trace is
+// stored before Finish returns, so a finished trace is immediately
+// readable and no kept trace is ever lost. Only kept traces pay for the
+// scan. A Flight owns no goroutine and needs no Close.
 type Flight struct {
-	cfg  FlightConfig
-	mask uint64
-	// rings are goroutine-affine (shardIndex), so concurrent writers
-	// usually land on different cursors and cache lines.
-	rings [flightShards]flightRing
+	cfg    FlightConfig
+	mask   uint64
+	cursor atomic.Uint64 // ring claim cursor
+	slots  []slot
 
 	seq atomic.Uint64 // Mint counter
 
@@ -46,14 +45,12 @@ type Flight struct {
 	finished atomic.Int64 // Finish calls
 	retained atomic.Int64 // traces that passed tail sampling
 	dropped  atomic.Int64 // normal traces tail sampling discarded
-	lost     atomic.Int64 // kept traces lost to a full completion queue
 
-	finishCh chan finishMsg
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-
-	store retainedStore
+	// retainMu serializes scan+insert, so two Finish calls of one ID (an
+	// async job completing after its accepting request) reach the store
+	// in the order they took the lock.
+	retainMu sync.Mutex
+	store    retainedStore
 }
 
 // FlightConfig tunes a Flight. The zero value of every field selects the
@@ -68,14 +65,12 @@ type FlightConfig struct {
 	Slow time.Duration
 	// Retain bounds the retained-trace store (FIFO eviction). 0 means
 	// DefaultTraceRetain. The store also evicts its oldest traces while
-	// it holds more spans than the rings do (8 x Slots).
+	// it holds more spans than the ring does.
 	Retain int
-	// Slots is the per-shard ring capacity in span records, rounded up
-	// to a power of two. 0 means defaultRingSlots.
-	Slots int
-	// Seed perturbs the deterministic sampling hash (0 = 1), so two
-	// processes sampling the same IDs can keep disjoint subsets.
-	Seed uint64
+
+	// slots is the ring capacity in span records, a power of two; 0
+	// means defaultFlightSlots. Tests shrink it to force wraparound.
+	slots int
 }
 
 // Flight defaults.
@@ -84,11 +79,11 @@ const (
 	DefaultTraceSlow    = 500 * time.Millisecond
 	DefaultTraceRetain  = 256
 
-	// flightShards is the ring count; a small power of two -- spans from
-	// one goroutine stay on one cursor, and the collector scan cost is
-	// flightShards * slots per retained trace.
-	flightShards     = 8
-	defaultRingSlots = 2048
+	// defaultFlightSlots is the ring capacity: a power of two, and the
+	// scan cost of one retained trace.
+	defaultFlightSlots = 16384
+	// flightSeed perturbs Mint and the sampling hash.
+	flightSeed = 1
 )
 
 func (c FlightConfig) withDefaults() FlightConfig {
@@ -101,25 +96,10 @@ func (c FlightConfig) withDefaults() FlightConfig {
 	if c.Retain <= 0 {
 		c.Retain = DefaultTraceRetain
 	}
-	if c.Slots <= 0 {
-		c.Slots = defaultRingSlots
-	}
-	for c.Slots&(c.Slots-1) != 0 {
-		c.Slots &= c.Slots - 1 // clear lowest bit until a power of two...
-		c.Slots <<= 1          // ...then double: next power of two above
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
+	if c.slots <= 0 {
+		c.slots = defaultFlightSlots
 	}
 	return c
-}
-
-// flightRing is one preallocated span ring: a monotonic claim cursor and
-// power-of-two slot array.
-type flightRing struct {
-	cursor atomic.Uint64
-	_      [56]byte // keep neighbouring cursors off one cache line
-	slots  []slot
 }
 
 // slot is one fixed-size span record. Every field is an atomic so
@@ -140,38 +120,19 @@ type slot struct {
 	dur   atomic.Int64  // nanoseconds
 }
 
-// NewFlight starts a flight recorder and its retention collector.
-// Callers own the Close.
+// NewFlight returns a flight recorder with its ring preallocated.
 func NewFlight(cfg FlightConfig) *Flight {
 	cfg = cfg.withDefaults()
-	f := &Flight{
-		cfg:      cfg,
-		mask:     uint64(cfg.Slots - 1),
-		finishCh: make(chan finishMsg, 256),
-		stop:     make(chan struct{}),
+	return &Flight{
+		cfg:   cfg,
+		mask:  uint64(cfg.slots - 1),
+		slots: make([]slot, cfg.slots),
 		store: retainedStore{
 			cap:     cfg.Retain,
-			spanCap: flightShards * cfg.Slots,
+			spanCap: cfg.slots,
 			byID:    make(map[TraceID]*Trace, cfg.Retain),
 		},
 	}
-	for i := range f.rings {
-		f.rings[i].slots = make([]slot, cfg.Slots)
-	}
-	f.wg.Add(1)
-	go f.collector()
-	return f
-}
-
-// Close stops the retention collector after it drains the pending
-// completions. Safe to call twice; spans recorded after Close still land
-// in the rings but no further traces are retained.
-func (f *Flight) Close() {
-	if f == nil {
-		return
-	}
-	f.stopOnce.Do(func() { close(f.stop) })
-	f.wg.Wait()
 }
 
 // TraceID identifies one end-to-end trace. IDs are minted (Mint) or
@@ -208,7 +169,7 @@ func mix64(z uint64) uint64 {
 // counter, so IDs are well-distributed for the sampling hash and the hex
 // rendering doubles as the minted X-Request-ID.
 func (f *Flight) Mint() TraceID {
-	id := mix64(f.seq.Add(1) ^ f.cfg.Seed)
+	id := mix64(f.seq.Add(1) ^ flightSeed)
 	if id == 0 {
 		id = 1
 	}
@@ -237,14 +198,14 @@ func HashTraceID(reqID string) TraceID {
 }
 
 // Sampled reports the deterministic 1-in-n tail-sampling decision for a
-// normal-outcome trace: keep iff mix64(id^seed) lands in residue class
-// zero. Exported so tests (and operators predicting retention) can apply
-// the exact rule.
-func Sampled(tr TraceID, seed uint64, n int) bool {
+// normal-outcome trace: keep iff mix64(id^flightSeed) lands in residue
+// class zero. Exported so tests (and operators predicting retention) can
+// apply the exact rule.
+func Sampled(tr TraceID, n int) bool {
 	if n <= 0 {
 		return false
 	}
-	return mix64(uint64(tr)^seed)%uint64(n) == 0
+	return mix64(uint64(tr)^flightSeed)%uint64(n) == 0
 }
 
 // Span/event records.
@@ -291,13 +252,12 @@ func (e Event) String() string {
 	return "unknown"
 }
 
-// emit writes one record into the caller-affine ring: claim a slot, mark
-// it writing, publish the payload, publish the claim. Pure atomics on
-// preallocated memory -- no allocation, no locks.
+// emit writes one record into the ring: claim a slot, mark it writing,
+// publish the payload, publish the claim. Pure atomics on preallocated
+// memory -- no allocation, no locks.
 func (f *Flight) emit(tr TraceID, meta uint64, start, dur int64) {
-	r := &f.rings[shardIndex()&(flightShards-1)]
-	pos := r.cursor.Add(1)
-	s := &r.slots[(pos-1)&f.mask]
+	pos := f.cursor.Add(1)
+	s := &f.slots[(pos-1)&f.mask]
 	s.seq.Store(0)
 	s.trace.Store(uint64(tr))
 	s.meta.Store(meta)
@@ -400,10 +360,9 @@ const (
 	RetainSampled = "sampled"
 )
 
-// Finish applies tail sampling to a completed trace: kept traces are
-// handed to the collector (which scans the rings and stores the span
-// tree); the rest are dropped and eventually overwritten in the rings.
-// Never blocks: a full completion queue loses the trace (Stats().Lost).
+// Finish applies tail sampling to a completed trace. A kept trace's
+// spans are collected from the ring and stored before Finish returns;
+// the rest are dropped and eventually overwritten in the ring.
 func (f *Flight) Finish(d TraceDone) {
 	if f == nil || d.ID == 0 {
 		return
@@ -415,86 +374,22 @@ func (f *Flight) Finish(d TraceDone) {
 		reason = RetainOutcome
 	case d.Duration >= f.cfg.Slow:
 		reason = RetainSlow
-	case Sampled(d.ID, f.cfg.Seed, f.cfg.SampleN):
+	case Sampled(d.ID, f.cfg.SampleN):
 		reason = RetainSampled
 	default:
 		f.dropped.Add(1)
 		return
 	}
-	select {
-	case f.finishCh <- finishMsg{done: d, reason: reason}:
-	case <-f.stop:
-		f.lost.Add(1)
-	default:
-		f.lost.Add(1)
-	}
-}
-
-// Drain blocks until every Finish call that returned before Drain began
-// has been applied to the retained store -- the read-your-writes barrier
-// GET /v1/traces uses so a freshly finished request is immediately
-// visible. Returns promptly after Close.
-func (f *Flight) Drain() {
-	if f == nil {
-		return
-	}
-	ack := make(chan struct{})
-	select {
-	case f.finishCh <- finishMsg{ack: ack}:
-		select {
-		case <-ack:
-		case <-f.stop:
-		}
-	case <-f.stop:
-	}
-}
-
-// finishMsg is one completion handed to the collector; ack (alone) marks
-// a Drain barrier.
-type finishMsg struct {
-	done   TraceDone
-	reason string
-	ack    chan struct{}
-}
-
-// collector is the retention goroutine: it serializes ring scans and
-// store inserts, so the store needs no fine-grained locking against
-// writers and the scan cost never lands on a request goroutine.
-func (f *Flight) collector() {
-	defer f.wg.Done()
-	for {
-		select {
-		case m := <-f.finishCh:
-			f.apply(m)
-		case <-f.stop:
-			// Drain what is already queued so Close loses nothing that
-			// was accepted, then exit.
-			for {
-				select {
-				case m := <-f.finishCh:
-					f.apply(m)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-func (f *Flight) apply(m finishMsg) {
-	if m.ack != nil {
-		close(m.ack)
-		return
-	}
-	t := f.assemble(m.done, m.reason)
-	f.store.put(t)
+	f.retainMu.Lock()
+	f.store.put(f.assemble(d, reason))
+	f.retainMu.Unlock()
 	f.retained.Add(1)
 }
 
-// assemble scans every ring for the trace's surviving spans and builds
-// the retained Trace. Spans overwritten by ring wraparound before
-// completion are simply absent (the flight-recorder trade: bounded
-// memory, best-effort span detail).
+// assemble scans the ring for the trace's surviving spans and builds the
+// retained Trace. Spans overwritten by ring wraparound before completion
+// are simply absent (the flight-recorder trade: bounded memory,
+// best-effort span detail).
 func (f *Flight) assemble(d TraceDone, reason string) *Trace {
 	t := &Trace{
 		ID:         d.ID.String(),
@@ -507,53 +402,40 @@ func (f *Flight) assemble(d TraceDone, reason string) *Trace {
 		DurationMs: float64(d.Duration) / float64(time.Millisecond),
 	}
 	startNanos := d.Start.UnixNano()
-	for r := range f.rings {
-		ring := &f.rings[r]
-		for i := range ring.slots {
-			s := &ring.slots[i]
-			v1 := s.seq.Load()
-			if v1 == 0 {
-				continue
-			}
-			if TraceID(s.trace.Load()) != d.ID {
-				continue
-			}
-			meta := s.meta.Load()
-			start := s.start.Load()
-			dur := s.dur.Load()
-			if s.seq.Load() != v1 {
-				continue // torn: overwritten mid-scan
-			}
-			sp := Span{
-				StartUs:    float64(start-startNanos) / float64(time.Microsecond),
-				DurationUs: float64(dur) / float64(time.Microsecond),
-				Arg:        int64(meta & argMask),
-			}
-			code := uint8(meta >> 56 & 0x3f)
-			if meta>>62 == kindStage {
-				sp.Kind, sp.Name = "stage", Stage(code).String()
-			} else {
-				sp.Kind, sp.Name = "event", Event(code).String()
-			}
-			t.Spans = append(t.Spans, sp)
+	for i := range f.slots {
+		s := &f.slots[i]
+		v1 := s.seq.Load()
+		if v1 == 0 {
+			continue
 		}
+		if TraceID(s.trace.Load()) != d.ID {
+			continue
+		}
+		meta := s.meta.Load()
+		start := s.start.Load()
+		dur := s.dur.Load()
+		if s.seq.Load() != v1 {
+			continue // torn: overwritten mid-scan
+		}
+		sp := Span{
+			StartUs:    float64(start-startNanos) / float64(time.Microsecond),
+			DurationUs: float64(dur) / float64(time.Microsecond),
+			Arg:        int64(meta & argMask),
+		}
+		code := uint8(meta >> 56 & 0x3f)
+		if meta>>62 == kindStage {
+			sp.Kind, sp.Name = "stage", Stage(code).String()
+		} else {
+			sp.Kind, sp.Name = "event", Event(code).String()
+		}
+		t.Spans = append(t.Spans, sp)
 	}
-	sortSpans(t.Spans)
+	slices.SortStableFunc(t.Spans, func(a, b Span) int { return cmp.Compare(a.StartUs, b.StartUs) })
 	return t
 }
 
-// sortSpans orders by start offset (insertion sort: span counts per
-// trace are small and ring order is already mostly chronological).
-func sortSpans(spans []Span) {
-	for i := 1; i < len(spans); i++ {
-		for j := i; j > 0 && spans[j].StartUs < spans[j-1].StartUs; j-- {
-			spans[j], spans[j-1] = spans[j-1], spans[j]
-		}
-	}
-}
-
 // Trace is one retained trace: the completion summary plus the span tree
-// recovered from the rings, JSON-shaped for GET /v1/traces/{id}.
+// recovered from the ring, JSON-shaped for GET /v1/traces/{id}.
 type Trace struct {
 	ID         string    `json:"id"`
 	RequestID  string    `json:"request_id,omitempty"`
@@ -606,7 +488,7 @@ type TraceFilter struct {
 
 // retainedStore is the bounded FIFO keep of sampled traces. It holds at
 // most cap traces and, past the newest one, at most spanCap spans -- the
-// rings' own capacity -- so a run of span-heavy traces (a batch job keeps
+// ring's own capacity -- so a run of span-heavy traces (a batch job keeps
 // one span per stage per job) cannot grow the store with throughput. A
 // re-finish of an ID already stored (an async job completing after its
 // accepting request was retained) replaces the entry in place with the
@@ -722,21 +604,18 @@ func (f *Flight) Declare(r *Registry, key string) {
 	r.CounterFunc("", "caai_trace_finished_total", "Traces offered to tail sampling at completion.", f.finished.Load)
 	r.CounterFunc("", "caai_trace_retained_total", "Traces kept by tail sampling (outcome / slow / sampled).", f.retained.Load)
 	r.CounterFunc("", "caai_trace_dropped_total", "Normal traces discarded by tail sampling.", f.dropped.Load)
-	r.CounterFunc("", "caai_trace_lost_total", "Trace completions lost to a full collector queue.", f.lost.Load)
 	r.GaugeFunc("", "caai_trace_stored", "Traces currently held in the bounded retained store.", func() int64 { return int64(f.store.len()) })
 }
 
 // FlightStats is the recorder's own accounting, exposed on /metrics.
 type FlightStats struct {
-	// Spans counts span/event records written into the rings.
+	// Spans counts span/event records written into the ring.
 	Spans int64 `json:"spans"`
 	// Finished counts completed traces offered to tail sampling;
-	// Retained the ones kept, Dropped the normal traffic discarded,
-	// Lost the kept traces that hit a full completion queue.
+	// Retained the ones kept, Dropped the normal traffic discarded.
 	Finished int64 `json:"finished"`
 	Retained int64 `json:"retained"`
 	Dropped  int64 `json:"dropped"`
-	Lost     int64 `json:"lost"`
 	// Stored is the retained store's current occupancy (bounded FIFO).
 	Stored int `json:"stored"`
 }
@@ -751,7 +630,6 @@ func (f *Flight) Stats() FlightStats {
 		Finished: f.finished.Load(),
 		Retained: f.retained.Load(),
 		Dropped:  f.dropped.Load(),
-		Lost:     f.lost.Load(),
 		Stored:   f.store.len(),
 	}
 }

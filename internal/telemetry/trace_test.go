@@ -11,7 +11,6 @@ import (
 // that parse back to the same ID, and rejection of everything else.
 func TestTraceIDRoundTrip(t *testing.T) {
 	f := NewFlight(FlightConfig{})
-	defer f.Close()
 	for i := 0; i < 100; i++ {
 		id := f.Mint()
 		if id == 0 {
@@ -40,11 +39,10 @@ func TestTraceIDRoundTrip(t *testing.T) {
 }
 
 // TestFlightRetainsAndAssembles pins the happy path end to end: spans
-// recorded under an ID, Finish with a kept outcome, Drain, and the span
-// tree readable back with names, kinds, and chronological order.
+// recorded under an ID, Finish with a kept outcome, and the span tree
+// readable back as soon as Finish returns, with names, kinds, and chronological order.
 func TestFlightRetainsAndAssembles(t *testing.T) {
 	f := NewFlight(FlightConfig{SampleN: -1}) // only outcome/slow retention
-	defer f.Close()
 
 	id := f.Mint()
 	start := time.Now()
@@ -60,7 +58,6 @@ func TestFlightRetainsAndAssembles(t *testing.T) {
 		Outcome: OutcomeUnsure, Status: 200,
 		Start: start, Duration: 6 * time.Millisecond,
 	})
-	f.Drain()
 
 	tr, ok := f.Get(id)
 	if !ok {
@@ -99,20 +96,18 @@ func TestFlightRetainsAndAssembles(t *testing.T) {
 // outcome is retained regardless of rate, slow traces are retained
 // regardless of outcome, and normal traffic survives exactly when the
 // exported Sampled rule says so -- bit-for-bit reproducible across two
-// identically-seeded recorders.
+// recorders.
 func TestTailSamplingProperty(t *testing.T) {
 	const n = 400
 	mk := func() *Flight {
-		return NewFlight(FlightConfig{SampleN: 8, Slow: 50 * time.Millisecond, Retain: 2 * n, Seed: 99})
+		return NewFlight(FlightConfig{SampleN: 8, Slow: 50 * time.Millisecond, Retain: 2 * n})
 	}
 	a, b := mk(), mk()
-	defer a.Close()
-	defer b.Close()
 
 	outcomes := []Outcome{OutcomeOK, OutcomeUnsure, OutcomeSpecial, OutcomeInvalid, OutcomeError}
 	start := time.Unix(1700000000, 0)
 	for i := 0; i < n; i++ {
-		id := a.Mint() // same seq+seed on both recorders mints the same IDs
+		id := a.Mint() // same seq on both recorders mints the same IDs
 		if got := b.Mint(); got != id {
 			t.Fatalf("mint diverged at %d: %v vs %v", i, id, got)
 		}
@@ -129,11 +124,9 @@ func TestTailSamplingProperty(t *testing.T) {
 			wantKeep, wantReason = true, RetainOutcome
 		case d.Duration >= 50*time.Millisecond:
 			wantKeep, wantReason = true, RetainSlow
-		case Sampled(id, 99, 8):
+		case Sampled(id, 8):
 			wantKeep, wantReason = true, RetainSampled
 		}
-		a.Drain()
-		b.Drain()
 		ta, oka := a.Get(id)
 		tb, okb := b.Get(id)
 		if oka != wantKeep {
@@ -151,7 +144,7 @@ func TestTailSamplingProperty(t *testing.T) {
 	if st.Finished != n {
 		t.Errorf("finished %d, want %d", st.Finished, n)
 	}
-	if st.Retained+st.Dropped != st.Finished || st.Lost != 0 {
+	if st.Retained+st.Dropped != st.Finished {
 		t.Errorf("accounting does not balance: %+v", st)
 	}
 	// SampleN 8 over well-mixed IDs keeps some but nowhere near all of the
@@ -167,14 +160,13 @@ func TestTailSamplingProperty(t *testing.T) {
 }
 
 // TestFlightConcurrentHammer is the -race patrol: many goroutines write
-// spans into deliberately tiny rings (forcing continual wraparound) while
+// spans into a deliberately tiny ring (forcing continual wraparound) while
 // others Finish, List, Lookup, and read Stats concurrently. The test
 // asserts only invariants -- no torn reads surface as foreign spans, the
-// store honors its bound -- because under wraparound span loss is the
-// documented trade.
+// store honors its bound, every kept trace is retained -- because under
+// wraparound span loss is the documented trade.
 func TestFlightConcurrentHammer(t *testing.T) {
-	f := NewFlight(FlightConfig{SampleN: 1, Slots: 64, Retain: 32})
-	defer f.Close()
+	f := NewFlight(FlightConfig{SampleN: 1, Retain: 32, slots: 64})
 
 	const (
 		writers = 8
@@ -220,6 +212,10 @@ func TestFlightConcurrentHammer(t *testing.T) {
 					}
 				}
 				_ = f.Stats()
+				// Yield: a kept Finish takes the store lock, and readers
+				// spinning on a two-CPU box would hold its writer off
+				// for a whole time slice per trace.
+				runtime.Gosched()
 			}
 		}()
 	}
@@ -229,7 +225,6 @@ func TestFlightConcurrentHammer(t *testing.T) {
 	close(stop)
 	readWG.Wait()
 
-	f.Drain()
 	st := f.Stats()
 	if st.Finished != writers*rounds {
 		t.Errorf("finished %d, want %d", st.Finished, writers*rounds)
@@ -237,40 +232,12 @@ func TestFlightConcurrentHammer(t *testing.T) {
 	if st.Stored > 32 {
 		t.Errorf("retained store holds %d traces, bound is 32", st.Stored)
 	}
+	// SampleN 1 keeps every trace, and a kept trace cannot be lost.
+	if st.Retained != writers*rounds || st.Dropped != 0 {
+		t.Errorf("retained %d and dropped %d, want every one of %d kept", st.Retained, st.Dropped, writers*rounds)
+	}
 	if st.Spans != writers*rounds*3 {
 		t.Errorf("span counter %d, want %d", st.Spans, writers*rounds*3)
-	}
-}
-
-// TestFlightCloseLeaksNoGoroutines pins collector shutdown: a Flight's
-// only goroutine must be gone after Close, and Close/Drain/Finish after
-// Close must not hang or panic.
-func TestFlightCloseLeaksNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for i := 0; i < 20; i++ {
-		f := NewFlight(FlightConfig{Slots: 64})
-		id := f.Mint()
-		f.Span(id, StageGather, time.Now(), time.Microsecond, 0)
-		f.Finish(TraceDone{ID: id, Outcome: OutcomeError, Start: time.Now()})
-		f.Close()
-		f.Close() // idempotent
-		f.Drain() // returns promptly after Close
-		f.Finish(TraceDone{ID: id, Outcome: OutcomeError, Start: time.Now()})
-	}
-	// Collector goroutines exit asynchronously only through wg.Wait inside
-	// Close, so any excess here is a real leak; allow brief scheduler
-	// settling before declaring one.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= before {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines grew from %d to %d after 20 Flight Close cycles",
-				before, runtime.NumGoroutine())
-		}
-		runtime.Gosched()
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -279,15 +246,12 @@ func TestFlightCloseLeaksNoGoroutines(t *testing.T) {
 // fuller job-completion scan wins) without consuming extra store slots.
 func TestFlightStoreReplacesByID(t *testing.T) {
 	f := NewFlight(FlightConfig{SampleN: -1, Retain: 8})
-	defer f.Close()
 
 	id := f.Mint()
 	start := time.Now()
 	f.Finish(TraceDone{ID: id, Route: "POST /v1/batch", Outcome: OutcomeError, Start: start, Duration: time.Millisecond})
-	f.Drain()
 	f.Span(id, StageClassify, start, time.Millisecond, 0)
 	f.Finish(TraceDone{ID: id, Route: "job:batch", Outcome: OutcomeError, Start: start, Duration: 2 * time.Millisecond})
-	f.Drain()
 
 	tr, ok := f.Get(id)
 	if !ok {
@@ -303,16 +267,15 @@ func TestFlightStoreReplacesByID(t *testing.T) {
 
 // TestRetainedStoreBoundsSpans: 256 batch-sized traces (a 256-job batch
 // keeps about 1,027 spans) fill the store by spans long before its trace
-// count bound, so it keeps only the newest that fit in the rings'
+// count bound, so it keeps only the newest that fit in the ring's
 // capacity; a re-finish re-accounts its spans, and one trace larger than
 // the whole bound is still kept.
 func TestRetainedStoreBoundsSpans(t *testing.T) {
 	const perBatch = 1027
 	f := NewFlight(FlightConfig{})
-	f.Close()
 	st := &f.store
-	if st.spanCap != flightShards*defaultRingSlots {
-		t.Fatalf("span bound %d, want the rings' capacity %d", st.spanCap, flightShards*defaultRingSlots)
+	if st.spanCap != defaultFlightSlots {
+		t.Fatalf("span bound %d, want the ring's capacity %d", st.spanCap, defaultFlightSlots)
 	}
 	spans := make([]Span, perBatch)
 	for i := 1; i <= DefaultTraceRetain; i++ {
