@@ -122,7 +122,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	coord, err := shard.New(pop, id, netem.MeasuredDatabase(), shard.Config{
 		Workers:      *workers,
 		Seed:         *seed + 99,
-		Probe:        id.Probe(),
 		MaxAttempts:  *maxAttempts,
 		MaxDeferrals: *maxDeferrals,
 		Checkpoint:   *checkpoint,

@@ -131,7 +131,6 @@ func GatherSession() func(*testing.B) {
 		b.ReportAllocs()
 		rng := rand.New(rand.NewSource(1))
 		p := probe.New(probe.Config{}, netem.Lossless, rng)
-		p.Reuse()
 		server := websim.Testbed("CUBIC2")
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -245,3 +245,23 @@ func TestPickWeightedDeterministicBounds(t *testing.T) {
 		t.Fatal("large regions never drawn")
 	}
 }
+
+// paperStub is a zero-cost model trained, by its identifier's account, at
+// probe.Paper: census tests of the probe budget need no forest.
+type paperStub struct{}
+
+func (paperStub) Name() string                         { return "stub" }
+func (paperStub) Classify([]float64) (string, float64) { return "BIC", 0.9 }
+
+// TestRunProbesAtModelBudget: a zero RunConfig probes at the model's
+// budget, so a model trained at probe.Paper gathers on its four-rung
+// ladder and yields valid outcomes at wmax 512.
+func TestRunProbesAtModelBudget(t *testing.T) {
+	cfg := DefaultPopulationConfig()
+	cfg.Servers = 40
+	id := core.NewIdentifierAt(paperStub{}, probe.Paper)
+	report := Run(GeneratePopulation(cfg), id, netem.MeasuredDatabase(), RunConfig{Seed: 3})
+	if report.ValidByWmax[512] == 0 {
+		t.Fatalf("no valid outcome at wmax 512 (valid by wmax %v): the census did not probe at the model's budget", report.ValidByWmax)
+	}
+}

@@ -20,9 +20,6 @@ type RunConfig struct {
 	Seed int64
 	// Parallelism bounds concurrent servers; 0 = GOMAXPROCS.
 	Parallelism int
-	// Probe is the probe budget (zero fields resolve to the prober's
-	// defaults; serve a model at the budget it was trained at).
-	Probe probe.Config
 }
 
 // Outcome pairs a server's ground truth with CAAI's identification.
@@ -137,11 +134,13 @@ func ShareBy(population []GroundTruth, key func(GroundTruth) string) map[string]
 	return out
 }
 
-// Run probes every server in the population on the engine's worker pool
-// and aggregates Table IV. Each pool worker reuses one pipeline session
-// (probe and feature scratch) across the servers it probes; outcomes stay
-// independent of worker scheduling.
+// Run probes every server in the population at the model's probe budget
+// (id.Probe()) on the engine's worker pool and aggregates Table IV. Each
+// pool worker reuses one pipeline session (probe and feature scratch)
+// across the servers it probes; outcomes stay independent of worker
+// scheduling.
 func Run(population []GroundTruth, id *core.Identifier, db *netem.Database, cfg RunConfig) *Report {
+	budget := id.Probe()
 	outcomes := make([]Outcome, len(population))
 	sessions := make([]*core.Session, engine.Workers(len(population), cfg.Parallelism))
 	for w := range sessions {
@@ -154,7 +153,7 @@ func Run(population []GroundTruth, id *core.Identifier, db *netem.Database, cfg 
 		// function of (server, seed): re-running a census over the same
 		// population reproduces it exactly.
 		population[i].Server.ResetCache()
-		ident := sessions[w].Identify(population[i].Server, cond, cfg.Probe, rng)
+		ident := sessions[w].Identify(population[i].Server, cond, budget, rng)
 		outcomes[i] = Outcome{Truth: population[i], ID: ident}
 	})
 	return aggregate(outcomes)

@@ -114,14 +114,15 @@ type Manifest struct {
 // manifestVersion is the current checkpoint format version.
 const manifestVersion = 1
 
-// fingerprint hashes the identity-defining parts of a census config. Two
-// runs with equal fingerprints probe the same targets with the same seeds
+// fingerprint hashes the identity-defining parts of a census config and
+// the probe budget its targets are probed at. Two runs with equal
+// fingerprints probe the same targets with the same seeds and budget
 // under the same fault plan, so their outcomes can be merged.
-func fingerprint(cfg Config, targets int) string {
+func fingerprint(cfg Config, budget probe.Config, targets int) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "v%d|targets=%d|seed=%d|attempts=%d|deferrals=%d|",
 		manifestVersion, targets, cfg.Seed, cfg.maxAttempts(), cfg.maxDeferrals())
-	fmt.Fprintf(h, "probe=%+v|", cfg.Probe)
+	fmt.Fprintf(h, "probe=%+v|", budget)
 	if cfg.Fault != nil {
 		plan, _ := json.Marshal(cfg.Fault)
 		h.Write(plan)

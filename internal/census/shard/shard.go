@@ -62,12 +62,10 @@ type Config struct {
 	Workers int
 	// Seed drives probing exactly like census.RunConfig.Seed: a shard
 	// run with no faults is outcome-identical to census.Run with the
-	// same seed.
+	// same seed. Targets are probed at the model's budget (the
+	// identifier's Probe); retries grow its MaxPreRounds by 50% per
+	// attempt.
 	Seed int64
-	// Probe is the probe budget (zero fields resolve to the prober's
-	// defaults; serve a model at the budget it was trained at). Retries
-	// grow the resolved MaxPreRounds by 50% per attempt.
-	Probe probe.Config
 
 	// MaxAttempts bounds probe attempts per target before abandoning
 	// (default 4). MaxDeferrals bounds rate-limit deferrals (default 8).
@@ -239,7 +237,7 @@ func New(pop []census.GroundTruth, id *core.Identifier, db *netem.Database, cfg 
 		ext:        cfg.Metrics,
 	}
 
-	fp := fingerprint(cfg, len(pop))
+	fp := fingerprint(cfg, id.Probe(), len(pop))
 	if cfg.Checkpoint != "" && cfg.Resume {
 		m, recs, skipped, err := LoadCheckpoint(cfg.Checkpoint)
 		switch {
@@ -439,15 +437,12 @@ func (c *Coordinator) probeRNG(i, attempt int) *rand.Rand {
 	return xrand.New(mix(c.cfg.Seed, int64(i), int64(1000+attempt)))
 }
 
-// probeConfig grows the pre-timeout gathering budget 50% per retry: the
-// timeout taxonomy assumes the target is slow, not silent.
+// probeConfig is the model's probe budget with the pre-timeout gathering
+// grown 50% per retry: the timeout taxonomy assumes the target is slow,
+// not silent.
 func (c *Coordinator) probeConfig(attempt int) probe.Config {
-	cfg := c.cfg.Probe
-	if attempt == 0 {
-		return cfg
-	}
-	pre := cfg.Resolved().MaxPreRounds
-	cfg.MaxPreRounds = pre + attempt*pre/2
+	cfg := c.id.Probe()
+	cfg.MaxPreRounds += attempt * cfg.MaxPreRounds / 2
 	return cfg
 }
 

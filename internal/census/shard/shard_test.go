@@ -297,21 +297,34 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 	}
 }
 
-// TestRetryEscalatesResolvedBudget: retries grow the pre-timeout rounds
-// from the budget the first attempt actually ran -- the prober's resolved
-// default when the config leaves it zero -- by 50% per attempt.
+// TestResumeAtAnotherBudgetRefused: the fingerprint covers the budget
+// the targets are probed at -- the model's -- so a checkpoint written for
+// a model served at one budget never merges into a run at another.
+func TestResumeAtAnotherBudgetRefused(t *testing.T) {
+	pop, lean, db := testEnv(t, 20)
+	dir := t.TempDir()
+	if _, _, err := Run(context.Background(), pop, lean, db, Config{Workers: 2, Seed: 23, Checkpoint: dir}); err != nil {
+		t.Fatal(err)
+	}
+	paper := core.NewIdentifierAt(stubClassifier{}, probe.Paper)
+	if _, err := New(pop, paper, db, Config{Workers: 2, Seed: 23, Checkpoint: dir, Resume: true}); !errors.Is(err, ErrFingerprint) {
+		t.Fatalf("resuming a lean-budget checkpoint at probe.Paper: err = %v, want ErrFingerprint", err)
+	}
+}
+
+// TestRetryEscalatesResolvedBudget: the first attempt probes at the
+// model's resolved budget, and retries grow its pre-timeout rounds by 50%
+// per attempt -- for the default budget and for probe.Paper alike.
 func TestRetryEscalatesResolvedBudget(t *testing.T) {
-	base := probe.Config{}.Resolved().MaxPreRounds
-	for _, tc := range []struct {
-		cfg  probe.Config
-		base int
-	}{{probe.Config{}, base}, {probe.Paper, probe.Paper.MaxPreRounds}} {
-		c := &Coordinator{cfg: Config{Probe: tc.cfg}}
-		if got := c.probeConfig(0); got.MaxPreRounds != tc.cfg.MaxPreRounds {
-			t.Errorf("attempt 0 of %+v: MaxPreRounds %d, want the config's own %d", tc.cfg, got.MaxPreRounds, tc.cfg.MaxPreRounds)
+	for _, budget := range []probe.Config{{}, probe.Paper} {
+		id := core.NewIdentifierAt(nil, budget)
+		c := &Coordinator{id: id}
+		if got := c.probeConfig(0); !reflect.DeepEqual(got, id.Probe()) {
+			t.Errorf("attempt 0 of %+v: %+v, want the model's budget %+v", budget, got, id.Probe())
 		}
-		if got, want := c.probeConfig(1).MaxPreRounds, tc.base*3/2; got != want {
-			t.Errorf("attempt 1 of %+v: MaxPreRounds %d, want 1.5 x %d = %d", tc.cfg, got, tc.base, want)
+		base := budget.Resolved().MaxPreRounds
+		if got, want := c.probeConfig(1).MaxPreRounds, base*3/2; got != want {
+			t.Errorf("attempt 1 of %+v: MaxPreRounds %d, want 1.5 x %d = %d", budget, got, base, want)
 		}
 	}
 }

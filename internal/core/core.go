@@ -46,6 +46,10 @@ const UnsureThreshold = 0.40
 // rcSmallWmax is the largest wmax at which RENO and CTCP merge.
 const rcSmallWmax = 128
 
+// trainingMSS is the training segment size: the paper found MSS has no
+// impact on feature vectors.
+const trainingMSS = 536
+
 // TrainingLabel maps an algorithm name and the gathering wmax to the class
 // label used for training and reporting.
 func TrainingLabel(algorithm string, wmax int) string {
@@ -68,9 +72,6 @@ type TrainingConfig struct {
 	// WmaxValues are the thresholds to train at; default the resolved
 	// Probe budget's wmax ladder.
 	WmaxValues []int
-	// MSS is the training segment size (the paper found MSS has no
-	// impact on feature vectors; default 536).
-	MSS int
 	// Algorithms defaults to all 14 registered algorithms.
 	Algorithms []string
 	// Seed drives all randomness deterministically.
@@ -89,9 +90,6 @@ func (c TrainingConfig) withDefaults() TrainingConfig {
 	}
 	if len(c.WmaxValues) == 0 {
 		c.WmaxValues = c.Probe.Resolved().WmaxLadder
-	}
-	if c.MSS <= 0 {
-		c.MSS = 536
 	}
 	if len(c.Algorithms) == 0 {
 		c.Algorithms = cc.CAAINames()
@@ -153,7 +151,7 @@ func GenerateTrainingSet(db *netem.Database, cfg TrainingConfig) (*forest.Datase
 		for attempt := 0; attempt < 8 && !ok; attempt++ {
 			cond := db.Sample(rng)
 			server := websim.Testbed(jb.alg)
-			vec, ok = GatherPair(server, cond, jb.wmax, cfg.MSS, cfg.Probe, rng)
+			vec, ok = GatherPair(server, cond, jb.wmax, trainingMSS, cfg.Probe, rng)
 		}
 		if !ok {
 			return // leave valid[j] false: no vector was gathered
@@ -395,10 +393,8 @@ func applyLabel(out *Identification, label string, conf float64) {
 	out.Label = label
 }
 
-// Identify gathers traces from server with a fresh prober under cond and
-// classifies them: the full CAAI pipeline for one server.
+// Identify gathers traces from server under cond and classifies them: the
+// full CAAI pipeline for one server, run on a fresh Session.
 func (id *Identifier) Identify(server *websim.Server, cond netem.Condition, cfg probe.Config, rng *rand.Rand) Identification {
-	p := probe.New(cfg, cond, rng)
-	res := p.Gather(server)
-	return id.IdentifyResult(res)
+	return id.NewSession().Identify(server, cond, cfg, rng)
 }

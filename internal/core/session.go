@@ -12,19 +12,19 @@ import (
 )
 
 // Session is a reusable single-goroutine identification pipeline over one
-// Identifier: it keeps a re-armable prober (trace recorders plus burst and
-// ACK scratch) and the feature-extraction scratch alive across jobs, so a
+// Identifier: it keeps a prober (trace recorders, dialer, burst and ACK
+// scratch) and the feature-extraction scratch alive across jobs, so a
 // stream of Identify calls reuses buffers instead of rebuilding the whole
-// pipeline per server. Results are identical to Identifier.Identify -- the
-// prober is rewound to a fresh state (clock, condition, RNG) for every
-// call.
+// pipeline per server. The prober is rearmed to a fresh state (clock,
+// condition, RNG) for every call, so each result depends only on that
+// call's arguments; Identifier.Identify is one call on a fresh Session.
 //
 // A Session is NOT safe for concurrent use; the engine hands each pool
 // worker one wrapped in a BlockSession (see engine.BatchConfig.NewWorkerBlock)
 // and the service pools them per model.
 type Session struct {
 	id *Identifier
-	p  *probe.Prober
+	p  probe.Prober
 	sc feature.Scratch
 	// vec is the persistent classify input buffer: handing the model a
 	// session-owned slice (instead of slicing the result's Vector array)
@@ -60,7 +60,7 @@ func (id *Identifier) NewSession() *Session { return &Session{id: id} }
 // Identification's Timings. tel, when non-nil, additionally aggregates
 // each span into its per-stage histogram. Recording costs a few monotonic
 // clock reads per identification and allocates nothing; a session that
-// never calls EnableTimings runs the exact pre-telemetry path.
+// never calls EnableTimings reads no clock.
 func (s *Session) EnableTimings(tel *telemetry.Pipeline) {
 	s.record = true
 	s.tel = tel
@@ -77,28 +77,18 @@ func (s *Session) BindTrace(f *telemetry.Flight, tr telemetry.TraceID) {
 }
 
 // Identify runs the full pipeline for one server, reusing the session's
-// scratch. It matches Identifier.Identify result-for-result (span
-// recording, when enabled, only fills Identification.Timings).
+// scratch. It matches Identifier.Identify result-for-result; span
+// recording, when enabled, only fills Identification.Timings and feeds
+// the histograms and the bound trace.
 func (s *Session) Identify(server *websim.Server, cond netem.Condition, cfg probe.Config, rng *rand.Rand) Identification {
-	if s.p == nil {
-		s.p = probe.New(cfg, cond, rng)
-		s.p.Reuse()
-	} else {
-		s.p.Rearm(cfg, cond, rng)
-	}
-	if !s.record {
-		res := s.p.Gather(server)
-		out, need := s.id.prepare(res, &s.sc)
-		if need {
-			s.classify(&out)
-		}
-		return out
-	}
-
 	var clock telemetry.SpanClock
 	var tm telemetry.StageTimings
-	start := time.Now()
-	clock.StartAt(start)
+	var start time.Time
+	if s.record {
+		start = time.Now()
+		clock.StartAt(start)
+	}
+	s.p.Rearm(cfg, cond, rng)
 	res := s.p.Gather(server)
 	clock.Lap(&tm, telemetry.StageGather)
 	out, need := s.id.prepare(res, &s.sc)
@@ -106,6 +96,9 @@ func (s *Session) Identify(server *websim.Server, cond netem.Condition, cfg prob
 	if need {
 		s.classify(&out)
 		clock.Lap(&tm, telemetry.StageClassify)
+	}
+	if !s.record {
+		return out
 	}
 	out.Timings = tm
 	if s.tel != nil {

@@ -128,7 +128,7 @@ func TableIV(ctx *Context) (*TableIVResult, error) {
 	cfg.Seed = ctx.Seed + 77
 	pop := census.GeneratePopulation(cfg)
 	id := core.NewIdentifier(model)
-	report := census.Run(pop, id, ctx.DB, census.RunConfig{Seed: ctx.Seed + 99, Probe: id.Probe()})
+	report := census.Run(pop, id, ctx.DB, census.RunConfig{Seed: ctx.Seed + 99})
 	return &TableIVResult{Report: report}, nil
 }
 

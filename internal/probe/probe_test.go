@@ -271,8 +271,8 @@ func TestProbeClockAdvances(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.Resolved()
-	if cfg.Requests != 8 || cfg.MaxPreRounds != 20 || cfg.PostRounds != trace.ValidPostRounds {
-		t.Fatalf("defaults = %+v", cfg)
+	if cfg.Requests != 8 || cfg.MaxPreRounds != 20 || postRounds != trace.ValidPostRounds {
+		t.Fatalf("defaults = %+v, post-timeout rounds %d", cfg, postRounds)
 	}
 	if cfg.InterEnvWait != 10*time.Minute {
 		t.Fatalf("InterEnvWait = %v, want 10m", cfg.InterEnvWait)
@@ -280,8 +280,8 @@ func TestConfigDefaults(t *testing.T) {
 	if len(cfg.WmaxLadder) != 3 || cfg.WmaxLadder[0] != 256 {
 		t.Fatalf("wmax ladder = %v", cfg.WmaxLadder)
 	}
-	if len(cfg.MSSLadder) != 4 || cfg.MSSLadder[0] != 100 {
-		t.Fatalf("mss ladder = %v", cfg.MSSLadder)
+	if len(mssLadder) != 4 || mssLadder[0] != 100 {
+		t.Fatalf("mss ladder = %v", mssLadder)
 	}
 	paper := Paper.Resolved()
 	if paper.Requests != 12 || paper.MaxPreRounds != 40 || len(paper.WmaxLadder) != 4 || paper.WmaxLadder[0] != 512 {

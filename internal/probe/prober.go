@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/netem"
-	"repro/internal/tcpsim"
 	"repro/internal/trace"
 	"repro/internal/websim"
 )
@@ -16,10 +15,6 @@ import (
 // pre-timeout rounds. Model files that record no budget were trained at
 // it.
 var Paper = Config{WmaxLadder: []int{512, 256, 128, 64}, Requests: 12, MaxPreRounds: 40}
-
-// DefaultMSSLadder is tried in increasing order: the smaller the MSS, the
-// higher the achievable window.
-var DefaultMSSLadder = []int{100, 300, 536, 1460}
 
 // The lean budget zero Config fields resolve to: the frontier point of a
 // sweep of ladder top {512, 256} x requests {6, 8, 12} x pre-timeout
@@ -34,20 +29,28 @@ const (
 	leanMaxPreRounds = 20
 )
 
+// mssLadder is tried in increasing order: the smaller the MSS, the higher
+// the achievable window.
+var mssLadder = []int{100, 300, 536, 1460}
+
+const (
+	// postRounds is the required post-timeout rounds.
+	postRounds = trace.ValidPostRounds
+	// pageSearchSuccess is the probability the page-searching tool finds
+	// the server's longest page.
+	pageSearchSuccess = 0.95
+)
+
 // Config tunes a Prober. Zero fields resolve to the lean served budget
 // (see Resolved); Paper is the paper's budget.
 type Config struct {
 	// WmaxLadder is tried in decreasing order (default 256, 128, 64).
 	WmaxLadder []int
-	// MSSLadder overrides DefaultMSSLadder.
-	MSSLadder []int
 	// Requests is how many pipelined HTTP requests CAAI repeats
 	// (default 8).
 	Requests int
 	// MaxPreRounds bounds the pre-timeout gathering (default 20).
 	MaxPreRounds int
-	// PostRounds is the required post-timeout rounds (default 18).
-	PostRounds int
 	// InterEnvWait separates environments A and B so slow start
 	// threshold caches expire (default 10 minutes, as in the paper).
 	InterEnvWait time.Duration
@@ -57,9 +60,6 @@ type Config struct {
 	// DisablePageSearch skips the long-page search and uses the default
 	// page (for the ablation experiment).
 	DisablePageSearch bool
-	// PageSearchSuccess is the probability the page-searching tool
-	// finds the server's longest page (default 0.95).
-	PageSearchSuccess float64
 }
 
 // Resolved returns c with every zero field replaced by its default: the
@@ -68,23 +68,14 @@ func (c Config) Resolved() Config {
 	if len(c.WmaxLadder) == 0 {
 		c.WmaxLadder = leanWmaxLadder
 	}
-	if len(c.MSSLadder) == 0 {
-		c.MSSLadder = DefaultMSSLadder
-	}
 	if c.Requests <= 0 {
 		c.Requests = leanRequests
 	}
 	if c.MaxPreRounds <= 0 {
 		c.MaxPreRounds = leanMaxPreRounds
 	}
-	if c.PostRounds <= 0 {
-		c.PostRounds = trace.ValidPostRounds
-	}
 	if c.InterEnvWait <= 0 {
 		c.InterEnvWait = 10 * time.Minute
-	}
-	if c.PageSearchSuccess <= 0 {
-		c.PageSearchSuccess = 0.95
 	}
 	return c
 }
@@ -127,6 +118,14 @@ type Result struct {
 
 // Prober gathers window traces from simulated Web servers under one
 // network condition. Not safe for concurrent use (owns an RNG).
+//
+// A Prober recycles everything a gathering builds: each environment
+// records into its own prober-owned trace, connections are opened through
+// one Dialer, and Gather returns a prober-owned Result. What a gathering
+// returns is therefore valid only until the prober's next gathering (in
+// the same environment, for GatherEnv's traces); build one prober per
+// gathering whose result must outlive the next. Steady-state gathering
+// allocates nothing.
 type Prober struct {
 	cfg  Config
 	cond netem.Condition
@@ -139,14 +138,9 @@ type Prober struct {
 	// across sessions and the inter-environment waits.
 	clock time.Duration
 
-	// sess is the reusable gathering session (burst/ACK scratch survives
-	// across gatherings regardless of the reuse mode below).
-	sess session
-	// reuse, when set, makes gatherings record into the prober-owned
-	// recorders below instead of allocating fresh traces, open
-	// connections through the recycling dialer, and return the
-	// prober-owned res (see Reuse).
-	reuse      bool
+	// The recycled gathering state: burst/ACK scratch, the environment A
+	// and B traces, the connection dialer and the Result Gather returns.
+	sess       session
 	recA, recB trace.Recorder
 	dialer     websim.Dialer
 	res        Result
@@ -157,25 +151,21 @@ type Prober struct {
 
 // New returns a prober for the given network condition.
 func New(cfg Config, cond netem.Condition, rng *rand.Rand) *Prober {
-	return &Prober{cfg: cfg.Resolved(), cond: cond, rng: rng}
+	p := new(Prober)
+	p.Rearm(cfg, cond, rng)
+	return p
 }
 
-// Reuse opts the prober into buffer reuse: each environment records into a
-// prober-owned trace whose window buffers are recycled across gatherings,
-// connections are opened through a recycling dialer (one sender renewed in
-// place, congestion avoidance components cached per algorithm and rewound
-// with Reset), and Gather returns a prober-owned Result. Everything Gather
-// and GatherEnv return then stays valid only until the prober's next
-// gathering — the contract the identification hot path relies on for zero
-// steady-state allocations. Leave it off (the default) when gathered
-// traces or results must outlive the next probe.
-func (p *Prober) Reuse() { p.reuse = true }
+// Reuse does nothing: every Prober recycles its buffers (see Prober).
+//
+// Deprecated: buffer reuse is no longer optional; drop the call.
+func (p *Prober) Reuse() {}
 
-// Rearm re-points the prober at a new configuration, network condition,
-// and RNG and rewinds its wall clock, exactly as if freshly created with
-// New — but keeps the session scratch and (in Reuse mode) the trace
-// buffers. It lets one prober serve a stream of independent identification
-// jobs with results identical to a fresh prober per job.
+// Rearm points the prober at a configuration, network condition and RNG
+// and rewinds its wall clock: a zero Prober rearmed is a fresh one, and a
+// used one keeps its recycled buffers. It lets one prober serve a stream
+// of independent identification jobs with results identical to a fresh
+// prober per job.
 func (p *Prober) Rearm(cfg Config, cond netem.Condition, rng *rand.Rand) {
 	p.cfg = cfg.Resolved()
 	p.cond = cond
@@ -183,21 +173,9 @@ func (p *Prober) Rearm(cfg Config, cond netem.Condition, rng *rand.Rand) {
 	p.clock = 0
 }
 
-// newTrace returns the trace a gathering records into: recycled recorder
-// storage in Reuse mode, a fresh allocation otherwise.
-func (p *Prober) newTrace(env string, wmax, mss int) *trace.Trace {
-	if !p.reuse {
-		return &trace.Trace{Env: env, WmaxThreshold: wmax, MSS: mss}
-	}
-	if env == "B" {
-		return p.recB.Reset(env, wmax, mss)
-	}
-	return p.recA.Reset(env, wmax, mss)
-}
-
 // negotiateMSS walks the MSS ladder until the server accepts.
 func (p *Prober) negotiateMSS(server *websim.Server) (int, bool) {
-	for _, mss := range p.cfg.MSSLadder {
+	for _, mss := range mssLadder {
 		if server.AcceptsMSS(mss) {
 			return mss, true
 		}
@@ -213,7 +191,7 @@ func (p *Prober) findPage(server *websim.Server) int64 {
 	if p.cfg.DisablePageSearch {
 		return page
 	}
-	if server.LongestPageBytes > page && p.rng.Float64() < p.cfg.PageSearchSuccess {
+	if server.LongestPageBytes > page && p.rng.Float64() < pageSearchSuccess {
 		page = server.LongestPageBytes
 	}
 	return page
@@ -221,19 +199,18 @@ func (p *Prober) findPage(server *websim.Server) int64 {
 
 // GatherEnv gathers a single trace from server in env with explicit wmax
 // and mss, using page bytes of data per request. It is the building block
-// Fig. 3 uses directly.
+// Fig. 3 uses directly. The trace is valid until the prober's next
+// gathering in env.
 func (p *Prober) GatherEnv(server *websim.Server, env Environment, wmax, mss int, pageBytes int64) (*trace.Trace, error) {
-	var sender *tcpsim.Sender
-	var err error
-	if p.reuse {
-		sender, err = p.dialer.Open(server, mss, p.cfg.Requests, pageBytes, p.clock)
-	} else {
-		sender, err = server.Open(mss, p.cfg.Requests, pageBytes, p.clock)
-	}
+	sender, err := p.dialer.Open(server, mss, p.cfg.Requests, pageBytes, p.clock)
 	if err != nil {
 		return nil, err
 	}
-	t := p.newTrace(env.Name, wmax, mss)
+	rec := &p.recA
+	if env.Name == "B" {
+		rec = &p.recB
+	}
+	t := rec.Reset(env.Name, wmax, mss)
 	p.path.Reset(p.cond)
 	if p.tap != nil {
 		p.tap.Connect(p.clock, env, wmax, mss)
@@ -245,7 +222,6 @@ func (p *Prober) GatherEnv(server *websim.Server, env Environment, wmax, mss int
 		path:         &p.path,
 		rng:          p.rng,
 		maxPreRounds: p.cfg.MaxPreRounds,
-		postRounds:   p.cfg.PostRounds,
 		dupAck:       !p.cfg.DisableDupAck,
 		start:        p.clock,
 		tap:          p.tap,
@@ -258,8 +234,8 @@ func (p *Prober) GatherEnv(server *websim.Server, env Environment, wmax, mss int
 }
 
 // Gather walks the wmax ladder, gathering environment A and B traces, and
-// returns the first valid pair. In Reuse mode the returned Result is
-// prober-owned and valid only until the next Gather.
+// returns the first valid pair. The Result is prober-owned and valid only
+// until the prober's next gathering.
 func (p *Prober) Gather(server *websim.Server) *Result {
 	mss, ok := p.negotiateMSS(server)
 	if !ok {
@@ -297,13 +273,8 @@ func (p *Prober) Gather(server *websim.Server) *Result {
 	return p.result(Result{MSS: mss, PageBytes: page, Reason: reason})
 }
 
-// result returns r as a pointer: a fresh allocation normally, the recycled
-// prober-owned Result in Reuse mode.
+// result stores r in the prober-owned Result and returns it.
 func (p *Prober) result(r Result) *Result {
-	if !p.reuse {
-		out := r
-		return &out
-	}
 	p.res = r
 	return &p.res
 }

@@ -20,7 +20,6 @@ type sessionParams struct {
 	path         *netem.Path
 	rng          *rand.Rand
 	maxPreRounds int
-	postRounds   int
 	dupAck       bool
 	start        time.Duration
 	// tap, when non-nil, observes the session's packets (see Tap). It
@@ -223,7 +222,7 @@ func (s *session) tapBurst() {
 // gatherPost gathers the post-timeout rounds; every received data packet
 // is answered with an ACK covering everything received so far.
 func (s *session) gatherPost(t *trace.Trace) {
-	for r := 1; r <= s.p.postRounds; r++ {
+	for r := 1; r <= postRounds; r++ {
 		s.burst = s.sender.AppendBurst(s.burst[:0], s.now)
 		if len(s.burst) == 0 && s.sender.DataExhausted() {
 			t.DataExhausted = true

@@ -145,7 +145,6 @@ func (s *Service) runCensus(j *job) {
 	coord, err := shard.New(pop, model.Identifier(), netem.MeasuredDatabase(), shard.Config{
 		Workers:      req.Workers,
 		Seed:         req.Seed + 99, // experiments.TableIV's probing seed
-		Probe:        model.Identifier().Probe(),
 		MaxAttempts:  req.MaxAttempts,
 		MaxDeferrals: req.MaxDeferrals,
 		Fault:        req.Fault,

@@ -30,8 +30,9 @@ var ErrNoTrigger = errors.New("tbit: loss event did not trigger a response")
 // Prober runs TBIT measurements against simulated servers. Not safe for
 // concurrent use.
 type Prober struct {
-	cond netem.Condition
-	rng  *rand.Rand
+	cond   netem.Condition
+	rng    *rand.Rand
+	dialer websim.Dialer
 }
 
 // New returns a TBIT prober under the given network condition.
@@ -50,8 +51,10 @@ type session struct {
 	received map[int64]bool
 }
 
+// open connects to server through the prober's dialer; the session is
+// valid until the next open.
 func (p *Prober) open(server *websim.Server, mss int) (*session, error) {
-	sender, err := server.Open(mss, 12, server.LongestPageBytes, 0)
+	sender, err := p.dialer.Open(server, mss, 12, server.LongestPageBytes, 0)
 	if err != nil {
 		return nil, fmt.Errorf("tbit: %w", err)
 	}

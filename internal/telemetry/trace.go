@@ -48,7 +48,7 @@ type Flight struct {
 
 	// retainMu serializes scan+insert, so two Finish calls of one ID (an
 	// async job completing after its accepting request) reach the store
-	// in the order they took the lock.
+	// in the order they took the lock. Readers never take it.
 	retainMu sync.Mutex
 	store    retainedStore
 }
@@ -127,11 +127,7 @@ func NewFlight(cfg FlightConfig) *Flight {
 		cfg:   cfg,
 		mask:  uint64(cfg.slots - 1),
 		slots: make([]slot, cfg.slots),
-		store: retainedStore{
-			cap:     cfg.Retain,
-			spanCap: cfg.slots,
-			byID:    make(map[TraceID]*Trace, cfg.Retain),
-		},
+		store: retainedStore{cap: cfg.Retain, spanCap: cfg.slots},
 	}
 }
 
@@ -493,47 +489,70 @@ type TraceFilter struct {
 // re-finish of an ID already stored (an async job completing after its
 // accepting request was retained) replaces the entry in place with the
 // fuller scan.
+//
+// The kept traces are published as an immutable snapshot: put builds the
+// next one and swaps it in, so readers (get, list, len) take no lock and
+// never hold off a Finish. Callers serialize put (Finish holds retainMu).
 type retainedStore struct {
-	mu      sync.RWMutex
 	cap     int
 	spanCap int
-	spans   int // spans held across all stored traces
-	byID    map[TraceID]*Trace
-	order   []TraceID
+	spans   int // spans held across all stored traces (put's own)
+	kept    atomic.Pointer[[]keptTrace]
+}
+
+// keptTrace is one retained trace under its parsed ID.
+type keptTrace struct {
+	id TraceID
+	t  *Trace
+}
+
+// snapshot returns the kept traces, oldest first. The slice is never
+// modified after publication.
+func (st *retainedStore) snapshot() []keptTrace {
+	if p := st.kept.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 func (st *retainedStore) put(t *Trace) {
 	id, _ := ParseTraceID(t.ID)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if old, ok := st.byID[id]; ok {
-		st.spans += len(t.Spans) - len(old.Spans)
-		st.byID[id] = t // replace in place, keep FIFO position
-	} else {
-		st.byID[id] = t
+	old := st.snapshot()
+	next := make([]keptTrace, 0, len(old)+1)
+	replaced := false
+	for _, k := range old {
+		if k.id == id {
+			st.spans += len(t.Spans) - len(k.t.Spans)
+			k.t = t // replace in place, keep FIFO position
+			replaced = true
+		}
+		next = append(next, k)
+	}
+	if !replaced {
+		next = append(next, keptTrace{id: id, t: t})
 		st.spans += len(t.Spans)
-		st.order = append(st.order, id)
 	}
-	for len(st.order) > st.cap || (st.spans > st.spanCap && len(st.order) > 1) {
-		st.spans -= len(st.byID[st.order[0]].Spans)
-		delete(st.byID, st.order[0])
-		st.order = st.order[1:]
+	for len(next) > st.cap || (st.spans > st.spanCap && len(next) > 1) {
+		st.spans -= len(next[0].t.Spans)
+		next = next[1:]
 	}
+	st.kept.Store(&next)
 }
 
 func (st *retainedStore) get(id TraceID) (*Trace, bool) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	t, ok := st.byID[id]
-	return t, ok
+	for _, k := range st.snapshot() {
+		if k.id == id {
+			return k.t, true
+		}
+	}
+	return nil, false
 }
 
 func (st *retainedStore) list(fl TraceFilter) []TraceSummary {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	out := make([]TraceSummary, 0, len(st.order))
-	for i := len(st.order) - 1; i >= 0; i-- { // newest first
-		t := st.byID[st.order[i]]
+	kept := st.snapshot()
+	out := make([]TraceSummary, 0, len(kept))
+	for i := len(kept) - 1; i >= 0; i-- { // newest first
+		t := kept[i].t
 		if fl.Outcome != "" && t.Outcome != fl.Outcome {
 			continue
 		}
@@ -555,11 +574,7 @@ func (st *retainedStore) list(fl TraceFilter) []TraceSummary {
 	return out
 }
 
-func (st *retainedStore) len() int {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return len(st.order)
-}
+func (st *retainedStore) len() int { return len(st.snapshot()) }
 
 // Get returns a retained trace by ID.
 func (f *Flight) Get(tr TraceID) (Trace, bool) {

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -212,10 +211,6 @@ func TestFlightConcurrentHammer(t *testing.T) {
 					}
 				}
 				_ = f.Stats()
-				// Yield: a kept Finish takes the store lock, and readers
-				// spinning on a two-CPU box would hold its writer off
-				// for a whole time slice per trace.
-				runtime.Gosched()
 			}
 		}()
 	}

@@ -8,13 +8,14 @@ import (
 	"repro/internal/tcpsim"
 )
 
-// Dialer opens connections with recycled state: one Sender (and its Conn)
-// is renewed in place per connection, and congestion avoidance components
-// are cached per algorithm name and rewound with Reset. Connections opened
-// through a Dialer behave exactly like Server.Open's -- Algorithm.Reset's
-// contract is that a rewound instance is indistinguishable from a fresh
-// one -- but steady-state opens allocate nothing, which is what keeps the
-// identification hot path at zero allocations per probe.
+// Dialer opens connections to simulated servers with recycled state: one
+// Sender (and its Conn) is renewed in place per connection, and congestion
+// avoidance components are cached per algorithm name and rewound with
+// Reset. A connection opened through a Dialer behaves exactly like a fresh
+// tcpsim.New(cc.New(...)) -- Algorithm.Reset's contract is that a rewound
+// instance is indistinguishable from a fresh one -- but steady-state opens
+// allocate nothing, which is what keeps the identification hot path at
+// zero allocations per probe. The zero Dialer is ready to use.
 //
 // The returned sender is valid only until the Dialer's next Open, and a
 // Dialer is not safe for concurrent use: it belongs to exactly one prober.
@@ -23,10 +24,10 @@ type Dialer struct {
 	algs   map[string]cc.Algorithm
 }
 
-// Open is Server.Open with recycled sender and algorithm state. Servers
-// with a CustomAlgorithm factory still get a fresh instance per call (the
-// factory may close over arbitrary state), so only named-algorithm servers
-// hit the zero-allocation path.
+// Open establishes a connection to s (see Server.connOptions for the
+// arguments). Servers with a CustomAlgorithm factory get a fresh instance
+// per call (the factory may close over arbitrary state), so only
+// named-algorithm servers hit the zero-allocation path.
 func (d *Dialer) Open(s *Server, mss, requests int, pageBytes int64, now time.Duration) (*tcpsim.Sender, error) {
 	opts, err := s.connOptions(mss, requests, pageBytes, now)
 	if err != nil {

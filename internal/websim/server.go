@@ -97,33 +97,11 @@ func (s *Server) AcceptRequests(requested int) int {
 	return requested
 }
 
-// newAlgorithm instantiates the congestion avoidance component for one
-// connection.
-func (s *Server) newAlgorithm() (cc.Algorithm, error) {
-	if s.CustomAlgorithm != nil {
-		return s.CustomAlgorithm(), nil
-	}
-	return cc.New(s.EffectiveAlgorithm())
-}
-
-// Open establishes a connection: mss is the negotiated segment size,
-// requests the number of pipelined HTTP requests CAAI sent, pageBytes the
-// length of the page each request fetches, and now the wall-clock time
-// (drives slow start threshold cache expiry).
-func (s *Server) Open(mss, requests int, pageBytes int64, now time.Duration) (*tcpsim.Sender, error) {
-	opts, err := s.connOptions(mss, requests, pageBytes, now)
-	if err != nil {
-		return nil, err
-	}
-	alg, err := s.newAlgorithm()
-	if err != nil {
-		return nil, fmt.Errorf("websim: server %s: %w", s.Name, err)
-	}
-	return tcpsim.New(alg, opts), nil
-}
-
-// connOptions computes the tcpsim options one connection runs with: the
-// shared half of Open and Dialer.Open.
+// connOptions computes the tcpsim options one connection runs with: mss
+// is the negotiated segment size, requests the number of pipelined HTTP
+// requests CAAI sent, pageBytes the length of the page each request
+// fetches, and now the wall-clock time (drives slow start threshold cache
+// expiry).
 func (s *Server) connOptions(mss, requests int, pageBytes int64, now time.Duration) (tcpsim.Options, error) {
 	if !s.AcceptsMSS(mss) {
 		return tcpsim.Options{}, fmt.Errorf("websim: server %s rejects mss %d (minimum %d)", s.Name, mss, s.MinMSS)

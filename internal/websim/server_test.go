@@ -32,10 +32,11 @@ func TestAcceptRequests(t *testing.T) {
 }
 
 func TestOpenComputesSegments(t *testing.T) {
+	var d Dialer
 	s := Testbed("RENO")
 	s.MaxRequests = 2
 	s.DefaultPageBytes = 1000
-	sender, err := s.Open(100, 12, 1000, 0)
+	sender, err := d.Open(s, 100, 12, 1000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,16 +57,18 @@ func TestOpenComputesSegments(t *testing.T) {
 }
 
 func TestOpenRejectsSmallMSS(t *testing.T) {
+	var d Dialer
 	s := Testbed("RENO")
 	s.MinMSS = 536
-	if _, err := s.Open(100, 1, 1000, 0); err == nil {
+	if _, err := d.Open(s, 100, 1, 1000, 0); err == nil {
 		t.Fatal("Open must reject an MSS below the minimum")
 	}
 }
 
 func TestOpenUnknownAlgorithm(t *testing.T) {
+	var d Dialer
 	s := &Server{Name: "x", Algorithm: "NOPE", MinMSS: 100}
-	if _, err := s.Open(536, 1, 1000, 0); err == nil {
+	if _, err := d.Open(s, 536, 1, 1000, 0); err == nil {
 		t.Fatal("Open must surface unknown algorithms")
 	}
 }
@@ -82,9 +85,10 @@ func TestEffectiveAlgorithmProxy(t *testing.T) {
 }
 
 func TestCustomAlgorithmOverride(t *testing.T) {
+	var d Dialer
 	s := Testbed("RENO")
 	s.CustomAlgorithm = func() cc.Algorithm { return cc.NewSTCP() }
-	sender, err := s.Open(536, 1, 10000, 0)
+	sender, err := d.Open(s, 536, 1, 10000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +98,12 @@ func TestCustomAlgorithmOverride(t *testing.T) {
 }
 
 func TestSsthreshCaching(t *testing.T) {
+	var d Dialer
 	s := Testbed("RENO")
 	s.SsthreshCaching = true
 	s.CacheTTL = 5 * time.Minute
 
-	first, err := s.Open(536, 1, 1<<20, 0)
+	first, err := d.Open(s, 536, 1, 1<<20, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +112,7 @@ func TestSsthreshCaching(t *testing.T) {
 	s.Close(first, 10*time.Second)
 
 	// Within the TTL the cached threshold applies.
-	second, err := s.Open(536, 1, 1<<20, 30*time.Second)
+	second, err := d.Open(s, 536, 1, 1<<20, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +121,7 @@ func TestSsthreshCaching(t *testing.T) {
 	}
 
 	// Past the TTL the cache expires (the paper's 10-minute wait).
-	third, err := s.Open(536, 1, 1<<20, 10*time.Second+10*time.Minute)
+	third, err := d.Open(s, 536, 1, 1<<20, 10*time.Second+10*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +131,12 @@ func TestSsthreshCaching(t *testing.T) {
 }
 
 func TestNoCachingWithoutFlag(t *testing.T) {
+	var d Dialer
 	s := Testbed("RENO")
-	first, _ := s.Open(536, 1, 1<<20, 0)
+	first, _ := d.Open(s, 536, 1, 1<<20, 0)
 	first.OnRTOExpired(time.Second)
 	s.Close(first, 2*time.Second)
-	second, _ := s.Open(536, 1, 1<<20, 3*time.Second)
+	second, _ := d.Open(s, 536, 1, 1<<20, 3*time.Second)
 	if second.CurrentSsthresh() < cc.InitialSsthresh {
 		t.Fatal("non-caching server must start with infinite ssthresh")
 	}
