@@ -124,8 +124,8 @@ type (
 	// CaptureOptions tunes capture ingestion (tracker bounds,
 	// classification parallelism, optional per-stage span recording).
 	CaptureOptions = flow.IdentifyOptions
-	// StreamOptions tunes Identifier.IdentifyStream (tracker bounds,
-	// ingest ring size, optional live metrics).
+	// StreamOptions tunes Identifier.IdentifyStream (tracker bounds and
+	// optional live metrics; the ingest ring is a fixed 1 MiB).
 	StreamOptions = flow.StreamConfig
 	// CaptureStream is a running streaming-identification pipeline: an
 	// io.Writer fed capture bytes, emitting classified flows as they

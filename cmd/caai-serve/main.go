@@ -113,7 +113,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	cache := fs.Int("cache", 0, "LRU result cache entries (0 = default 4096, negative disables)")
 	queue := fs.Int("queue", 0, "bounded async job queue length (0 = default 64)")
 	workers := fs.Int("workers", 0, "concurrent batch executors (0 = 1)")
-	parallelism := fs.Int("parallelism", 0, "engine pool width per running batch (0 = all CPUs)")
+	parallelism := fs.Int("parallelism", 0, "engine pool width per running batch or capture job, and concurrent /v1/identify probes (0 = all CPUs)")
 	maxBatch := fs.Int("max-batch", 0, "max jobs per POST /v1/batch (0 = default 10000)")
 	retain := fs.Int("retain", 0, "finished async jobs kept pollable before eviction (0 = default 256)")
 	evalPath := fs.String("eval", "", "ACCURACY_<n>.json file or history directory; the latest point's summary is exposed on GET /metrics")

@@ -618,7 +618,7 @@ func TraceOverhead(model classify.Classifier) func(*testing.B) {
 		flight := telemetry.NewFlight(telemetry.FlightConfig{SampleN: 1})
 		traced := id.NewSession()
 		traced.EnableTimings(&tel)
-		traced.BindTrace(flight, flight.Mint())
+		traced.BindTrace(flight, flight.Mint(), 0)
 		plain := id.NewSession()
 		plain.EnableTimings(&tel)
 		rngTraced := rand.New(rand.NewSource(11))

@@ -32,7 +32,7 @@ func TestSessionIdentifyAllocatesNothing(t *testing.T) {
 	flight := telemetry.NewFlight(telemetry.FlightConfig{SampleN: 1})
 	traced := id.NewSession()
 	traced.EnableTimings(&tel)
-	traced.BindTrace(flight, flight.Mint())
+	traced.BindTrace(flight, flight.Mint(), 0)
 
 	for name, sess := range map[string]*Session{"recording": timed, "untimed": plain, "traced": traced} {
 		rng := rand.New(rand.NewSource(7))

@@ -36,9 +36,9 @@ func (bs *BlockSession) EnableTimings(tel *telemetry.Pipeline) { bs.s.EnableTimi
 
 // BindTrace attaches subsequent Gather span recording to a trace in f's
 // rings (see Session.BindTrace), each span tagged with its job's tag.
-// Batch jobs bind the accepting request's trace, so one ID correlates the
-// HTTP submission with every worker's per-job spans.
-func (bs *BlockSession) BindTrace(f *telemetry.Flight, tr telemetry.TraceID) { bs.s.BindTrace(f, tr) }
+func (bs *BlockSession) BindTrace(f *telemetry.Flight, tr telemetry.TraceID) {
+	bs.s.BindTrace(f, tr, 0)
+}
 
 // Gather identifies one server exactly as Session.Identify would -- same
 // prober reuse, same RNG stream -- and buffers the outcome under tag.

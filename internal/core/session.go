@@ -19,9 +19,8 @@ import (
 // condition, RNG) for every call, so each result depends only on that
 // call's arguments; Identifier.Identify is one call on a fresh Session.
 //
-// A Session is NOT safe for concurrent use; the engine hands each pool
-// worker one wrapped in a BlockSession (see engine.BatchConfig.NewWorkerBlock)
-// and the service pools them per model.
+// A Session is NOT safe for concurrent use: the census runners hold one
+// per pool worker and the service pools them per model.
 type Session struct {
 	id *Identifier
 	p  probe.Prober
@@ -46,8 +45,7 @@ type Session struct {
 	// tracing enabled, pinned by TestSessionIdentifyAllocatesNothing.
 	flight *telemetry.Flight
 	trace  telemetry.TraceID
-	// tag is the arg stamped on every traced span; BlockSession sets it
-	// to the job index so a batch trace tells its jobs apart.
+	// tag is the arg stamped on every traced span (see BindTrace).
 	tag uint64
 }
 
@@ -68,12 +66,14 @@ func (s *Session) EnableTimings(tel *telemetry.Pipeline) {
 
 // BindTrace attaches the session's next Identify calls to a trace: stage
 // spans (and an UNSURE event when the label comes back unsure) are
-// recorded into f's rings under tr. Requires EnableTimings to have armed
-// recording; a zero tr (or nil f) detaches. Sessions are pooled, so
-// callers re-bind per request.
-func (s *Session) BindTrace(f *telemetry.Flight, tr telemetry.TraceID) {
+// recorded into f's rings under tr, every span carrying tag as its arg --
+// a batch passes the job's index so its trace tells its jobs apart.
+// Requires EnableTimings to have armed recording; a zero tr (or nil f)
+// detaches. Sessions are pooled, so callers re-bind per request.
+func (s *Session) BindTrace(f *telemetry.Flight, tr telemetry.TraceID, tag uint64) {
 	s.flight = f
 	s.trace = tr
+	s.tag = tag
 }
 
 // Identify runs the full pipeline for one server, reusing the session's

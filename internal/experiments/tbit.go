@@ -34,7 +34,7 @@ func TimeoutVsLossEvent(ctx *Context) (string, error) {
 		server := websim.Testbed(tc.alg)
 		server.BurstinessControl = true
 
-		p := tbit.New(netem.Lossless, ctx.rng(71))
+		var p tbit.Prober
 		lossBeta, err := p.MultiplicativeDecrease(server, 536)
 		if err != nil {
 			return "", err
@@ -78,7 +78,7 @@ func TBITSurvey(ctx *Context) (string, error) {
 		server.InitialWindow = st.iw
 		server.Recovery = st.recovery
 
-		p := tbit.New(netem.Lossless, ctx.rng(73))
+		var p tbit.Prober
 		iw, err := p.InitialWindow(server, 536)
 		if err != nil {
 			return "", err

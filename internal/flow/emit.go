@@ -37,7 +37,7 @@ type FlowTrace struct {
 	End   time.Time
 	// MSS is the negotiated segment size estimate.
 	MSS int
-	// Truncated reports that round recording hit the MaxRounds bound.
+	// Truncated reports that round recording hit the maxRounds bound.
 	Truncated bool
 	// SawSYN reports whether the capture included the flow's handshake.
 	SawSYN bool

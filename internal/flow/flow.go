@@ -30,58 +30,61 @@ type Config struct {
 	// MaxFlows bounds concurrently tracked flows; beyond it the
 	// least-recently-active flow is emitted early (default 4096).
 	MaxFlows int
-	// MaxRounds bounds recorded rounds per flow direction; beyond it the
-	// flow keeps counting packets but stops recording windows and is
-	// marked truncated (default 256 -- a full probe gathering needs ~60).
-	MaxRounds int
 	// MaxEmitted bounds the flows a single capture may emit: once the cap
 	// fills, every flow that finishes later is dropped and counted, so
 	// the earliest-finishing flows are the ones kept. Negative disables
 	// the bound (a Stream hands flows off as they close, so nothing
 	// accumulates). Default 65536.
 	MaxEmitted int
-	// DefaultRTT seeds round bucketing when a flow has neither a
-	// handshake nor usable TCP timestamps (default 200ms).
-	DefaultRTT time.Duration
-	// MinRoundGap floors the round-boundary gap so sub-millisecond RTT
-	// estimates cannot split bursts (default 2ms).
-	MinRoundGap time.Duration
 
-	// Epoch is the idle-expiry sweep cadence of a streaming tracker
-	// (see Stream): every Epoch of capture time the tracker walks
+	// The fields below always run at their defaults outside this
+	// package; its tests set them to drive small cases.
+
+	// maxRounds bounds recorded rounds per flow direction; beyond it the
+	// flow keeps counting packets but stops recording windows and is
+	// marked truncated (default 256 -- a full probe gathering needs ~60).
+	maxRounds int
+	// defaultRTT seeds round bucketing when a flow has neither a
+	// handshake nor usable TCP timestamps (default 200ms).
+	defaultRTT time.Duration
+	// minRoundGap floors the round-boundary gap so sub-millisecond RTT
+	// estimates cannot split bursts (default 2ms).
+	minRoundGap time.Duration
+	// epoch is the idle-expiry sweep cadence of a streaming tracker
+	// (see Stream): every epoch of capture time the tracker walks
 	// its LRU tail and emits flows idle past their own expiry threshold.
 	// It also floors that threshold, so a sweep never expires a flow
 	// whose silence an in-order sweep could not yet have observed.
 	// Ignored offline, where idle expiry is off. Default 1s.
-	Epoch time.Duration
-	// IdleRTTs scales the per-flow idle-expiry threshold of a streaming
-	// tracker: a flow expires after max(IdleRTTs x RTT, Epoch) of
-	// silence, where RTT is the flow's estimate (DefaultRTT when
+	epoch time.Duration
+	// idleRTTs scales the per-flow idle-expiry threshold of a streaming
+	// tracker: a flow expires after max(idleRTTs x RTT, epoch) of
+	// silence, where RTT is the flow's estimate (defaultRTT when
 	// unknown). Default 8.
-	IdleRTTs int
+	idleRTTs int
 }
 
 func (c Config) withDefaults() Config {
 	if c.MaxFlows <= 0 {
 		c.MaxFlows = 4096
 	}
-	if c.MaxRounds <= 0 {
-		c.MaxRounds = 256
+	if c.maxRounds <= 0 {
+		c.maxRounds = 256
 	}
 	if c.MaxEmitted == 0 {
 		c.MaxEmitted = 65536
 	}
-	if c.DefaultRTT <= 0 {
-		c.DefaultRTT = 200 * time.Millisecond
+	if c.defaultRTT <= 0 {
+		c.defaultRTT = 200 * time.Millisecond
 	}
-	if c.MinRoundGap <= 0 {
-		c.MinRoundGap = 2 * time.Millisecond
+	if c.minRoundGap <= 0 {
+		c.minRoundGap = 2 * time.Millisecond
 	}
-	if c.Epoch <= 0 {
-		c.Epoch = time.Second
+	if c.epoch <= 0 {
+		c.epoch = time.Second
 	}
-	if c.IdleRTTs <= 0 {
-		c.IdleRTTs = 8
+	if c.idleRTTs <= 0 {
+		c.idleRTTs = 8
 	}
 	return c
 }
@@ -261,7 +264,7 @@ type Stats struct {
 	// Dropped counts flows discarded entirely because MaxEmitted was
 	// exceeded.
 	Dropped int64
-	// Truncated counts flows whose round recording hit MaxRounds.
+	// Truncated counts flows whose round recording hit maxRounds.
 	Truncated int64
 	// LiveHighWater is the most flows ever tracked at once; it never
 	// exceeds MaxFlows.
@@ -294,7 +297,7 @@ type TrackerMetrics struct {
 // tracker's one sink, synchronously and in close order: a Stream's sink
 // runs with idle expiry on, Reassemble's with it off, and a bare
 // NewTracker discards its flows. Memory is bounded by MaxFlows live
-// flows, MaxRounds rounds each, and MaxEmitted finished flows,
+// flows, maxRounds rounds each, and MaxEmitted finished flows,
 // regardless of capture size. Not safe for concurrent use.
 type Tracker struct {
 	cfg   Config
@@ -358,7 +361,7 @@ func (t *Tracker) Observe(p *pcap.Packet) {
 		// start a fresh flow. This keeps the split independent of epoch
 		// phase and of other traffic.
 		if s != nil {
-			if idle := since(now, s.last); idle >= t.cfg.Epoch && idle >= t.idleAfter(s) {
+			if idle := since(now, s.last); idle >= t.cfg.epoch && idle >= t.idleAfter(s) {
 				key = s.key
 				t.expire(s)
 				s = nil
@@ -396,19 +399,19 @@ func (t *Tracker) Observe(p *pcap.Packet) {
 	t.observeFlow(s, p, dir, now)
 }
 
-// idleAfter is the flow's idle-expiry threshold: IdleRTTs round trips
+// idleAfter is the flow's idle-expiry threshold: idleRTTs round trips
 // of silence, floored by the sweep cadence.
 func (t *Tracker) idleAfter(s *state) time.Duration {
 	rtt := s.rtt()
 	if rtt <= 0 {
-		rtt = t.cfg.DefaultRTT
+		rtt = t.cfg.defaultRTT
 	}
-	idle := time.Duration(t.cfg.IdleRTTs) * rtt
+	idle := time.Duration(t.cfg.idleRTTs) * rtt
 	if idle < rtt { // overflow on absurd capture-claimed RTTs
 		idle = math.MaxInt64
 	}
-	if idle < t.cfg.Epoch {
-		idle = t.cfg.Epoch
+	if idle < t.cfg.epoch {
+		idle = t.cfg.epoch
 	}
 	return idle
 }
@@ -416,7 +419,7 @@ func (t *Tracker) idleAfter(s *state) time.Duration {
 // sweep runs the epoch idle-expiry pass when an epoch of capture time
 // has elapsed: walking from the LRU tail (least recently active first),
 // it emits every flow idle past its own threshold and stops at the
-// first flow idle less than Epoch, which floors every threshold.
+// first flow idle less than epoch, which floors every threshold.
 func (t *Tracker) sweep(now int64) {
 	d := since(now, t.epochAt)
 	if !t.epochSet || d < 0 {
@@ -426,7 +429,7 @@ func (t *Tracker) sweep(now int64) {
 		t.epochSet = now != math.MinInt64
 		return
 	}
-	if d < t.cfg.Epoch {
+	if d < t.cfg.epoch {
 		return
 	}
 	t.epochAt = now
@@ -436,7 +439,7 @@ func (t *Tracker) sweep(now int64) {
 	}
 	for cur := t.tail; cur != nil; {
 		idle := since(now, cur.last)
-		if idle < t.cfg.Epoch {
+		if idle < t.cfg.epoch {
 			break
 		}
 		prev := cur.prev
@@ -562,13 +565,13 @@ func (t *Tracker) bucket(s *state, d *dirState, at, advance int64, retx bool) {
 	}
 }
 
-// closeRound archives the open round, subject to the MaxRounds bound.
+// closeRound archives the open round, subject to the maxRounds bound.
 func (t *Tracker) closeRound(d *dirState) {
 	if !d.curOpen {
 		return
 	}
 	d.curOpen = false
-	if len(d.rounds) >= t.cfg.MaxRounds {
+	if len(d.rounds) >= t.cfg.maxRounds {
 		if !d.truncated {
 			d.truncated = true
 			t.stats.Truncated++
@@ -579,15 +582,15 @@ func (t *Tracker) closeRound(d *dirState) {
 }
 
 // roundGap is the silence that separates two RTT rounds: half the flow's
-// RTT estimate, floored by MinRoundGap.
+// RTT estimate, floored by minRoundGap.
 func (t *Tracker) roundGap(s *state) time.Duration {
 	rtt := s.rtt()
 	if rtt <= 0 {
-		rtt = t.cfg.DefaultRTT
+		rtt = t.cfg.defaultRTT
 	}
 	gap := rtt / 2
-	if gap < t.cfg.MinRoundGap {
-		gap = t.cfg.MinRoundGap
+	if gap < t.cfg.minRoundGap {
+		gap = t.cfg.minRoundGap
 	}
 	return gap
 }

@@ -52,10 +52,10 @@ func (o *offlineTracker) Finish() []*FlowTrace {
 }
 
 func TestDirectionAndRounds(t *testing.T) {
-	tr := newOfflineTracker(Config{DefaultRTT: 100 * time.Millisecond})
+	tr := newOfflineTracker(Config{defaultRTT: 100 * time.Millisecond})
 	const mss = 100
 	// Client 10.0.0.1:4000 -> server 10.0.0.2:80. No handshake: the
-	// DefaultRTT drives round bucketing (gap > 50ms splits rounds).
+	// defaultRTT drives round bucketing (gap > 50ms splits rounds).
 	seq := uint32(1000)
 	send := func(ms int64, segs int) {
 		for i := 0; i < segs; i++ {
@@ -88,7 +88,7 @@ func TestDirectionAndRounds(t *testing.T) {
 }
 
 func TestTimeoutSplitsPrePost(t *testing.T) {
-	tr := newOfflineTracker(Config{DefaultRTT: 100 * time.Millisecond})
+	tr := newOfflineTracker(Config{defaultRTT: 100 * time.Millisecond})
 	const mss = 100
 	base := uint32(1000)
 	at := func(ms int64, seq uint32, n int) {
@@ -163,7 +163,7 @@ func TestTimestampRTTFallback(t *testing.T) {
 }
 
 func TestSequenceWraparound(t *testing.T) {
-	tr := newOfflineTracker(Config{DefaultRTT: 100 * time.Millisecond})
+	tr := newOfflineTracker(Config{defaultRTT: 100 * time.Millisecond})
 	const mss = 100
 	start := uint32(0xffffff38) // 200 bytes below the wrap point
 	tr.Observe(pkt(0, 2, 80, 1, 4000, start, 1, pcap.FlagACK, mss))
@@ -198,7 +198,7 @@ func TestMaxFlowsEviction(t *testing.T) {
 }
 
 func TestMaxRoundsTruncation(t *testing.T) {
-	tr := newOfflineTracker(Config{MaxRounds: 3, DefaultRTT: 10 * time.Millisecond})
+	tr := newOfflineTracker(Config{maxRounds: 3, defaultRTT: 10 * time.Millisecond})
 	seq := uint32(0)
 	for r := 0; r < 8; r++ {
 		tr.Observe(pkt(int64(r*100), 2, 80, 1, 4000, seq, 1, pcap.FlagACK, 100))
@@ -231,7 +231,7 @@ func TestMaxEmittedDropsFlows(t *testing.T) {
 // TestEmittedTracesAreIndependent pins the Clone contract: the tracker
 // reuses one recorder, so emitted traces must not share storage.
 func TestEmittedTracesAreIndependent(t *testing.T) {
-	tr := newOfflineTracker(Config{DefaultRTT: 100 * time.Millisecond})
+	tr := newOfflineTracker(Config{defaultRTT: 100 * time.Millisecond})
 	for port := uint16(4000); port < 4002; port++ {
 		seq := uint32(1000)
 		n := int(port-4000)*3 + 2
@@ -348,7 +348,7 @@ func TestMaxEmittedNegativeUnbounded(t *testing.T) {
 // quiet is emitted by an epoch sweep while the stream is still running,
 // long before Finish.
 func TestIdleExpiryEmitsMidStream(t *testing.T) {
-	tr := NewTracker(Config{Epoch: time.Second, IdleRTTs: 8, DefaultRTT: 100 * time.Millisecond})
+	tr := NewTracker(Config{epoch: time.Second, idleRTTs: 8, defaultRTT: 100 * time.Millisecond})
 	var m TrackerMetrics
 	m.Live = &telemetry.Gauge{}
 	m.LiveHighWater = &telemetry.Gauge{}
@@ -393,7 +393,7 @@ func TestIdleExpiryEmitsMidStream(t *testing.T) {
 // arriving after a flow's own expiry window start a fresh flow,
 // independent of epoch phase.
 func TestIdleResumeSplitsFlow(t *testing.T) {
-	tr := NewTracker(Config{Epoch: time.Second, IdleRTTs: 8, DefaultRTT: 100 * time.Millisecond})
+	tr := NewTracker(Config{epoch: time.Second, idleRTTs: 8, defaultRTT: 100 * time.Millisecond})
 	var emitted []*FlowTrace
 	tr.sink, tr.expiry = func(f *FlowTrace) { emitted = append(emitted, f) }, true
 	tr.Observe(pkt(0, 2, 80, 1, 4000, 100, 1, pcap.FlagACK, 100))
@@ -410,7 +410,7 @@ func TestIdleResumeSplitsFlow(t *testing.T) {
 
 func TestPairUnpairedInvalid(t *testing.T) {
 	// A lone no-timeout flow pairs with nothing and classifies invalid.
-	tr := newOfflineTracker(Config{DefaultRTT: 100 * time.Millisecond})
+	tr := newOfflineTracker(Config{defaultRTT: 100 * time.Millisecond})
 	tr.Observe(pkt(0, 2, 80, 1, 4000, 0, 1, pcap.FlagACK, 100))
 	pairs := Pair(tr.Finish())
 	if len(pairs) != 1 || pairs[0].B != nil {

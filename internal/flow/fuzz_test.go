@@ -28,7 +28,7 @@ func FuzzReassemble(f *testing.F) {
 	f.Add(outOfRangeSeed(f, false))
 	f.Add(outOfRangeSeed(f, true))
 
-	cfg := Config{MaxFlows: 16, MaxRounds: 32, MaxEmitted: 64, DefaultRTT: 50 * time.Millisecond}
+	cfg := Config{MaxFlows: 16, maxRounds: 32, MaxEmitted: 64, defaultRTT: 50 * time.Millisecond}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		flows, stats, err := Reassemble(bytes.NewReader(data), cfg)
 		if err != nil {
@@ -41,9 +41,9 @@ func FuzzReassemble(f *testing.F) {
 			if fl.Trace == nil {
 				continue
 			}
-			if len(fl.Trace.Pre)+len(fl.Trace.Post) > cfg.MaxRounds {
+			if len(fl.Trace.Pre)+len(fl.Trace.Post) > cfg.maxRounds {
 				t.Fatalf("flow recorded %d rounds past the %d bound",
-					len(fl.Trace.Pre)+len(fl.Trace.Post), cfg.MaxRounds)
+					len(fl.Trace.Pre)+len(fl.Trace.Post), cfg.maxRounds)
 			}
 		}
 		if stats.Classifiable > stats.Flows {

@@ -32,11 +32,11 @@ type StreamConfig struct {
 	// in streaming mode, where emitted flows are handed off instead of
 	// accumulating.
 	Tracker Config
-	// RingBytes bounds the ingest ring buffer between the producer and
-	// the decoder (default 1 MiB).
-	RingBytes int
 	// Metrics, when non-nil, publishes live pipeline state.
 	Metrics *StreamMetrics
+	// ringBytes bounds the ingest ring buffer between the producer and
+	// the decoder (default 1 MiB); only this package's tests shrink it.
+	ringBytes int
 }
 
 // StreamMetrics is the caai_stream_* instrument set. All fields are
@@ -57,8 +57,8 @@ type StreamMetrics struct {
 }
 
 func (c StreamConfig) withDefaults() StreamConfig {
-	if c.RingBytes <= 0 {
-		c.RingBytes = 1 << 20
+	if c.ringBytes <= 0 {
+		c.ringBytes = 1 << 20
 	}
 	if c.Tracker.MaxEmitted == 0 {
 		c.Tracker.MaxEmitted = -1
@@ -104,7 +104,7 @@ func newStream(ctx context.Context, cfg StreamConfig, onFlow func(*FlowTrace), e
 	sctx, cancel := context.WithCancel(ctx)
 	s := &Stream{
 		cfg:     cfg,
-		ring:    pcap.NewRing(cfg.RingBytes),
+		ring:    pcap.NewRing(cfg.ringBytes),
 		tracker: NewTracker(cfg.Tracker),
 		onFlow:  onFlow,
 		ctx:     sctx,

@@ -31,7 +31,7 @@ type pktEvent struct {
 // stream with idle expiry on and offline reconstruction must agree
 // exactly. With gaps, about a third of the flows also go silent once
 // between data rounds for longer than their idle threshold,
-// max(IdleRTTs x RTT, Epoch) at the defaults, which the stream splits
+// max(idleRTTs x RTT, epoch) at the defaults, which the stream splits
 // and offline does not; long counts them.
 func synthCapture(seed int64, nflows int, gaps bool) (data []byte, long int) {
 	rng := rand.New(rand.NewSource(seed))
@@ -162,7 +162,7 @@ func TestStreamMatchesOffline(t *testing.T) {
 	for _, ring := range []int{4 << 10, 64 << 10} {
 		for _, chunk := range []int{1777, 1 << 20} {
 			online, stats := streamCollect(t, data, StreamConfig{
-				Tracker: cfg, RingBytes: ring}, chunk, true)
+				Tracker: cfg, ringBytes: ring}, chunk, true)
 			label := "ring=" + itoa(ring) + " chunk=" + itoa(chunk)
 			equivalentFlows(t, offline, online, label)
 			if stats.Flows != offStats.Flows || stats.TCPSegments != offStats.TCPSegments ||
@@ -222,7 +222,7 @@ func FuzzOnlineOfflineEquivalence(f *testing.F) {
 		}
 		// chunkSel picks the write size: 1 byte up to ~16 KiB, around
 		// the 32 KiB ring.
-		sc := StreamConfig{Tracker: cfg, RingBytes: 32 << 10}
+		sc := StreamConfig{Tracker: cfg, ringBytes: 32 << 10}
 		chunk := 1 + int(chunkSel)*64
 		expiryOff, _ := streamCollect(t, data, sc, chunk, false)
 		equivalentFlows(t, offline, expiryOff, "expiry off")
@@ -272,7 +272,7 @@ func TestStreamSoakLiveFlowsBounded(t *testing.T) {
 			}
 		}
 		// Heartbeats move capture time 4s forward so epoch sweeps expire
-		// the wave (threshold: max(8 x 200ms DefaultRTT, 1s) = 1.6s).
+		// the wave (threshold: max(8 x 200ms defaultRTT, 1s) = 1.6s).
 		hb := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 9, 9, 9}), 9999)
 		for ms := int64(1000); ms <= 4800; ms += 200 {
 			frame = pcap.AppendFrame(frame[:0], &pcap.FrameSpec{
@@ -321,7 +321,7 @@ func TestStreamSoakLiveFlowsBounded(t *testing.T) {
 // TestStreamAbortUnblocksWriter pins cancellation: a producer blocked
 // on a full ring must unwind promptly when the stream aborts.
 func TestStreamAbortUnblocksWriter(t *testing.T) {
-	st := NewStream(context.Background(), StreamConfig{RingBytes: 4 << 10}, func(*FlowTrace) {})
+	st := NewStream(context.Background(), StreamConfig{ringBytes: 4 << 10}, func(*FlowTrace) {})
 	// No valid pcap header: the decoder waits for bytes forever, so
 	// writes beyond the ring capacity block.
 	junk := make([]byte, 64<<10)
@@ -346,7 +346,7 @@ func TestStreamAbortUnblocksWriter(t *testing.T) {
 // caller's context, not an explicit Abort.
 func TestStreamContextCancelUnblocks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	st := NewStream(ctx, StreamConfig{RingBytes: 4 << 10}, func(*FlowTrace) {})
+	st := NewStream(ctx, StreamConfig{ringBytes: 4 << 10}, func(*FlowTrace) {})
 	junk := make([]byte, 64<<10)
 	done := make(chan error, 1)
 	go func() {

@@ -116,6 +116,8 @@ func (s *Service) submitCensus(ctx context.Context, req CensusRequest) (*job, er
 	}
 	j, err := s.enqueue(ctx, &job{
 		model:  req.Model,
+		kind:   "census",
+		run:    s.runCensus,
 		census: &censusState{req: req},
 		total:  req.Servers,
 	})
@@ -129,13 +131,7 @@ func (s *Service) submitCensus(ctx context.Context, req CensusRequest) (*job, er
 // coordinator, mirroring its counters into the service-wide census
 // metrics sink so /metrics aggregates retry, backoff and abandonment
 // across every campaign.
-func (s *Service) runCensus(j *job) {
-	model, err := s.registry.Get(j.model)
-	if err != nil {
-		j.fail(err.Error())
-		s.metrics.jobsFailed.Add(1)
-		return
-	}
+func (s *Service) runCensus(j *job, model *Model) error {
 	req := j.census.req
 	popCfg := census.DefaultPopulationConfig()
 	popCfg.Servers = req.Servers
@@ -154,22 +150,9 @@ func (s *Service) runCensus(j *job) {
 	})
 	if err != nil {
 		// The request was validated at submission; only population-scale
-		// misconfiguration could land here. Fail cleanly either way.
-		j.fail(err.Error())
-		s.metrics.jobsFailed.Add(1)
-		return
+		// misconfiguration could land here.
+		return err
 	}
 	j.census.coord.Store(coord)
-
-	if err := coord.Run(j.ctx); err != nil {
-		if j.ctx.Err() != nil {
-			j.fail("cancelled: " + j.ctx.Err().Error())
-		} else {
-			j.fail(err.Error())
-		}
-		s.metrics.jobsFailed.Add(1)
-		return
-	}
-	j.finish()
-	s.metrics.jobsCompleted.Add(1)
+	return coord.Run(j.ctx)
 }

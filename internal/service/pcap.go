@@ -53,6 +53,8 @@ func (s *Service) handlePcap(w http.ResponseWriter, r *http.Request) {
 	pairs := flow.Pair(flows)
 	j, err := s.enqueue(r.Context(), &job{
 		model:      modelName,
+		kind:       "pcap",
+		run:        s.runPcap,
 		pcap:       pairs,
 		total:      len(pairs),
 		gatherSpan: decodeSpan,
@@ -83,15 +85,9 @@ type PcapAccepted struct {
 // classified on the engine pool, streaming per-flow completions into the
 // job's progress counter. Classification of reconstructed traces needs no
 // probing, so capture jobs drain quickly even between long probe batches.
-func (s *Service) runPcap(j *job) {
-	model, err := s.registry.Get(j.model)
-	if err != nil {
-		j.fail(err.Error())
-		s.metrics.jobsFailed.Add(1)
-		return
-	}
+func (s *Service) runPcap(j *job, model *Model) error {
 	version := model.Version()
-	_ = flow.ClassifyAll(j.ctx, j.pcap, model.Identifier(), flow.ClassifyOptions{
+	err := flow.ClassifyAll(j.ctx, j.pcap, model.Identifier(), flow.ClassifyOptions{
 		Parallelism: s.cfg.Parallelism,
 		Timings:     true,
 		Telemetry:   &s.metrics.pipeline,
@@ -107,13 +103,7 @@ func (s *Service) runPcap(j *job) {
 	// results; dropping them here keeps the finished-job retention window
 	// from pinning whole captures' worth of dead flow state.
 	j.pcap = j.pcap[:0:0]
-	if err := j.ctx.Err(); err != nil {
-		j.fail("cancelled: " + err.Error())
-		s.metrics.jobsFailed.Add(1)
-		return
-	}
-	j.finish()
-	s.metrics.jobsCompleted.Add(1)
+	return err
 }
 
 // toFlowResponse renders one classified flow pair on the wire: the shared

@@ -28,9 +28,15 @@ const (
 type job struct {
 	id    string
 	model string
+	// kind names the work ("batch", "pcap" or "census"); the job's trace
+	// is re-finished under the route "job:"+kind.
+	kind string
+	// run does the work against the job's resolved model, recording
+	// results on the job as they complete; runJob maps its outcome to the
+	// terminal state.
+	run   func(*job, *Model) error
 	specs []JobSpec
-	// pcap carries a capture job's reassembled flow pairs; nil for probe
-	// batches. The worker dispatches on it.
+	// pcap carries a capture job's reassembled flow pairs; nil otherwise.
 	pcap []flow.FlowIdentification
 	// census carries a census job's request and live coordinator; nil
 	// otherwise. Census jobs report progress through the coordinator
@@ -162,6 +168,8 @@ func (s *Service) submit(ctx context.Context, req BatchRequest) (*job, error) {
 	}
 	return s.enqueue(ctx, &job{
 		model: req.Model,
+		kind:  "batch",
+		run:   s.runBatch,
 		specs: req.Jobs,
 		total: len(req.Jobs),
 	})
@@ -256,13 +264,6 @@ func (s *Service) finishJobTrace(j *job) {
 	case unsure > 0:
 		outcome = telemetry.OutcomeUnsure
 	}
-	route := "job:batch"
-	switch {
-	case j.census != nil:
-		route = "job:census"
-	case j.pcap != nil:
-		route = "job:pcap"
-	}
 	start := j.enqueuedAt
 	if start.IsZero() {
 		start = time.Now()
@@ -270,7 +271,7 @@ func (s *Service) finishJobTrace(j *job) {
 	s.flight.Finish(telemetry.TraceDone{
 		ID:        j.trace,
 		RequestID: j.reqID,
-		Route:     route,
+		Route:     "job:" + j.kind,
 		Outcome:   outcome,
 		Start:     start,
 		Duration:  time.Since(start),
@@ -307,27 +308,44 @@ func (s *Service) worker() {
 			s.drainQueue()
 			return
 		case j := <-s.queue:
-			if j.ctx.Err() != nil || !j.tryStart() {
-				j.fail("cancelled before start")
-				s.metrics.jobsFailed.Add(1)
-				s.retire(j)
-				continue
-			}
-			wait := time.Since(j.enqueuedAt)
-			s.metrics.pipeline.Observe(telemetry.StageQueueWait, wait)
-			s.flight.Span(j.trace, telemetry.StageQueueWait, j.enqueuedAt, wait, 0)
-			s.metrics.workersBusy.Add(1)
-			switch {
-			case j.census != nil:
-				s.runCensus(j)
-			case j.pcap != nil:
-				s.runPcap(j)
-			default:
-				s.runBatch(j)
-			}
-			s.metrics.workersBusy.Add(-1)
-			s.retire(j)
+			s.runJob(j)
 		}
+	}
+}
+
+// runJob takes a dequeued job to retirement: it runs the job's work
+// against its model and maps the outcome to the terminal state. A
+// cancelled job ends cancelled whatever its work returned, an error
+// fails it, and anything else is done.
+func (s *Service) runJob(j *job) {
+	defer s.retire(j)
+	if j.ctx.Err() != nil || !j.tryStart() {
+		j.fail("cancelled before start")
+		s.metrics.jobsFailed.Add(1)
+		return
+	}
+	wait := time.Since(j.enqueuedAt)
+	s.metrics.pipeline.Observe(telemetry.StageQueueWait, wait)
+	s.flight.Span(j.trace, telemetry.StageQueueWait, j.enqueuedAt, wait, 0)
+	s.metrics.workersBusy.Add(1)
+	defer s.metrics.workersBusy.Add(-1)
+	// The model was validated at submission and a Registry never shrinks,
+	// so this lookup cannot fail today; if that changes, the job fails
+	// cleanly instead of panicking.
+	model, err := s.registry.Get(j.model)
+	if err == nil {
+		err = j.run(j, model)
+	}
+	switch {
+	case j.ctx.Err() != nil:
+		j.fail("cancelled: " + j.ctx.Err().Error())
+		s.metrics.jobsFailed.Add(1)
+	case err != nil:
+		j.fail(err.Error())
+		s.metrics.jobsFailed.Add(1)
+	default:
+		j.finish()
+		s.metrics.jobsCompleted.Add(1)
 	}
 }
 

@@ -29,8 +29,10 @@ type Model struct {
 	LoadedAt time.Time
 
 	identifier *core.Identifier
-	// sessions pools reusable pipeline sessions (probe + feature scratch)
-	// for the synchronous identify path; they die with the entry on swap.
+	// sessions pools reusable *core.Session pipelines (probe + feature
+	// scratch) for the answer path; they die with the entry on swap.
+	// Sessions are single-goroutine: the pool guarantees exclusive use
+	// between Get and Put.
 	sessions sync.Pool
 }
 
@@ -39,15 +41,6 @@ func (m *Model) Version() string { return fmt.Sprintf("%s@%d", m.Name, m.Generat
 
 // Identifier returns the ready pipeline identifier.
 func (m *Model) Identifier() *core.Identifier { return m.identifier }
-
-// acquireSession checks a reusable pipeline session out of the model's
-// pool; pair with releaseSession. Sessions are single-goroutine; the pool
-// guarantees exclusive use between the two calls.
-func (m *Model) acquireSession() *core.Session {
-	return m.sessions.Get().(*core.Session)
-}
-
-func (m *Model) releaseSession(s *core.Session) { m.sessions.Put(s) }
 
 // Registry holds the named models a Service answers requests with. The
 // first model registered becomes the default (served when a request names

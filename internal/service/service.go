@@ -2,18 +2,18 @@
 // identification-as-a-service: an HTTP/JSON API layered on the engine
 // worker pool. A Service loads trained models once (into a hot-swappable
 // Registry), answers synchronous identifications on POST /v1/identify,
-// runs large batches asynchronously through a bounded job queue feeding
-// engine.IdentifyBatch (POST /v1/batch + GET /v1/jobs/{id}), memoizes
-// results in an LRU keyed by (model version, server spec, condition
-// fingerprint), and reports its own health and counters on GET /healthz
-// and GET /metrics.
+// runs large batches asynchronously through a bounded job queue onto the
+// engine pool (POST /v1/batch + GET /v1/jobs/{id}) -- both through one
+// answer path that memoizes results in an LRU keyed by (model version,
+// server spec, condition fingerprint) and shares one probe between
+// identical requests -- and reports its own health and counters on
+// GET /healthz and GET /metrics.
 package service
 
 import (
 	"context"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,7 +22,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/netem"
-	"repro/internal/probe"
 	"repro/internal/telemetry"
 	"repro/internal/websim"
 	"repro/internal/xrand"
@@ -231,63 +230,93 @@ func (s *Service) Close() {
 // tests; the HTTP handlers go through it too).
 func (s *Service) Traces() *telemetry.Flight { return s.flight }
 
-// identify answers one job spec against the named model, consulting the
-// result cache first. It is the shared core of the synchronous endpoint
-// and the batch executor. ctx aborts waiting (on the singleflight leader
-// or the semaphore) when the caller has gone away, so abandoned requests
-// stop occupying probe slots.
+// identify answers one /v1/identify request against the named model. ctx
+// aborts waiting (on an identical in-flight probe or a probe slot) when
+// the caller has gone away, so abandoned requests stop occupying slots.
 func (s *Service) identify(ctx context.Context, modelName string, spec JobSpec) (IdentifyResponse, error) {
 	model, err := s.registry.Get(modelName)
 	if err != nil {
 		return IdentifyResponse{}, err
 	}
-	spec = spec.normalize()
-	// Validate before consulting the cache so rejected requests do not
-	// skew the hit-rate counters.
-	server, err := spec.Server.build()
+	// Validate before resolving so rejected requests do not skew the
+	// hit-rate counters.
+	r, err := prepare(model, spec)
 	if err != nil {
 		return IdentifyResponse{}, err
+	}
+	return s.resolve(ctx, model, r, asker{trace: traceIDFrom(ctx), sync: true})
+}
+
+// request is one validated spec ready to resolve: the server and
+// condition it describes, its seed, and its result-cache key.
+type request struct {
+	server *websim.Server
+	cond   netem.Condition
+	seed   int64
+	key    string
+}
+
+// prepare validates spec and keys it under model's version: the answer
+// is a pure function of (model, server, condition, seed).
+func prepare(model *Model, spec JobSpec) (request, error) {
+	spec = spec.normalize()
+	server, err := spec.Server.build()
+	if err != nil {
+		return request{}, err
 	}
 	cond, err := spec.Condition.build()
 	if err != nil {
-		return IdentifyResponse{}, err
+		return request{}, err
 	}
-	key := model.Version() + "|" + spec.fingerprint()
+	return request{server: server, cond: cond, seed: spec.Seed, key: model.Version() + "|" + spec.fingerprint()}, nil
+}
 
-	// Span recording for the service-side stages: cache is the first
-	// lookup's cost, queue_wait the time from then until a probe slot is
-	// held (singleflight waits included -- that IS the queueing a coalesced
-	// request experiences).
-	tr := traceIDFrom(ctx)
+// asker says who resolves a request. Batch answers are traced under the
+// job's trace with the job's index as the tag, and stamped with the engine
+// worker that ran them; sync answers probe under the backlog bound and a
+// probe slot.
+type asker struct {
+	trace  telemetry.TraceID
+	tag    uint64
+	worker int
+	sync   bool
+}
+
+// resolve is the service's one answer path, shared by /v1/identify and
+// the batch executor: the result cache, then an identical probe already
+// in flight, then a probe of its own, whose answer is counted and cached.
+//
+// Identical requests share one probe: later ones wait for the first and
+// count as cache hits (they are served from memory); only the prober
+// counts a miss. A sync prober that aborts before probing (ctx cancelled
+// at the probe slot) closes done without a result; waiting requests then
+// loop and one of them probes.
+func (s *Service) resolve(ctx context.Context, model *Model, r request, a asker) (IdentifyResponse, error) {
+	// Service-side spans: cache is the first lookup's cost, queue_wait the
+	// time from then until a sync probe slot is held (waits on an
+	// identical probe included -- that IS the queueing a coalesced request
+	// experiences).
 	var clock telemetry.SpanClock
 	var tm telemetry.StageTimings
 	cacheStart := time.Now()
 	clock.StartAt(cacheStart)
-	firstLookup := true
-
-	// Singleflight: identification is deterministic per key, so concurrent
-	// identical requests share one probe. Followers count as cache hits
-	// (they are served from memory); only the leader counts a miss. A
-	// leader that aborts before probing (context cancelled at the
-	// semaphore) closes done without a result; waiting followers then loop
-	// and elect a new leader.
 	var c *inflightCall
-	for {
-		resp, ok := s.cache.Get(key)
-		if firstLookup {
+	for first := true; ; first = false {
+		resp, ok := s.cache.Get(r.key)
+		if first {
 			clock.Lap(&tm, telemetry.StageCache)
 			s.metrics.pipeline.Observe(telemetry.StageCache, tm[telemetry.StageCache])
-			s.flight.Span(tr, telemetry.StageCache, cacheStart, tm[telemetry.StageCache], 0)
-			firstLookup = false
+			s.flight.Span(a.trace, telemetry.StageCache, cacheStart, tm[telemetry.StageCache], a.tag)
 		}
-		if ok {
-			s.metrics.cacheHits.Add(1)
-			s.flight.Event(tr, telemetry.EventCacheHit, 0)
-			resp.Cached = true
-			return resp, nil
-		}
-		s.inflightMu.Lock()
-		if lead, inFlight := s.inflight[key]; inFlight {
+		if !ok {
+			s.inflightMu.Lock()
+			lead, inFlight := s.inflight[r.key]
+			if !inFlight {
+				c = &inflightCall{done: make(chan struct{})}
+				s.inflight[r.key] = c
+				s.inflightMu.Unlock()
+				break
+			}
 			s.inflightMu.Unlock()
 			select {
 			case <-lead.done:
@@ -295,102 +324,81 @@ func (s *Service) identify(ctx context.Context, modelName string, spec JobSpec) 
 				return IdentifyResponse{}, ctx.Err()
 			}
 			if !lead.ok {
-				continue // leader aborted without probing; try again
+				continue // the prober aborted before probing; try again
 			}
-			s.metrics.cacheHits.Add(1)
-			s.flight.Event(tr, telemetry.EventCacheHit, 0)
-			resp := lead.resp
-			resp.Cached = true
-			return resp, nil
+			resp = lead.resp
 		}
-		c = &inflightCall{done: make(chan struct{})}
-		s.inflight[key] = c
-		s.inflightMu.Unlock()
-		break
+		s.metrics.cacheHits.Add(1)
+		s.flight.Event(a.trace, telemetry.EventCacheHit, a.tag)
+		resp.Cached = true
+		return resp, nil
 	}
 	defer func() {
 		s.inflightMu.Lock()
-		delete(s.inflight, key)
+		delete(s.inflight, r.key)
 		s.inflightMu.Unlock()
 		close(c.done)
 	}()
 
-	// Backlog bound: every probe slot busy plus QueueSize callers already
-	// parked means this request would only deepen the pile-up. Shedding it
-	// now (429 upstream) keeps sync latency honest under overload.
-	if n := s.syncWaiting.Add(1); n > int64(s.cfg.QueueSize) {
+	if a.sync {
+		// Backlog bound: every probe slot busy plus QueueSize callers
+		// already parked means this request would only deepen the pile-up.
+		// Shedding it now (429 upstream) keeps sync latency honest under
+		// overload.
+		if n := s.syncWaiting.Add(1); n > int64(s.cfg.QueueSize) {
+			s.syncWaiting.Add(-1)
+			s.metrics.syncRejected.Add(1)
+			return IdentifyResponse{}, errQueueFull
+		}
+		select {
+		case s.syncSem <- struct{}{}:
+		case <-ctx.Done():
+			s.syncWaiting.Add(-1)
+			return IdentifyResponse{}, ctx.Err()
+		}
 		s.syncWaiting.Add(-1)
-		s.metrics.syncRejected.Add(1)
-		return IdentifyResponse{}, errQueueFull
+		defer func() { <-s.syncSem }()
+		clock.Lap(&tm, telemetry.StageQueueWait)
+		wait := tm[telemetry.StageQueueWait]
+		s.metrics.pipeline.Observe(telemetry.StageQueueWait, wait)
+		s.flight.Span(a.trace, telemetry.StageQueueWait, time.Now().Add(-wait), wait, a.tag)
+	} else {
+		// Which engine worker ran which batch job: arg packs worker<<32 | tag.
+		s.flight.Event(a.trace, telemetry.EventShardAssign, uint64(a.worker)<<32|a.tag)
 	}
-	select {
-	case s.syncSem <- struct{}{}:
-	case <-ctx.Done():
-		s.syncWaiting.Add(-1)
-		return IdentifyResponse{}, ctx.Err()
-	}
-	s.syncWaiting.Add(-1)
-	defer func() { <-s.syncSem }()
-	clock.Lap(&tm, telemetry.StageQueueWait)
-	s.metrics.pipeline.Observe(telemetry.StageQueueWait, tm[telemetry.StageQueueWait])
-	wait := tm[telemetry.StageQueueWait]
-	s.flight.Span(tr, telemetry.StageQueueWait, time.Now().Add(-wait), wait, 0)
 	s.metrics.cacheMisses.Add(1)
-	s.flight.Event(tr, telemetry.EventCacheMiss, 0)
+	s.flight.Event(a.trace, telemetry.EventCacheMiss, a.tag)
 	s.metrics.inFlight.Add(1)
 	defer s.metrics.inFlight.Add(-1)
-	rng := xrand.New(spec.Seed)
 	// Sessions recycle probe and feature scratch across requests; the pool
 	// guarantees exclusive use for the duration of the probe. Span
 	// recording stays on for the session's lifetime (idempotent re-enable);
 	// the trace binding is rebound every request (pooled sessions).
-	sess := model.acquireSession()
+	sess := model.sessions.Get().(*core.Session)
 	sess.EnableTimings(&s.metrics.pipeline)
-	sess.BindTrace(s.flight, tr)
-	id := sess.Identify(server, cond, model.Identifier().Probe(), rng)
-	model.releaseSession(sess)
+	sess.BindTrace(s.flight, a.trace, a.tag)
+	id := sess.Identify(r.server, r.cond, model.Identifier().Probe(), xrand.New(r.seed))
+	model.sessions.Put(sess)
 	// Fold the service-side spans into the result's breakdown so the wire
 	// timings cover the whole request, not just the pipeline core.
 	id.Timings[telemetry.StageQueueWait] = tm[telemetry.StageQueueWait]
 	id.Timings[telemetry.StageCache] = tm[telemetry.StageCache]
 	s.metrics.identifies.Add(1)
-	resp := toResponse(model.Version(), server.Name, id)
+	resp := toResponse(model.Version(), r.server.Name, id)
 	s.metrics.countLabel(resp)
-	s.cache.Put(key, resp)
+	s.cache.Put(r.key, resp)
 	c.resp, c.ok = resp, true
 	return resp, nil
 }
 
-// inflightCall is one in-progress identification shared by coalesced
-// requests: done closes once the leader finishes. ok distinguishes a
-// result from a leader that aborted before probing.
+// inflightCall is one in-progress identification shared by identical
+// requests: done closes once the prober finishes. ok distinguishes a
+// result from a prober that aborted before probing.
 type inflightCall struct {
 	done chan struct{}
 	resp IdentifyResponse
 	ok   bool
 }
-
-// countingBlock wraps a worker's block session so the in_flight gauge
-// counts individual probes on the batch path, the same unit the
-// synchronous path reports. It also stamps the job's trace with a
-// shard-assignment event per gathered probe (arg packs worker<<32 | job
-// tag), so a span tree shows which engine worker ran which sample.
-type countingBlock struct {
-	bs     engine.BlockIdentifier[core.Identification]
-	m      *metrics
-	flight *telemetry.Flight
-	trace  telemetry.TraceID
-	worker int
-}
-
-func (c countingBlock) Gather(tag int, server *websim.Server, cond netem.Condition, cfg probe.Config, rng *rand.Rand) {
-	c.m.inFlight.Add(1)
-	defer c.m.inFlight.Add(-1)
-	c.flight.Event(c.trace, telemetry.EventShardAssign, uint64(c.worker)<<32|uint64(tag)&0xffffffff)
-	c.bs.Gather(tag, server, cond, cfg, rng)
-}
-
-func (c countingBlock) Flush(emit func(tag int, out core.Identification)) { c.bs.Flush(emit) }
 
 // validateBatch resolves the model and pre-validates every job spec so a
 // malformed batch is rejected at submission time, not mid-run.
@@ -415,97 +423,42 @@ func (s *Service) validateBatch(req BatchRequest) error {
 	return nil
 }
 
-// runBatch executes one accepted batch job: cached specs are answered
-// from memory, the rest run through engine.IdentifyBatch on the worker
-// pool, each completion streaming into the job's progress counter as its
-// probe finishes.
-func (s *Service) runBatch(j *job) {
-	model, err := s.registry.Get(j.model)
-	if err != nil {
-		// The model was validated at submission; it can only vanish if the
-		// registry shrank since, which Registry does not support -- but
-		// fail the job cleanly rather than panic if that ever changes.
-		j.fail(err.Error())
-		s.metrics.jobsFailed.Add(1)
-		return
+// runBatch answers a batch's specs on the engine pool through resolve,
+// each completion streaming into the job's progress as it lands. A spec
+// repeated within the batch resolves once: its first occurrence asks
+// resolve and later copies are filled from that answer as Cached, so
+// which copy probes never depends on scheduling.
+func (s *Service) runBatch(j *job, model *Model) error {
+	var (
+		uniq   []request
+		first  []int             // spec index of each unique request
+		copies = map[int][]int{} // unique index -> later duplicates' spec indexes
+		seen   = map[string]int{}
+	)
+	for i, spec := range j.specs {
+		r, err := prepare(model, spec)
+		if err != nil {
+			return fmt.Errorf("job %d: %v", i, err)
+		}
+		if u, dup := seen[r.key]; dup {
+			copies[u] = append(copies[u], i)
+			continue
+		}
+		seen[r.key] = len(uniq)
+		uniq = append(uniq, r)
+		first = append(first, i)
 	}
-	version := model.Version()
-
-	// Partition into cache hits (answered immediately) and misses, and
-	// coalesce identical misses: results are deterministic per key, so N
-	// copies of one spec in a batch cost one probe, fanned out to all N
-	// slots when it completes (duplicates count as cache hits, like the
-	// sync path's singleflight followers). Known trade-off: the batch
-	// prepass reads only the cache, not the sync path's in-flight map, so
-	// a batch racing a concurrent identical /v1/identify probe can repeat
-	// that one probe -- a bounded duplication we accept to keep the batch
-	// executor from blocking on sync traffic.
-	type missGroup struct {
-		key      string
-		specIdxs []int
-	}
-	var groups []missGroup
-	groupOf := map[string]int{}
-	engineJobs := make([]engine.Job, 0, len(j.specs))
-	for i, raw := range j.specs {
-		spec := raw.normalize()
-		key := version + "|" + spec.fingerprint()
-		if resp, ok := s.cache.Get(key); ok {
+	return engine.RunWorkers(j.ctx, len(uniq), s.cfg.Parallelism, func(w, u int) {
+		i := first[u]
+		resp, err := s.resolve(j.ctx, model, uniq[u], asker{trace: j.trace, tag: uint64(i), worker: w})
+		if err != nil {
+			return // only the job's cancellation ends a batch resolve early
+		}
+		j.complete(i, resp, resp.Cached)
+		resp.Cached = true
+		for _, c := range copies[u] {
 			s.metrics.cacheHits.Add(1)
-			resp.Cached = true
-			j.complete(i, resp, true)
-			continue
+			j.complete(c, resp, true)
 		}
-		if gi, dup := groupOf[key]; dup {
-			groups[gi].specIdxs = append(groups[gi].specIdxs, i)
-			continue
-		}
-		s.metrics.cacheMisses.Add(1)
-		groupOf[key] = len(groups)
-		groups = append(groups, missGroup{key: key, specIdxs: []int{i}})
-		server, _ := spec.Server.build()  // validated at submission
-		cond, _ := spec.Condition.build() // validated at submission
-		engineJobs = append(engineJobs, engine.Job{Server: server, Cond: cond, Seed: spec.Seed})
-	}
-
-	if len(engineJobs) > 0 {
-		// Each pool worker probes its misses on a private session and
-		// classifies every probe as soon as it is gathered.
-		id := model.Identifier()
-		workerSeq := 0 // NewWorkerBlock is called sequentially by the engine
-		engine.IdentifyBatch[core.Identification](id, engineJobs, engine.BatchConfig[core.Identification]{
-			Ctx:         j.ctx,
-			Parallelism: s.cfg.Parallelism,
-			Probe:       id.Probe(),
-			NewWorkerBlock: func() engine.BlockIdentifier[core.Identification] {
-				bs := id.NewBlockSession()
-				bs.EnableTimings(&s.metrics.pipeline)
-				bs.BindTrace(s.flight, j.trace)
-				w := workerSeq
-				workerSeq++
-				return countingBlock{bs: bs, m: s.metrics, flight: s.flight, trace: j.trace, worker: w}
-			},
-			OnResult: func(r engine.Result[core.Identification]) {
-				g := groups[r.Index]
-				resp := toResponse(version, r.Job.Server.Name, r.Out)
-				s.metrics.identifies.Add(1)
-				s.metrics.countLabel(resp)
-				s.cache.Put(g.key, resp)
-				j.complete(g.specIdxs[0], resp, false)
-				resp.Cached = true
-				for _, si := range g.specIdxs[1:] {
-					s.metrics.cacheHits.Add(1)
-					j.complete(si, resp, true)
-				}
-			},
-		})
-	}
-
-	if err := j.ctx.Err(); err != nil {
-		j.fail("cancelled: " + err.Error())
-		s.metrics.jobsFailed.Add(1)
-		return
-	}
-	j.finish()
-	s.metrics.jobsCompleted.Add(1)
+	})
 }

@@ -751,6 +751,65 @@ func TestBatchDeduplicatesIdenticalSpecs(t *testing.T) {
 	}
 }
 
+// TestBatchJoinsInFlightIdentifyProbe: a batch holding the spec that a
+// /v1/identify is probing right now waits for that probe instead of
+// repeating it, and gets its answer back as a cache hit.
+func TestBatchJoinsInFlightIdentifyProbe(t *testing.T) {
+	gate := make(chan struct{})
+	started := make(chan struct{}, 8)
+	model := &fakeClassifier{Label: "BIC", Confidence: 1, gate: gate, started: started}
+	s, ts := newTestService(t, Config{Workers: 1}, model)
+	releaseGate := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(releaseGate)
+
+	body := identifyBody("BIC", 4)
+	done := make(chan IdentifyResponse, 1)
+	go func() {
+		resp, data := postJSON(t, ts.URL+"/v1/identify", body)
+		var out IdentifyResponse
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("identify status %d: %s", resp.StatusCode, data)
+		} else if err := json.Unmarshal(data, &out); err != nil {
+			t.Error(err)
+		}
+		done <- out
+	}()
+	<-started // the identify is provably mid-probe
+
+	resp, data := postJSON(t, ts.URL+"/v1/batch", map[string]any{"jobs": []map[string]any{body}})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d (%s)", resp.StatusCode, data)
+	}
+	var acc BatchAccepted
+	if err := json.Unmarshal(data, &acc); err != nil {
+		t.Fatal(err)
+	}
+	waitForState(t, s, acc.JobID, StateRunning, 10*time.Second)
+	// Give the batch a moment to reach the in-flight probe, then let that
+	// probe finish. Whether the batch waits on it or lands as a plain cache
+	// hit afterwards, it must not probe again.
+	time.Sleep(20 * time.Millisecond)
+	releaseGate()
+
+	if out := <-done; out.Label != "BIC" || out.Cached {
+		t.Fatalf("identify = %+v, want a fresh BIC probe", out)
+	}
+	st := pollJob(t, ts.URL, acc.JobID, 30*time.Second)
+	if st.State != StateDone || len(st.Results) != 1 {
+		t.Fatalf("final = %+v", st)
+	}
+	if r := st.Results[0]; r.Label != "BIC" || !r.Cached {
+		t.Fatalf("batch result = %+v, want the identify's answer, cached", r)
+	}
+	if got := s.metrics.identifies.Load(); got != 1 {
+		t.Fatalf("identifications executed = %d, want 1 (the batch joined the identify's probe)", got)
+	}
+	if st.CacheHits != 1 || s.metrics.cacheHits.Load() != 1 || s.metrics.cacheMisses.Load() != 1 {
+		t.Fatalf("job cache hits %d, service hits/misses %d/%d, want 1, 1/1",
+			st.CacheHits, s.metrics.cacheHits.Load(), s.metrics.cacheMisses.Load())
+	}
+}
+
 func TestOversizedBodyRejectedWith413(t *testing.T) {
 	_, ts := newTestService(t, Config{}, &fakeClassifier{Label: "RENO", Confidence: 1})
 	// A syntactically valid body whose one string token exceeds the cap,

@@ -12,10 +12,8 @@ package tbit
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
-	"repro/internal/netem"
 	"repro/internal/tcpsim"
 	"repro/internal/websim"
 )
@@ -27,17 +25,12 @@ const probeRTT = time.Second
 // retransmit (e.g. the window stayed too small).
 var ErrNoTrigger = errors.New("tbit: loss event did not trigger a response")
 
-// Prober runs TBIT measurements against simulated servers. Not safe for
-// concurrent use.
+// Prober runs TBIT measurements against simulated servers. Every session
+// runs lossless in-order ACKs at a fixed probeRTT, so a prober needs no
+// network condition or randomness: the zero Prober is ready to use. Not
+// safe for concurrent use.
 type Prober struct {
-	cond   netem.Condition
-	rng    *rand.Rand
 	dialer websim.Dialer
-}
-
-// New returns a TBIT prober under the given network condition.
-func New(cond netem.Condition, rng *rand.Rand) *Prober {
-	return &Prober{cond: cond, rng: rng}
 }
 
 // session is a minimal per-packet-controlled gathering loop. It plays the

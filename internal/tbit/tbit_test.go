@@ -2,17 +2,11 @@ package tbit
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
-	"repro/internal/netem"
 	"repro/internal/tcpsim"
 	"repro/internal/websim"
 )
-
-func newProber(seed int64) *Prober {
-	return New(netem.Lossless, rand.New(rand.NewSource(seed)))
-}
 
 func TestInitialWindow(t *testing.T) {
 	tests := []struct {
@@ -28,7 +22,7 @@ func TestInitialWindow(t *testing.T) {
 	for _, tc := range tests {
 		server := websim.Testbed("RENO")
 		server.InitialWindow = tc.iw
-		got, err := newProber(1).InitialWindow(server, tc.mss)
+		got, err := new(Prober).InitialWindow(server, tc.mss)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +51,7 @@ func TestLossRecoveryClassification(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.want, func(t *testing.T) {
-			got, err := newProber(2).LossRecovery(recoveryServer(tc.scheme, false), 536)
+			got, err := new(Prober).LossRecovery(recoveryServer(tc.scheme, false), 536)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +66,7 @@ func TestMultiplicativeDecreaseWithoutBurstinessControl(t *testing.T) {
 	// A RENO server without cwnd moderation: the post-loss-event window
 	// is ~half the pre-loss window, so a loss event *would* measure beta
 	// accurately.
-	beta, err := newProber(3).MultiplicativeDecrease(recoveryServer(tcpsim.RecoveryNewReno, false), 536)
+	beta, err := new(Prober).MultiplicativeDecrease(recoveryServer(tcpsim.RecoveryNewReno, false), 536)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +80,7 @@ func TestMultiplicativeDecreaseWithBurstinessControl(t *testing.T) {
 	// event is clamped to in-flight + 3 packets, far below beta*w: the
 	// paper's Section IV-B argument for emulating timeouts instead of
 	// loss events.
-	beta, err := newProber(4).MultiplicativeDecrease(recoveryServer(tcpsim.RecoveryNewReno, true), 536)
+	beta, err := new(Prober).MultiplicativeDecrease(recoveryServer(tcpsim.RecoveryNewReno, true), 536)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +92,7 @@ func TestMultiplicativeDecreaseWithBurstinessControl(t *testing.T) {
 func TestLossRecoveryRejectsTinyWindows(t *testing.T) {
 	server := recoveryServer(tcpsim.RecoveryNewReno, false)
 	server.SendBufferSegments = 4 // window can never reach the target
-	if _, err := newProber(5).LossRecovery(server, 536); err == nil {
+	if _, err := new(Prober).LossRecovery(server, 536); err == nil {
 		t.Fatal("expected an error for a window that cannot grow")
 	}
 }
@@ -106,7 +100,7 @@ func TestLossRecoveryRejectsTinyWindows(t *testing.T) {
 func TestInitialWindowErrorsOnRejectedMSS(t *testing.T) {
 	server := websim.Testbed("RENO")
 	server.MinMSS = 1460
-	if _, err := newProber(6).InitialWindow(server, 100); err == nil {
+	if _, err := new(Prober).InitialWindow(server, 100); err == nil {
 		t.Fatal("expected an MSS rejection error")
 	}
 }
@@ -134,7 +128,7 @@ func TestMultiplicativeDecreaseAcrossAlgorithms(t *testing.T) {
 	}
 	for _, tc := range tests {
 		server := websim.Testbed(tc.alg)
-		beta, err := newProber(7).MultiplicativeDecrease(server, 536)
+		beta, err := new(Prober).MultiplicativeDecrease(server, 536)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.alg, err)
 		}
