@@ -128,8 +128,9 @@ type (
 	// optional live metrics; the ingest ring is a fixed 1 MiB).
 	StreamOptions = flow.StreamConfig
 	// CaptureStream is a running streaming-identification pipeline: an
-	// io.Writer fed capture bytes, emitting classified flows as they
-	// close (see Identifier.IdentifyStream).
+	// io.Writer and io.ReaderFrom fed capture bytes (io.Copy into it
+	// reads the source straight into its ring), emitting classified
+	// flows as they close (see Identifier.IdentifyStream).
 	CaptureStream = flow.IdentifyStream
 	// StageTimings is one identification's per-stage wall-clock span
 	// breakdown (see Identification.Timings and IdentifyTimed); index it

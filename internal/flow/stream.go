@@ -2,13 +2,15 @@
 // feeding every finished flow through one sink, and one pairing rule.
 // A Stream runs it for unbounded captures:
 //
-//	Write -> pcap.Ring -> decode + track -> sink
+//	ReadFrom (or Write) -> pcap.Ring -> decode in place + track -> sink
 //
 // One goroutine runs the loop over the ring with idle expiry on and
 // hands each finished flow to the caller's sink inline, so the sink
 // needs no locks and sees flows in the tracker's close order. The ring
-// is the only buffer: when decoding or the sink falls behind, the
-// producer's Write (HTTP body, stdin) blocks instead of memory growing.
+// is the only buffer: ReadFrom reads the producer (HTTP body, stdin)
+// straight into it, the decoder frames records where they lie, and when
+// decoding or the sink falls behind the producer blocks instead of
+// memory growing.
 // Reassemble runs the same loop over a reader on the caller's goroutine
 // with idle expiry off, then sorts the flows into capture order; Pair
 // feeds them to the same pairer the IdentifyStream uses.
@@ -46,7 +48,7 @@ type StreamMetrics struct {
 	// Tracker carries the live-flow gauge, its high water, and the
 	// epoch/expiry counters.
 	Tracker TrackerMetrics
-	// Bytes counts capture bytes accepted by Write.
+	// Bytes counts capture bytes accepted by Write or ReadFrom.
 	Bytes *telemetry.Counter
 	// Packets counts capture records read.
 	Packets *telemetry.Counter
@@ -67,11 +69,12 @@ func (c StreamConfig) withDefaults() StreamConfig {
 }
 
 // Stream is the passive engine running on its own goroutine over a
-// bounded ring, with idle expiry on. Feed capture bytes with Write (any
-// chunking), then Close to drain; flows arrive at the sink passed to
-// NewStream as they close. Write/Close may run on a different goroutine
-// than the one that built the Stream. Abort tears the pipeline down
-// early. Reassemble runs the same engine over a reader, expiry off.
+// bounded ring, with idle expiry on. Feed capture bytes with ReadFrom
+// (io.Copy into the Stream) or Write (any chunking) from one goroutine
+// at a time, then Close to drain; flows arrive at the sink passed to
+// NewStream as they close. The feed and Close may run on a different
+// goroutine than the one that built the Stream. Abort tears the pipeline
+// down early. Reassemble runs the same engine over a reader, expiry off.
 type Stream struct {
 	cfg     StreamConfig
 	ring    *pcap.Ring // nil when Reassemble runs the loop over a reader
@@ -131,10 +134,36 @@ func newStream(ctx context.Context, cfg StreamConfig, onFlow func(*FlowTrace), e
 // is full until the decoder catches up (end-to-end backpressure).
 func (s *Stream) Write(p []byte) (int, error) {
 	n, err := s.ring.Write(p)
+	s.count(n)
+	return n, err
+}
+
+// ReadFrom feeds the pipeline from src until src's EOF, reading straight
+// into the ring's free space, so each byte is copied once; io.Copy into
+// a Stream takes this path. It blocks as Write does, and stops at the
+// pipeline's error when decoding fails first.
+func (s *Stream) ReadFrom(src io.Reader) (int64, error) {
+	return s.ring.ReadFrom(countingReader{src, s})
+}
+
+// count records n capture bytes accepted.
+func (s *Stream) count(n int) {
 	s.bytesIn.Add(int64(n))
 	if m := s.cfg.Metrics; m != nil && m.Bytes != nil {
 		m.Bytes.Add(int64(n))
 	}
+}
+
+// countingReader counts every read of a ReadFrom source as it lands, so
+// BytesIn and the bytes counter advance while a long upload runs.
+type countingReader struct {
+	src io.Reader
+	s   *Stream
+}
+
+func (c countingReader) Read(p []byte) (int, error) {
+	n, err := c.src.Read(p)
+	c.s.count(n)
 	return n, err
 }
 
@@ -166,11 +195,14 @@ func (s *Stream) Stats() CaptureStats { return s.stats }
 // goroutine while the stream runs.
 func (s *Stream) BytesIn() int64 { return s.bytesIn.Load() }
 
-// serve is the stream's goroutine: the engine loop over the ring.
+// serve is the stream's goroutine: the engine loop over the ring. On
+// exit it closes the ring with the pipeline's error (io.ErrClosedPipe
+// when there is none), so a producer still writing stops with the
+// error that stopped the loop.
 func (s *Stream) serve() {
 	defer close(s.done)
-	defer s.ring.CloseWithError(io.ErrClosedPipe) // unblock any writer on early exit
 	s.run(s.ring)
+	s.ring.CloseWithError(s.err)
 }
 
 // run is the passive engine's one decode -> track loop: it decodes r,

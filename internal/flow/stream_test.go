@@ -113,19 +113,27 @@ func synthCapture(seed int64, nflows int, gaps bool) (data []byte, long int) {
 }
 
 // streamCollect runs data through a Stream with idle expiry on or off
-// and returns the emitted flows (sorted in capture order) and stats.
+// and returns the emitted flows (sorted in capture order) and stats. The
+// chunks go in alternately through Write and ReadFrom, so both
+// producers feed one ring.
 func streamCollect(t testing.TB, data []byte, cfg StreamConfig, chunk int, expiry bool) ([]*FlowTrace, CaptureStats) {
 	t.Helper()
 	var got []*FlowTrace
 	st := newStream(context.Background(), cfg, func(f *FlowTrace) { got = append(got, f) }, expiry)
-	for off := 0; off < len(data); off += chunk {
-		end := off + chunk
-		if end > len(data) {
-			end = len(data)
+	for i, off := 0, 0; off < len(data); i, off = i+1, off+chunk {
+		p := data[off:min(off+chunk, len(data))]
+		var err error
+		if i%2 == 0 {
+			_, err = st.Write(p)
+		} else {
+			_, err = st.ReadFrom(bytes.NewReader(p))
 		}
-		if _, err := st.Write(data[off:end]); err != nil {
-			t.Fatalf("stream write: %v", err)
+		if err != nil {
+			t.Fatalf("stream feed: %v", err)
 		}
+	}
+	if n := st.BytesIn(); n != int64(len(data)) {
+		t.Fatalf("stream took %d bytes, fed %d", n, len(data))
 	}
 	if err := st.Close(); err != nil {
 		t.Fatalf("stream close: %v", err)

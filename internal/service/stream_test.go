@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -164,6 +165,37 @@ func TestPcapStreamGarbage(t *testing.T) {
 	final := events[len(events)-1]
 	if final.Error == "" {
 		t.Fatalf("garbage stream reported no error: %+v", final)
+	}
+	var snap MetricsSnapshot
+	getJSON(t, ts.URL+"/metrics", &snap)
+	if snap.Stream.Errors != 1 {
+		t.Fatalf("stream error counter: %+v", snap.Stream)
+	}
+}
+
+// TestPcapStreamDecodeErrorMidUpload: when decoding fails while the body
+// is still arriving, the final event reports the decoder's error, not
+// the closed ring the producer ran into.
+func TestPcapStreamDecodeErrorMidUpload(t *testing.T) {
+	_, ts := newTestService(t, Config{}, &fakeClassifier{Label: "X", Confidence: 1})
+	// A valid classic header, a record whose caplen 100 exceeds its
+	// origlen 50, then far more padding than the 1 MiB ring holds.
+	body := []byte{0xd4, 0xc3, 0xb2, 0xa1, 2, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0, 0, 1, 0, 0, 0}
+	body = binary.LittleEndian.AppendUint32(body, 1700000000)
+	body = binary.LittleEndian.AppendUint32(body, 0)
+	body = binary.LittleEndian.AppendUint32(body, 100)
+	body = binary.LittleEndian.AppendUint32(body, 50)
+	body = append(body, make([]byte, 8<<20)...)
+	resp, events := streamEvents(t, ts.URL, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if len(events) == 0 {
+		t.Fatal("no events")
+	}
+	final := events[len(events)-1]
+	if !strings.Contains(final.Error, "exceeds original length") {
+		t.Fatalf("final event error %q, want the decoder's caplen error", final.Error)
 	}
 	var snap MetricsSnapshot
 	getJSON(t, ts.URL+"/metrics", &snap)
