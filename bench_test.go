@@ -413,15 +413,15 @@ func BenchmarkPcapIngest(b *testing.B) {
 	bench.PcapIngest(model)(b)
 }
 
-// BenchmarkPcapStreamIngest measures the streaming pipeline (bounded
-// ring, decode, online flow tracking) over a live-monitoring workload
-// of concurrent MTU-sized bulk transfers (MB/s of capture).
+// BenchmarkPcapStreamIngest measures the streaming pipeline (decode and
+// online flow tracking over a reader) on a live-monitoring workload of
+// concurrent MTU-sized bulk transfers (MB/s of capture).
 func BenchmarkPcapStreamIngest(b *testing.B) {
 	bench.PcapStreamIngest()(b)
 }
 
 // BenchmarkPcapStreamProbeCapture measures streaming identification
-// (ring, decode, tracking, pairing, classification) over an eight-server
+// (decode, tracking, pairing, classification) over an eight-server
 // probe capture gathered one connection at a time (MB/s of capture).
 func BenchmarkPcapStreamProbeCapture(b *testing.B) {
 	ctx := benchCtx(b)

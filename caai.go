@@ -125,13 +125,8 @@ type (
 	// classification parallelism, optional per-stage span recording).
 	CaptureOptions = flow.IdentifyOptions
 	// StreamOptions tunes Identifier.IdentifyStream (tracker bounds and
-	// optional live metrics; the ingest ring is a fixed 1 MiB).
+	// optional live metrics).
 	StreamOptions = flow.StreamConfig
-	// CaptureStream is a running streaming-identification pipeline: an
-	// io.Writer and io.ReaderFrom fed capture bytes (io.Copy into it
-	// reads the source straight into its ring), emitting classified
-	// flows as they close (see Identifier.IdentifyStream).
-	CaptureStream = flow.IdentifyStream
 	// StageTimings is one identification's per-stage wall-clock span
 	// breakdown (see Identification.Timings and IdentifyTimed); index it
 	// with the Stage* constants.
@@ -292,21 +287,21 @@ func (id *Identifier) IdentifyCapture(r io.Reader, opts CaptureOptions) ([]FlowI
 	return flow.IdentifyCapture(r, id.core, opts)
 }
 
-// IdentifyStream starts the streaming form of IdentifyCapture for live
-// or unbounded captures: write pcap/pcapng bytes into the returned
-// stream as they arrive (any chunking) and onResult fires -- serially,
-// from the pipeline goroutine -- for each flow pair the moment it
-// closes, rather than at end of input. Flows close when idle past the
-// expiry threshold, when evicted by the tracker bound, or when Close
-// drains the pipeline; pairing and classification are IdentifyCapture's,
-// with at most 1024 flows waiting for a companion. One goroutine
-// decodes, tracks and classifies behind a bounded ring, so Write blocks
-// (backpressure) instead of growing memory when classification falls
-// behind. Callers must Close (or Abort) the stream exactly once. See
+// IdentifyStream is the streaming form of IdentifyCapture for live or
+// unbounded captures: it reads pcap/pcapng bytes from r as they arrive
+// and calls onResult -- serially, on the caller's goroutine -- for each
+// flow pair the moment it closes, rather than at end of input. Flows
+// close when idle past the expiry threshold, when evicted by the tracker
+// bound, or when r ends and the remaining flows drain; pairing and
+// classification are IdentifyCapture's, with at most 1024 flows waiting
+// for a companion. Reading, decoding and classifying run in one loop,
+// so r is not read while classification catches up (backpressure)
+// and memory does not grow. IdentifyStream returns the capture's stats
+// when r reaches EOF or fails, or soon after ctx is cancelled. See
 // cmd/caai-pcap -follow and the service's POST /v1/pcap/stream for the
 // command-line and HTTP fronts.
-func (id *Identifier) IdentifyStream(ctx context.Context, opts StreamOptions, onResult func(FlowIdentification)) *CaptureStream {
-	return flow.NewIdentifyStream(ctx, id.core, opts, onResult)
+func (id *Identifier) IdentifyStream(ctx context.Context, r io.Reader, opts StreamOptions, onResult func(FlowIdentification)) (CaptureStats, error) {
+	return flow.IdentifyStream(ctx, r, id.core, opts, onResult)
 }
 
 // SaveModel writes the trained model and its probe budget to path so

@@ -134,7 +134,7 @@ func followStream(stdout io.Writer, id *caai.Identifier, r io.Reader, jsonOut bo
 		fmt.Fprintf(stdout, "%-22s %-22s %7s %8s  %s\n", "SERVER", "CLIENT", "PKTS", "RTT", "IDENTIFICATION")
 	}
 	var results int64
-	st := id.IdentifyStream(context.Background(), opts, func(p caai.FlowIdentification) {
+	stats, err := id.IdentifyStream(context.Background(), r, opts, func(p caai.FlowIdentification) {
 		results++
 		if jsonOut {
 			_ = enc.Encode(toJSONResult(p))
@@ -149,12 +149,6 @@ func followStream(stdout io.Writer, id *caai.Identifier, r io.Reader, jsonOut bo
 		fmt.Fprintf(stdout, "%-22s %-22s %7d %8s  %s\n",
 			p.A.Server, client, pkts, p.A.RTT.Round(time.Millisecond), p.ID)
 	})
-	_, cerr := io.Copy(st, r)
-	err := st.Close()
-	if err == nil {
-		err = cerr
-	}
-	stats := st.Stats()
 	if jsonOut {
 		_ = enc.Encode(map[string]any{"stats": stats})
 	} else {

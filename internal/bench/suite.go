@@ -383,9 +383,9 @@ func PcapIngest(model classify.Classifier) func(*testing.B) {
 	}
 }
 
-// PcapStreamIngest measures the streaming pipeline -- bounded ring fed
-// through Write, decode, online flow tracking, epoch expiry -- over a
-// live-monitoring workload: dozens of concurrent bulk transfers with MTU-sized segments
+// PcapStreamIngest measures the streaming pipeline -- flow.Stream's
+// decode, online flow tracking and epoch expiry over a reader, as the
+// service runs it on a request body -- over a live-monitoring workload: dozens of concurrent bulk transfers with MTU-sized segments
 // interleaved packet by packet, the shape a `tcpdump -w -` feed has
 // (unlike pcap/ingest's small-MSS probe capture). Data segments
 // round-robin over the flows, so only handshakes and the ACK after a
@@ -452,13 +452,10 @@ func PcapStreamIngest() func(*testing.B) {
 		var flows int
 		for i := 0; i < b.N; i++ {
 			flows = 0
-			st := flow.NewStream(context.Background(), flow.StreamConfig{
+			_, err := flow.Stream(context.Background(), bytes.NewReader(data), flow.StreamConfig{
 				Tracker: flow.Config{MaxFlows: 4 * nflows, MaxEmitted: -1},
 			}, func(*flow.FlowTrace) { flows++ })
-			if _, err := st.Write(data); err != nil {
-				b.Fatal(err)
-			}
-			if err := st.Close(); err != nil {
+			if err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -470,14 +467,12 @@ func PcapStreamIngest() func(*testing.B) {
 }
 
 // PcapStreamProbeCapture measures streaming identification end to end
-// -- ring, decode, online tracking, pairing and classification through
-// flow.NewIdentifyStream -- over a pcapgen probe capture of eight
-// servers gathered one connection at a time: the traffic the service's
-// capture stream carries, where nearly every packet belongs to the same
-// flow as the packet before it. The capture goes in through ReadFrom,
-// as the service's io.Copy of the request body does (pcap/stream_ingest
-// keeps Write, so both producers stay measured). b.SetBytes reports
-// MB/s of capture.
+// -- decode, online tracking, pairing and classification through
+// flow.IdentifyStream over a reader, the call the service makes on a
+// request body -- over a pcapgen probe capture of eight servers
+// gathered one connection at a time: the traffic the service's capture
+// stream carries, where nearly every packet belongs to the same flow as
+// the packet before it. b.SetBytes reports MB/s of capture.
 func PcapStreamProbeCapture(model classify.Classifier) func(*testing.B) {
 	return func(b *testing.B) {
 		algs := []string{"RENO", "CUBIC2", "BIC", "HTCP", "VEGAS", "STCP", "HSTCP", "ILLINOIS"}
@@ -496,12 +491,9 @@ func PcapStreamProbeCapture(model classify.Classifier) func(*testing.B) {
 		var results int
 		for i := 0; i < b.N; i++ {
 			results = 0
-			st := flow.NewIdentifyStream(context.Background(), model, flow.StreamConfig{},
+			_, err := flow.IdentifyStream(context.Background(), bytes.NewReader(data), model, flow.StreamConfig{},
 				func(flow.FlowIdentification) { results++ })
-			if _, err := st.ReadFrom(bytes.NewReader(data)); err != nil {
-				b.Fatal(err)
-			}
-			if err := st.Close(); err != nil {
+			if err != nil {
 				b.Fatal(err)
 			}
 		}

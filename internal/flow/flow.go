@@ -33,7 +33,7 @@ type Config struct {
 	// MaxEmitted bounds the flows a single capture may emit: once the cap
 	// fills, every flow that finishes later is dropped and counted, so
 	// the earliest-finishing flows are the ones kept. Negative disables
-	// the bound (a Stream hands flows off as they close, so nothing
+	// the bound (Stream hands flows off as they close, so nothing
 	// accumulates). Default 65536.
 	MaxEmitted int
 
@@ -294,7 +294,7 @@ type TrackerMetrics struct {
 // Tracker reassembles flows from a packet stream. Feed packets with
 // Observe, then call Finish to drain the flows still open. Every
 // finished flow -- evicted, idle-expired, or drained -- goes to the
-// tracker's one sink, synchronously and in close order: a Stream's sink
+// tracker's one sink, synchronously and in close order: Stream's sink
 // runs with idle expiry on, Reassemble's with it off, and a bare
 // NewTracker discards its flows. Memory is bounded by MaxFlows live
 // flows, maxRounds rounds each, and MaxEmitted finished flows,

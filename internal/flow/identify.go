@@ -72,15 +72,13 @@ type FlowIdentification struct {
 // along with the error.
 func Reassemble(r io.Reader, cfg Config) ([]*FlowTrace, CaptureStats, error) {
 	var flows []*FlowTrace
-	s := &Stream{ctx: context.Background(), tracker: NewTracker(cfg)}
-	s.onFlow = func(f *FlowTrace) { flows = append(flows, f) }
-	s.tracker.sink = s.emit // idle expiry stays off
-	s.run(r)
+	stats, err := capture(context.Background(), r, StreamConfig{Tracker: cfg}, false,
+		func(f *FlowTrace) { flows = append(flows, f) })
 	sortFlows(flows)
-	return flows, s.stats, s.err
+	return flows, stats, err
 }
 
-// Pair runs the passive pipeline's one pairing rule -- the pairer an
+// Pair runs the passive pipeline's one pairing rule -- the pairer
 // IdentifyStream runs -- over flows in capture order (as Reassemble
 // returns them), with no bound on the flows waiting for a companion:
 // each valid timed-out trace pairs with the next connection of its
@@ -124,7 +122,7 @@ type ClassifyOptions struct {
 }
 
 // ClassifyAll classifies paired flows in place, fanning the per-pair
-// classification an IdentifyStream runs inline out on the engine worker
+// classification IdentifyStream runs inline out on the engine worker
 // pool. A cancelled run returns ctx's error without invoking OnResult.
 // model is taken as trained at the default probe budget unless it is a
 // *core.Identifier, which carries its own (see core.NewIdentifier): a

@@ -1,25 +1,22 @@
-// The passive engine: one decode -> track loop over any io.Reader,
+// The passive engine: one decode -> track loop over an io.Reader,
 // feeding every finished flow through one sink, and one pairing rule.
-// A Stream runs it for unbounded captures:
+// Every entry point runs the loop on the caller's goroutine:
 //
-//	ReadFrom (or Write) -> pcap.Ring -> decode in place + track -> sink
+//	body -> Reader.Next (bufio, in place) -> Tracker.Observe -> sink -> onFlow
 //
-// One goroutine runs the loop over the ring with idle expiry on and
-// hands each finished flow to the caller's sink inline, so the sink
-// needs no locks and sees flows in the tracker's close order. The ring
-// is the only buffer: ReadFrom reads the producer (HTTP body, stdin)
-// straight into it, the decoder frames records where they lie, and when
-// decoding or the sink falls behind the producer blocks instead of
-// memory growing.
-// Reassemble runs the same loop over a reader on the caller's goroutine
-// with idle expiry off, then sorts the flows into capture order; Pair
-// feeds them to the same pairer the IdentifyStream uses.
+// Stream runs it with idle expiry on, for unbounded captures (an HTTP
+// request body, stdin), and hands each flow to onFlow the moment it
+// closes; IdentifyStream pairs and classifies those flows inline.
+// Reassemble runs it with idle expiry off and sorts the flows into
+// capture order; Pair feeds them to the same pairer IdentifyStream
+// uses. The decoder's buffer is the only buffer: while the loop
+// decodes, tracks or classifies it is not reading, so a slow consumer
+// stalls the producer instead of growing memory.
 package flow
 
 import (
 	"context"
 	"io"
-	"sync/atomic"
 
 	"repro/internal/classify"
 	"repro/internal/core"
@@ -28,7 +25,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// StreamConfig tunes a Stream. The zero value selects the defaults.
+// StreamConfig tunes Stream and IdentifyStream. The zero value selects
+// the defaults.
 type StreamConfig struct {
 	// Tracker bounds flow reassembly. MaxEmitted defaults to unlimited
 	// in streaming mode, where emitted flows are handed off instead of
@@ -36,9 +34,6 @@ type StreamConfig struct {
 	Tracker Config
 	// Metrics, when non-nil, publishes live pipeline state.
 	Metrics *StreamMetrics
-	// ringBytes bounds the ingest ring buffer between the producer and
-	// the decoder (default 1 MiB); only this package's tests shrink it.
-	ringBytes int
 }
 
 // StreamMetrics is the caai_stream_* instrument set. All fields are
@@ -48,168 +43,55 @@ type StreamMetrics struct {
 	// Tracker carries the live-flow gauge, its high water, and the
 	// epoch/expiry counters.
 	Tracker TrackerMetrics
-	// Bytes counts capture bytes accepted by Write or ReadFrom.
-	Bytes *telemetry.Counter
 	// Packets counts capture records read.
 	Packets *telemetry.Counter
 	// Flows counts flows emitted (expired, evicted, or drained).
 	Flows *telemetry.Counter
-	// RingHighWater tracks the fullest the ingest ring has been.
-	RingHighWater *telemetry.Gauge
 }
 
 func (c StreamConfig) withDefaults() StreamConfig {
-	if c.ringBytes <= 0 {
-		c.ringBytes = 1 << 20
-	}
 	if c.Tracker.MaxEmitted == 0 {
 		c.Tracker.MaxEmitted = -1
 	}
 	return c
 }
 
-// Stream is the passive engine running on its own goroutine over a
-// bounded ring, with idle expiry on. Feed capture bytes with ReadFrom
-// (io.Copy into the Stream) or Write (any chunking) from one goroutine
-// at a time, then Close to drain; flows arrive at the sink passed to
-// NewStream as they close. The feed and Close may run on a different
-// goroutine than the one that built the Stream. Abort tears the pipeline
-// down early. Reassemble runs the same engine over a reader, expiry off.
-type Stream struct {
-	cfg     StreamConfig
-	ring    *pcap.Ring // nil when Reassemble runs the loop over a reader
-	tracker *Tracker
-	onFlow  func(*FlowTrace)
-
-	ctx    context.Context
-	cancel context.CancelFunc
-	done   chan struct{}
-
-	bytesIn      atomic.Int64
-	classifiable int64        // flows handed to onFlow with a valid trace
-	err          error        // pipeline error, valid after done
-	stats        CaptureStats // valid after done
+// Stream runs the passive engine over r with idle expiry on, on the
+// caller's goroutine. Every finished flow is handed to onFlow serially,
+// in close order; the FlowTrace is owned by the callback. Stream returns
+// when r reaches EOF (after draining the flows still open) or fails, or
+// soon after ctx is cancelled: the loop checks ctx every 4096 records,
+// and from the cancel on no flow reaches onFlow. The error is the
+// decoder's, else ctx's, else nil.
+func Stream(ctx context.Context, r io.Reader, cfg StreamConfig, onFlow func(*FlowTrace)) (CaptureStats, error) {
+	return capture(ctx, r, cfg.withDefaults(), true, onFlow)
 }
 
-// NewStream starts a streaming pipeline with idle expiry on. Every
-// finished flow is handed to onFlow serially, in close order, from the
-// pipeline goroutine; the FlowTrace is owned by the callback. Cancelling
-// ctx aborts the pipeline. Callers must call Close (or Abort) exactly
-// once.
-func NewStream(ctx context.Context, cfg StreamConfig, onFlow func(*FlowTrace)) *Stream {
-	return newStream(ctx, cfg, onFlow, true)
+// stream is the state of one run of the engine's loop.
+type stream struct {
+	ctx          context.Context
+	tracker      *Tracker
+	metrics      *StreamMetrics
+	onFlow       func(*FlowTrace)
+	classifiable int64 // flows handed to onFlow with a valid trace
 }
 
-// newStream is NewStream with idle expiry selectable: off, the ring
-// pipeline emits exactly the flows Reassemble does.
-func newStream(ctx context.Context, cfg StreamConfig, onFlow func(*FlowTrace), expiry bool) *Stream {
-	cfg = cfg.withDefaults()
-	sctx, cancel := context.WithCancel(ctx)
-	s := &Stream{
-		cfg:     cfg,
-		ring:    pcap.NewRing(cfg.ringBytes),
-		tracker: NewTracker(cfg.Tracker),
-		onFlow:  onFlow,
-		ctx:     sctx,
-		cancel:  cancel,
-		done:    make(chan struct{}),
-	}
+// capture runs the engine's loop over r with idle expiry on or off;
+// Stream and Reassemble are its two modes.
+func capture(ctx context.Context, r io.Reader, cfg StreamConfig, expiry bool, onFlow func(*FlowTrace)) (CaptureStats, error) {
+	s := &stream{ctx: ctx, tracker: NewTracker(cfg.Tracker), metrics: cfg.Metrics, onFlow: onFlow}
 	if cfg.Metrics != nil {
 		s.tracker.Instrument(&cfg.Metrics.Tracker)
 	}
 	s.tracker.sink, s.tracker.expiry = s.emit, expiry
-	go s.serve()
-	// Unblock the pipeline promptly when ctx is cancelled from outside.
-	go func() {
-		select {
-		case <-sctx.Done():
-			s.ring.CloseWithError(context.Cause(sctx))
-		case <-s.done:
-		}
-	}()
-	return s
-}
-
-// Write feeds capture bytes into the pipeline, blocking when the ring
-// is full until the decoder catches up (end-to-end backpressure).
-func (s *Stream) Write(p []byte) (int, error) {
-	n, err := s.ring.Write(p)
-	s.count(n)
-	return n, err
-}
-
-// ReadFrom feeds the pipeline from src until src's EOF, reading straight
-// into the ring's free space, so each byte is copied once; io.Copy into
-// a Stream takes this path. It blocks as Write does, and stops at the
-// pipeline's error when decoding fails first.
-func (s *Stream) ReadFrom(src io.Reader) (int64, error) {
-	return s.ring.ReadFrom(countingReader{src, s})
-}
-
-// count records n capture bytes accepted.
-func (s *Stream) count(n int) {
-	s.bytesIn.Add(int64(n))
-	if m := s.cfg.Metrics; m != nil && m.Bytes != nil {
-		m.Bytes.Add(int64(n))
-	}
-}
-
-// countingReader counts every read of a ReadFrom source as it lands, so
-// BytesIn and the bytes counter advance while a long upload runs.
-type countingReader struct {
-	src io.Reader
-	s   *Stream
-}
-
-func (c countingReader) Read(p []byte) (int, error) {
-	n, err := c.src.Read(p)
-	c.s.count(n)
-	return n, err
-}
-
-// Close ends the input, waits for the pipeline to drain (every
-// remaining flow is emitted), and returns the first pipeline error.
-func (s *Stream) Close() error {
-	s.ring.Close()
-	<-s.done
-	s.cancel()
-	return s.err
-}
-
-// Abort tears the pipeline down without draining: blocked producers and
-// consumers unwind, remaining flows are dropped. Safe to call after
-// Close; safe to call concurrently with Write.
-func (s *Stream) Abort(err error) {
-	if err == nil {
-		err = context.Canceled
-	}
-	s.ring.CloseWithError(err)
-	s.cancel()
-	<-s.done
-}
-
-// Stats reports the pipeline counters. Valid after Close/Abort.
-func (s *Stream) Stats() CaptureStats { return s.stats }
-
-// BytesIn reports capture bytes accepted so far. Safe to call from any
-// goroutine while the stream runs.
-func (s *Stream) BytesIn() int64 { return s.bytesIn.Load() }
-
-// serve is the stream's goroutine: the engine loop over the ring. On
-// exit it closes the ring with the pipeline's error (io.ErrClosedPipe
-// when there is none), so a producer still writing stops with the
-// error that stopped the loop.
-func (s *Stream) serve() {
-	defer close(s.done)
-	s.run(s.ring)
-	s.ring.CloseWithError(s.err)
+	return s.run(r)
 }
 
 // run is the passive engine's one decode -> track loop: it decodes r,
-// tracks every packet, drains the tracker at end of input, and records
+// tracks every packet, drains the tracker at end of input, and returns
 // the capture's stats and first error. Every finished flow reaches emit
 // through the tracker's sink.
-func (s *Stream) run(r io.Reader) {
+func (s *stream) run(r io.Reader) (CaptureStats, error) {
 	var ds pcap.Stats
 	rd, err := pcap.NewReader(r)
 	if err == nil {
@@ -223,15 +105,19 @@ func (s *Stream) run(r io.Reader) {
 			if countdown <= 0 {
 				countdown = 4096
 				published = s.publish(rd, published)
+				if err = s.ctx.Err(); err != nil {
+					break
+				}
 			}
 		}
 		s.publish(rd, published)
 		ds = rd.Stats()
 	}
-	// End of input: drain the remaining flows to the sink.
+	// End of input: drain the remaining flows to the sink (which drops
+	// them once ctx is cancelled).
 	s.tracker.Finish()
 	ts := s.tracker.Stats()
-	s.stats = CaptureStats{
+	stats := CaptureStats{
 		Packets:          ds.Packets,
 		TCPSegments:      ds.TCP,
 		SkippedPackets:   ds.Skipped,
@@ -242,38 +128,31 @@ func (s *Stream) run(r io.Reader) {
 		DroppedFlows:     ts.Dropped,
 		TruncatedFlows:   ts.Truncated,
 	}
-	switch {
-	case err != nil && err != io.EOF:
-		s.err = err
-	case s.ctx.Err() != nil:
-		s.err = s.ctx.Err()
+	if err == io.EOF {
+		err = s.ctx.Err()
 	}
+	return stats, err
 }
 
 // publish adds the records read since the last call to the Packets
-// counter and refreshes the ring high water; it returns the new total.
-func (s *Stream) publish(rd *pcap.Reader, published int64) int64 {
-	m := s.cfg.Metrics
-	if m == nil {
+// counter; it returns the new total.
+func (s *stream) publish(rd *pcap.Reader, published int64) int64 {
+	m := s.metrics
+	if m == nil || m.Packets == nil {
 		return published
 	}
 	n := rd.Stats().Packets
-	if m.Packets != nil {
-		m.Packets.Add(n - published)
-	}
-	if m.RingHighWater != nil {
-		m.RingHighWater.SetMax(int64(s.ring.HighWater()))
-	}
+	m.Packets.Add(n - published)
 	return n
 }
 
 // emit is the tracker's sink: it counts the flow and hands it to
-// onFlow, or drops it once the stream is aborted.
-func (s *Stream) emit(ft *FlowTrace) {
+// onFlow, or drops it once ctx is cancelled.
+func (s *stream) emit(ft *FlowTrace) {
 	if s.ctx.Err() != nil {
 		return
 	}
-	if m := s.cfg.Metrics; m != nil && m.Flows != nil {
+	if m := s.metrics; m != nil && m.Flows != nil {
 		m.Flows.Add(1)
 	}
 	if ft.Trace != nil && ft.Trace.Valid() {
@@ -282,52 +161,36 @@ func (s *Stream) emit(ft *FlowTrace) {
 	s.onFlow(ft)
 }
 
-// maxPending bounds the flows an IdentifyStream holds waiting for an
+// maxPending bounds the flows IdentifyStream holds waiting for an
 // environment-B companion; beyond it the oldest pending flow classifies
 // unpaired.
 const maxPending = 1024
 
-// IdentifyStream is a Stream whose flows are paired and classified as
-// they close: the streaming shape of IdentifyCapture.
-type IdentifyStream struct {
-	*Stream
-	p        pairer
-	id       *core.Identifier
-	sc       feature.Scratch
-	onResult func(FlowIdentification)
-}
-
-// NewIdentifyStream starts a streaming pipeline that pairs flows by
-// (client IP, server) and classifies each pair with model the moment it
-// completes: the engine, pairer and per-pair classification
-// IdentifyCapture runs, with idle expiry on and at most 1024 flows
-// waiting for a companion. onResult runs serially on the pipeline
-// goroutine; it owns the FlowIdentification. Flow pairing holds a valid
-// timed-out flow until its group's next flow closes (or the stream
-// ends), exactly like the active prober's environment A then
-// environment B. model's probe budget is taken as in ClassifyAll.
-func NewIdentifyStream(ctx context.Context, model classify.Classifier, cfg StreamConfig, onResult func(FlowIdentification)) *IdentifyStream {
-	st := &IdentifyStream{id: core.NewIdentifier(model), onResult: onResult}
-	st.p = pairer{pending: map[string]pendingFlow{}, max: maxPending, onPair: st.classify}
-	st.Stream = NewStream(ctx, cfg, st.p.add)
-	return st
-}
-
-// Close drains the pipeline, classifies every flow still waiting for a
-// companion as unpaired, and returns the first pipeline error.
-func (st *IdentifyStream) Close() error {
-	err := st.Stream.Close()
-	st.p.flush()
-	return err
-}
-
-// classify is the stream's pair sink: the one per-pair classification,
-// with an unarmed clock (the stream records no spans), then onResult.
-func (st *IdentifyStream) classify(fi FlowIdentification, _ int) {
-	classifyPair(st.id, &fi, &st.sc, new(telemetry.SpanClock))
-	if st.onResult != nil {
-		st.onResult(fi)
+// IdentifyStream is Stream with each flow paired by (client IP, server)
+// and classified with model the moment its pair completes: the engine,
+// pairer and per-pair classification IdentifyCapture runs, with idle
+// expiry on and at most 1024 flows waiting for a companion. onResult
+// runs serially on the caller's goroutine; it owns the
+// FlowIdentification. Flow pairing holds a valid timed-out flow until
+// its group's next flow closes (or the capture ends), exactly like the
+// active prober's environment A then environment B; before returning,
+// IdentifyStream classifies every flow still waiting as unpaired, unless
+// ctx was cancelled. model's probe budget is taken as in ClassifyAll.
+func IdentifyStream(ctx context.Context, r io.Reader, model classify.Classifier, cfg StreamConfig, onResult func(FlowIdentification)) (CaptureStats, error) {
+	id := core.NewIdentifier(model)
+	var sc feature.Scratch
+	var clock telemetry.SpanClock // unarmed: the stream records no spans
+	p := pairer{pending: map[string]pendingFlow{}, max: maxPending, onPair: func(fi FlowIdentification, _ int) {
+		classifyPair(id, &fi, &sc, &clock)
+		if onResult != nil {
+			onResult(fi)
+		}
+	}}
+	stats, err := Stream(ctx, r, cfg, p.add)
+	if ctx.Err() == nil {
+		p.flush()
 	}
+	return stats, err
 }
 
 // pairer is the passive pipeline's one pairing rule. It groups flows by

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/pcap"
@@ -112,34 +113,49 @@ func synthCapture(seed int64, nflows int, gaps bool) (data []byte, long int) {
 	return buf.Bytes(), long
 }
 
-// streamCollect runs data through a Stream with idle expiry on or off
-// and returns the emitted flows (sorted in capture order) and stats. The
-// chunks go in alternately through Write and ReadFrom, so both
-// producers feed one ring.
+// stepReader hands out at most step bytes per Read.
+type stepReader struct {
+	r    io.Reader
+	step int
+}
+
+func (s stepReader) Read(p []byte) (int, error) {
+	return s.r.Read(p[:min(len(p), s.step)])
+}
+
+// streamCollect runs data through the engine with idle expiry on or off
+// and returns the emitted flows (sorted in capture order) and stats. It
+// reads the capture through three sources that hand it over in other
+// pieces -- chunk bytes, one byte and half the asked-for bytes per Read
+// -- and fails unless all three emit the same flows and stats.
 func streamCollect(t testing.TB, data []byte, cfg StreamConfig, chunk int, expiry bool) ([]*FlowTrace, CaptureStats) {
 	t.Helper()
-	var got []*FlowTrace
-	st := newStream(context.Background(), cfg, func(f *FlowTrace) { got = append(got, f) }, expiry)
-	for i, off := 0, 0; off < len(data); i, off = i+1, off+chunk {
-		p := data[off:min(off+chunk, len(data))]
-		var err error
-		if i%2 == 0 {
-			_, err = st.Write(p)
-		} else {
-			_, err = st.ReadFrom(bytes.NewReader(p))
-		}
+	var (
+		want      []*FlowTrace
+		wantStats CaptureStats
+	)
+	for i, src := range []io.Reader{
+		stepReader{bytes.NewReader(data), chunk},
+		iotest.OneByteReader(bytes.NewReader(data)),
+		iotest.HalfReader(bytes.NewReader(data)),
+	} {
+		var got []*FlowTrace
+		stats, err := capture(context.Background(), src, cfg.withDefaults(), expiry,
+			func(f *FlowTrace) { got = append(got, f) })
 		if err != nil {
-			t.Fatalf("stream feed: %v", err)
+			t.Fatalf("source %d: %v", i, err)
+		}
+		sortFlows(got)
+		if i == 0 {
+			want, wantStats = got, stats
+			continue
+		}
+		equivalentFlows(t, want, got, "source "+itoa(i)+" vs step "+itoa(chunk))
+		if stats != wantStats {
+			t.Fatalf("source %d: stats %+v, step %d gave %+v", i, stats, chunk, wantStats)
 		}
 	}
-	if n := st.BytesIn(); n != int64(len(data)) {
-		t.Fatalf("stream took %d bytes, fed %d", n, len(data))
-	}
-	if err := st.Close(); err != nil {
-		t.Fatalf("stream close: %v", err)
-	}
-	sortFlows(got)
-	return got, st.Stats()
+	return want, wantStats
 }
 
 // equivalentFlows asserts the two flow sets are identical, trace for
@@ -158,8 +174,8 @@ func equivalentFlows(t testing.TB, offline, online []*FlowTrace, label string) {
 
 // TestStreamMatchesOffline is the online == offline equivalence
 // property: on the same capture, the streaming pipeline (epoch expiry,
-// incremental sinks, any ring size, any write chunking) must emit
-// exactly the FlowTrace set Reassemble produces.
+// incremental sinks, any read chunking) must emit exactly the FlowTrace
+// set Reassemble produces.
 func TestStreamMatchesOffline(t *testing.T) {
 	data, _ := synthCapture(42, 40, false)
 	cfg := Config{MaxFlows: 1 << 16, MaxEmitted: -1}
@@ -167,16 +183,13 @@ func TestStreamMatchesOffline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ring := range []int{4 << 10, 64 << 10} {
-		for _, chunk := range []int{1777, 1 << 20} {
-			online, stats := streamCollect(t, data, StreamConfig{
-				Tracker: cfg, ringBytes: ring}, chunk, true)
-			label := "ring=" + itoa(ring) + " chunk=" + itoa(chunk)
-			equivalentFlows(t, offline, online, label)
-			if stats.Flows != offStats.Flows || stats.TCPSegments != offStats.TCPSegments ||
-				stats.Packets != offStats.Packets {
-				t.Fatalf("%s: stats %+v, offline %+v", label, stats, offStats)
-			}
+	for _, chunk := range []int{1777, 1 << 20} {
+		online, stats := streamCollect(t, data, StreamConfig{Tracker: cfg}, chunk, true)
+		label := "chunk=" + itoa(chunk)
+		equivalentFlows(t, offline, online, label)
+		if stats.Flows != offStats.Flows || stats.TCPSegments != offStats.TCPSegments ||
+			stats.Packets != offStats.Packets {
+			t.Fatalf("%s: stats %+v, offline %+v", label, stats, offStats)
 		}
 	}
 }
@@ -192,8 +205,11 @@ func TestStreamExpiryActuallyFires(t *testing.T) {
 	m.Tracker.Epochs = &telemetry.Counter{}
 	m.Tracker.Expired = &telemetry.Counter{}
 	m.Flows = &telemetry.Counter{}
-	_, stats := streamCollect(t, data, StreamConfig{
-		Tracker: Config{MaxFlows: 1 << 16, MaxEmitted: -1}, Metrics: &m}, 1<<20, true)
+	stats, err := Stream(context.Background(), bytes.NewReader(data), StreamConfig{
+		Tracker: Config{MaxFlows: 1 << 16, MaxEmitted: -1}, Metrics: &m}, func(*FlowTrace) {})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m.Tracker.Expired.Load() < stats.Flows/2 {
 		t.Fatalf("only %d of %d flows idle-expired; capture spread should expire most", m.Tracker.Expired.Load(), stats.Flows)
 	}
@@ -210,7 +226,7 @@ func TestStreamExpiryActuallyFires(t *testing.T) {
 
 // FuzzOnlineOfflineEquivalence fuzzes the engine's two modes over
 // generated captures: whatever flow mix, timing spread, long idle gaps
-// and write chunking the seed picks, the ring pipeline with idle expiry
+// and read chunking the seed picks, the stream's loop with idle expiry
 // off must emit exactly Reassemble's flows, and with expiry on it must
 // split each long gap into one more flow -- and emit exactly the
 // offline flows when there is none.
@@ -228,9 +244,8 @@ func FuzzOnlineOfflineEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// chunkSel picks the write size: 1 byte up to ~16 KiB, around
-		// the 32 KiB ring.
-		sc := StreamConfig{Tracker: cfg, ringBytes: 32 << 10}
+		// chunkSel picks the read size: 1 byte up to ~16 KiB.
+		sc := StreamConfig{Tracker: cfg}
 		chunk := 1 + int(chunkSel)*64
 		expiryOff, _ := streamCollect(t, data, sc, chunk, false)
 		equivalentFlows(t, offline, expiryOff, "expiry off")
@@ -298,14 +313,11 @@ func TestStreamSoakLiveFlowsBounded(t *testing.T) {
 	m.Tracker.LiveHighWater = &telemetry.Gauge{}
 	m.Tracker.Expired = &telemetry.Counter{}
 	var flows int64
-	st := NewStream(context.Background(), StreamConfig{
+	stats, err := Stream(context.Background(), bytes.NewReader(buf.Bytes()), StreamConfig{
 		Tracker: Config{MaxFlows: 200_000},
 		Metrics: &m,
 	}, func(*FlowTrace) { flows++ })
-	if _, err := io.Copy(st, bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
 	high := m.Tracker.LiveHighWater.Load()
@@ -318,60 +330,41 @@ func TestStreamSoakLiveFlowsBounded(t *testing.T) {
 	if m.Tracker.Live.Load() != 0 {
 		t.Fatalf("live gauge after close = %d, want 0", m.Tracker.Live.Load())
 	}
-	if got := st.Stats().Flows; got < 2*wave {
+	if got := stats.Flows; got < 2*wave {
 		t.Fatalf("flows tracked = %d, want >= %d", got, 2*wave)
 	}
-	if flows != st.Stats().Flows-st.Stats().DroppedFlows {
-		t.Fatalf("emitted %d flows, stats %+v", flows, st.Stats())
+	if flows != stats.Flows-stats.DroppedFlows {
+		t.Fatalf("emitted %d flows, stats %+v", flows, stats)
 	}
 }
 
-// TestStreamAbortUnblocksWriter pins cancellation: a producer blocked
-// on a full ring must unwind promptly when the stream aborts.
-func TestStreamAbortUnblocksWriter(t *testing.T) {
-	st := NewStream(context.Background(), StreamConfig{ringBytes: 4 << 10}, func(*FlowTrace) {})
-	// No valid pcap header: the decoder waits for bytes forever, so
-	// writes beyond the ring capacity block.
-	junk := make([]byte, 64<<10)
-	done := make(chan error, 1)
-	go func() {
-		_, err := st.Write(junk)
-		done <- err
-	}()
-	boom := errors.New("client went away")
-	st.Abort(boom)
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("blocked Write returned nil after Abort")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Write still blocked after Abort")
+// TestStreamCancelStopsBeforeEOF pins cancellation of the pull form: a
+// ctx cancelled mid-capture -- here by the sink, as the first flow
+// closes -- makes Stream return context.Canceled well before the
+// reader's EOF, and no flow reaches the sink after the cancel.
+func TestStreamCancelStopsBeforeEOF(t *testing.T) {
+	data, _ := synthCapture(11, 150, false)
+	_, all, err := Reassemble(bytes.NewReader(data), Config{MaxFlows: 1 << 16, MaxEmitted: -1})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestStreamContextCancelUnblocks pins the other cancellation path: the
-// caller's context, not an explicit Abort.
-func TestStreamContextCancelUnblocks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	st := NewStream(ctx, StreamConfig{ringBytes: 4 << 10}, func(*FlowTrace) {})
-	junk := make([]byte, 64<<10)
-	done := make(chan error, 1)
-	go func() {
-		_, err := st.Write(junk)
-		done <- err
-	}()
-	cancel()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("blocked Write returned nil after context cancel")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Write still blocked after context cancel")
+	defer cancel()
+	var flows int
+	stats, err := Stream(ctx, bytes.NewReader(data), StreamConfig{}, func(*FlowTrace) {
+		flows++
+		cancel()
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Stream after cancel: %v, want context.Canceled", err)
 	}
-	if err := st.Close(); err == nil {
-		t.Fatal("Close after cancel returned nil error")
+	if flows != 1 {
+		t.Fatalf("sink saw %d flows, want only the one that cancelled", flows)
+	}
+	// The loop checks ctx every 4096 records, so it stops within one
+	// countdown of the cancel instead of reading the capture to its end.
+	if all.Packets <= 4096 || stats.Packets >= all.Packets {
+		t.Fatalf("read %d of %d records after the cancel", stats.Packets, all.Packets)
 	}
 }
 
@@ -398,13 +391,9 @@ func TestIdentifyStreamMatchesOffline(t *testing.T) {
 	}
 	for run := 0; run < 20; run++ {
 		var got []FlowIdentification
-		st := NewIdentifyStream(context.Background(), model, StreamConfig{}, func(fi FlowIdentification) {
-			got = append(got, fi)
-		})
-		if _, err := io.Copy(st, bytes.NewReader(buf.Bytes())); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Close(); err != nil {
+		_, err := IdentifyStream(context.Background(), bytes.NewReader(buf.Bytes()), model, StreamConfig{},
+			func(fi FlowIdentification) { got = append(got, fi) })
+		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != len(want) {

@@ -39,50 +39,6 @@ func decodeFrom(src io.Reader) decoded {
 	}
 }
 
-// decodeViaRing decodes data out of a 4 KiB Ring that another goroutine
-// fills with feed, as a capture stream's producer does. The ring's
-// cursors start so that stream byte wrapAt is the first written at the
-// ring's front: records straddle the wrap even in captures shorter than
-// the ring.
-func decodeViaRing(data []byte, wrapAt int, feed func(*Ring, []byte) error) decoded {
-	ring := NewRing(0)
-	ring.r = (len(ring.buf) - wrapAt%len(ring.buf)) % len(ring.buf)
-	ring.w = ring.r
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if feed(ring, data) == nil {
-			ring.Close()
-		}
-	}()
-	d := decodeFrom(ring)
-	ring.CloseWithError(nil) // release a writer the decoder stopped draining
-	<-done
-	return d
-}
-
-// writeSteps feeds the ring through Write, step bytes at a time.
-func writeSteps(step int) func(*Ring, []byte) error {
-	return func(ring *Ring, data []byte) error {
-		for p := data; len(p) > 0; {
-			n := min(step, len(p))
-			if _, err := ring.Write(p[:n]); err != nil {
-				return err
-			}
-			p = p[n:]
-		}
-		return nil
-	}
-}
-
-// readFrom feeds the ring through ReadFrom, reading data through wrap.
-func readFrom(wrap func(io.Reader) io.Reader) func(*Ring, []byte) error {
-	return func(ring *Ring, data []byte) error {
-		_, err := ring.ReadFrom(wrap(bytes.NewReader(data)))
-		return err
-	}
-}
-
 // stepReader hands out at most step bytes per Read.
 type stepReader struct {
 	r    io.Reader
@@ -93,22 +49,18 @@ func (s stepReader) Read(p []byte) (int, error) {
 	return s.r.Read(p[:min(len(p), s.step)])
 }
 
-// ringSteps are the odd sizes the ring sources are fed at: single
-// bytes, sizes that straddle record headers, and writes larger than the
-// ring itself.
-var ringSteps = []int{1, 7, 13, 509, 4099, 70001}
+// oddSteps are the read sizes the step source hands data over at:
+// single bytes, sizes that straddle record headers, and reads that span
+// many records.
+var oddSteps = []int{1, 7, 13, 509, 4099, 70001}
 
 // checkChunkings decodes data through a bytes.Reader and through sources
 // that hand it over in other pieces, and fails unless every source gives
-// the same packets, counters and error text. step picks the ring's
-// write and read size, and where the stream wraps the ring's end.
+// the same packets, counters and error text. step is the step source's
+// read size.
 func checkChunkings(t *testing.T, data []byte, step int) {
 	t.Helper()
 	want := decodeFrom(bytes.NewReader(data))
-	wrapAt := 0
-	if len(data) > 0 {
-		wrapAt = step * 7919 % len(data)
-	}
 	sources := []struct {
 		name string
 		run  func() decoded
@@ -116,12 +68,7 @@ func checkChunkings(t *testing.T, data []byte, step int) {
 		{"one-byte", func() decoded { return decodeFrom(iotest.OneByteReader(bytes.NewReader(data))) }},
 		{"half", func() decoded { return decodeFrom(iotest.HalfReader(bytes.NewReader(data))) }},
 		{"data-err", func() decoded { return decodeFrom(iotest.DataErrReader(bytes.NewReader(data))) }},
-		{"ring-write", func() decoded { return decodeViaRing(data, wrapAt, writeSteps(step)) }},
-		{"ring-readfrom-one-byte", func() decoded { return decodeViaRing(data, wrapAt, readFrom(iotest.OneByteReader)) }},
-		{"ring-readfrom-half", func() decoded { return decodeViaRing(data, wrapAt, readFrom(iotest.HalfReader)) }},
-		{"ring-readfrom-step", func() decoded {
-			return decodeViaRing(data, wrapAt, readFrom(func(r io.Reader) io.Reader { return stepReader{r, step} }))
-		}},
+		{"step", func() decoded { return decodeFrom(stepReader{bytes.NewReader(data), step}) }},
 	}
 	for _, src := range sources {
 		got := src.run()
@@ -172,7 +119,7 @@ func TestDecodeChunkingInvariant(t *testing.T) {
 			}
 			for cut := 0; cut <= len(data); cut++ {
 				prefix := data[:cut]
-				checkChunkings(t, prefix, ringSteps[cut%len(ringSteps)])
+				checkChunkings(t, prefix, oddSteps[cut%len(oddSteps)])
 				got := decodeFrom(bytes.NewReader(prefix))
 				if clean := got.err == io.EOF.Error(); clean != slices.Contains(ends, cut) {
 					t.Fatalf("cut at %d of %d: error %q (record ends %v)", cut, len(data), got.err, ends)
@@ -276,8 +223,7 @@ func TestOversizedRecordCopyPath(t *testing.T) {
 // FuzzDecodeChunked decodes arbitrary bytes through every chunking source
 // and requires identical packets, counters and error text: the reader's
 // window must frame the same records whatever pieces the stream arrives
-// in, and wherever it wraps the ring. step picks the ring's feed size
-// and wrap point.
+// in. step picks the step source's read size.
 func FuzzDecodeChunked(f *testing.F) {
 	for i, format := range []string{"pcap", "pcapng"} {
 		seed := fuzzSeedCapture(format)
@@ -285,6 +231,6 @@ func FuzzDecodeChunked(f *testing.F) {
 		f.Add(seed[:len(seed)-7], uint8(i+2))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, step uint8) {
-		checkChunkings(t, data, ringSteps[int(step)%len(ringSteps)])
+		checkChunkings(t, data, oddSteps[int(step)%len(oddSteps)])
 	})
 }

@@ -23,19 +23,15 @@ const (
 // with NewReader, then call Next until io.EOF. The reader holds one
 // bounded buffer regardless of capture size. Not safe for concurrent use.
 type Reader struct {
-	// The byte source: a Ring, framed in place, or any other reader
-	// through a bufio.Reader (exactly one is set).
-	ring *Ring
-	br   *bufio.Reader
-	// win is the source's window at the last refill (the ring's
-	// contiguous filled span, or everything br had buffered) and off the
+	// br is the byte source: it reads the capture straight into its
+	// buffer, out of which take frames records in place.
+	br *bufio.Reader
+	// win is everything br had buffered at the last refill and off the
 	// bytes of it already framed; take slices headers and bodies out of
-	// win[off:] and only touches the source when the next one does not
-	// fit.
+	// win[off:] and only touches br when the next one does not fit.
 	win []byte
 	off int
-	// buf is the copying paths' buffer: for records larger than the
-	// window, and for a header or record that wraps the ring's end.
+	// buf is the copying path's buffer, for records larger than br's.
 	buf   []byte
 	ng    bool
 	stats Stats
@@ -92,16 +88,10 @@ type ngIface struct {
 
 // NewReader sniffs the capture format from the first bytes of r and
 // returns a streaming reader. It returns ErrFormat when r is neither
-// pcap nor pcapng. Given a *Ring, the reader frames records in place
-// out of the ring's buffer; any other source is read through a 256 KiB
-// bufio.Reader.
+// pcap nor pcapng. r is read through a 256 KiB bufio.Reader, out of
+// whose buffer records are framed in place.
 func NewReader(r io.Reader) (*Reader, error) {
-	rd := &Reader{}
-	if g, ok := r.(*Ring); ok {
-		rd.ring = g
-	} else {
-		rd.br = bufio.NewReaderSize(r, 1<<18)
-	}
+	rd := &Reader{br: bufio.NewReaderSize(r, 1<<18)}
 	magic, err := rd.take(4)
 	if err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
@@ -300,7 +290,7 @@ func (r *Reader) nextClassic(pkt *Packet) ([]byte, uint32, error) {
 		return nil, 0, fmt.Errorf("pcap: truncated record body: %w", noEOF(err))
 	}
 	if data == nil {
-		// A zero-length body taken from an empty window (after a
+		// A zero-length body taken from an empty window (after the
 		// copying path) is nil, which Next reads as a non-packet block.
 		data = []byte{}
 	}
@@ -321,22 +311,19 @@ func (r *Reader) nextClassic(pkt *Packet) ([]byte, uint32, error) {
 
 // take returns the next n stream bytes: the one framing primitive for
 // file headers, record headers, pcapng blocks and record bodies. The
-// bytes alias the reader's window (or, on a copying path, r.buf) and
-// are valid until the next take. It returns io.EOF only when the stream
-// ended before the first of the n bytes, io.ErrUnexpectedEOF when it
-// ended after some of them.
+// bytes alias the reader's window (or, for a record larger than it,
+// r.buf) and are valid until the next take. It returns io.EOF only
+// when the stream ended before the first of the n bytes,
+// io.ErrUnexpectedEOF when it ended after some of them.
 func (r *Reader) take(n int) ([]byte, error) {
 	if off := r.off; n <= len(r.win)-off {
 		r.off = off + n
 		return r.win[off : off+n], nil
 	}
-	if r.ring != nil {
-		return r.refillRing(n)
-	}
 	return r.refill(n)
 }
 
-// refill is take's slow path over bufio: it hands the framed bytes back
+// refill is take's slow path: it hands the framed bytes back
 // to bufio, which slides the unframed tail to the front of its 256 KiB
 // buffer and reads behind it until n bytes are buffered, then re-slices
 // the window over everything buffered. Records larger than the buffer
@@ -345,7 +332,7 @@ func (r *Reader) refill(n int) ([]byte, error) {
 	_, _ = r.br.Discard(r.off) // r.off <= Buffered(): cannot fail
 	r.win, r.off = nil, 0
 	if n > r.br.Size() {
-		return r.readFull(r.br, n)
+		return r.readFull(n)
 	}
 	if _, err := r.br.Peek(n); err != nil {
 		if err == io.EOF && r.br.Buffered() > 0 {
@@ -358,52 +345,14 @@ func (r *Reader) refill(n int) ([]byte, error) {
 	return r.win[:n], nil
 }
 
-// refillRing is take's slow path over a Ring: it hands the framed bytes
-// back to the ring, waits until n bytes are buffered, and re-slices the
-// window over the ring's contiguous filled span. The writer cannot
-// reuse window bytes until the next refill hands them back. When the n
-// bytes wrap the ring's end they are copied into r.buf, and records
-// larger than the ring are read into it; either leaves the window
-// empty.
-func (r *Reader) refillRing(n int) ([]byte, error) {
-	g := r.ring
-	g.discard(r.off)
-	r.win, r.off = nil, 0
-	if n > len(g.buf) {
-		return r.readFull(g, n)
-	}
-	span, err := g.peek(n)
-	if err != nil {
-		if err == io.EOF && len(span) > 0 {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	if len(span) >= n {
-		r.win, r.off = span, n
-		return span[:n], nil
-	}
-	// The n bytes wrap the ring's end: copy out the run up to the end,
-	// then the rest from the front.
-	k := len(span)
-	r.buf = append(r.buf[:0], span...)
-	g.discard(k)
-	if span, err = g.peek(n - k); err != nil {
-		return nil, err // aborted: the rest was buffered already
-	}
-	r.buf = append(r.buf, span[:n-k]...)
-	g.discard(n - k)
-	return r.buf, nil
-}
-
 // readFull is the copying path for a record larger than the window: it
-// reads the n bytes from src into r.buf.
-func (r *Reader) readFull(src io.Reader, n int) ([]byte, error) {
+// reads the n bytes from br into r.buf.
+func (r *Reader) readFull(n int) ([]byte, error) {
 	if cap(r.buf) < n {
 		r.buf = make([]byte, n, n+1024)
 	}
 	r.buf = r.buf[:n]
-	if _, err := io.ReadFull(src, r.buf); err != nil {
+	if _, err := io.ReadFull(r.br, r.buf); err != nil {
 		return nil, err
 	}
 	return r.buf, nil

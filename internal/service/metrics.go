@@ -33,8 +33,8 @@ type metrics struct {
 	// pcapDecode observes each upload's decode+reassembly wall clock.
 	pcapDecode telemetry.Histogram
 
-	streamRequests, streamRejected, streamErrors *telemetry.Counter
-	streamActive                                 *telemetry.Gauge
+	streamRequests, streamRejected, streamErrors, streamBytes *telemetry.Counter
+	streamActive                                              *telemetry.Gauge
 	// stream is shared by every capture stream, so its gauges aggregate
 	// across concurrent uploads.
 	stream flow.StreamMetrics
@@ -106,18 +106,15 @@ func newMetrics(s *Service) *metrics {
 	m.streamRejected = r.Counter("stream.rejected", "caai_stream_rejected_total", "Capture streams shed by the concurrency bound (429).")
 	m.streamErrors = r.Counter("stream.errors", "caai_stream_errors_total", "Capture streams ended by a decode or transport error.")
 	m.streamActive = r.Gauge("stream.active", "caai_stream_active", "Capture streams running now.")
-	m.stream = flow.StreamMetrics{
-		Tracker: flow.TrackerMetrics{
-			Live:          r.Gauge("stream.live_flows", "caai_stream_live_flows", "Flows resident across all running stream pipelines."),
-			LiveHighWater: r.Gauge("stream.live_flows_high_water", "caai_stream_live_flows_high_water", "Most flows ever resident at once."),
-			Epochs:        r.Counter("stream.epochs", "caai_stream_epochs_total", "Idle-expiry sweep epochs completed."),
-			Expired:       r.Counter("stream.expired_flows", "caai_stream_expired_flows_total", "Flows closed by idle expiry."),
-		},
-		Bytes:         r.Counter("stream.bytes", "caai_stream_bytes_total", "Capture bytes accepted by stream uploads."),
-		Packets:       r.Counter("stream.packets", "caai_stream_packets_total", "Capture records framed by stream pipelines."),
-		Flows:         r.Counter("stream.flows", "caai_stream_flows_total", "Flows emitted by stream pipelines (expired+evicted+drained)."),
-		RingHighWater: r.Gauge("stream.ring_high_water_bytes", "caai_stream_ring_high_water_bytes", "Fullest any stream ingest ring has been."),
+	m.stream.Tracker = flow.TrackerMetrics{
+		Live:          r.Gauge("stream.live_flows", "caai_stream_live_flows", "Flows resident across all running stream pipelines."),
+		LiveHighWater: r.Gauge("stream.live_flows_high_water", "caai_stream_live_flows_high_water", "Most flows ever resident at once."),
+		Epochs:        r.Counter("stream.epochs", "caai_stream_epochs_total", "Idle-expiry sweep epochs completed."),
+		Expired:       r.Counter("stream.expired_flows", "caai_stream_expired_flows_total", "Flows closed by idle expiry."),
 	}
+	m.streamBytes = r.Counter("stream.bytes", "caai_stream_bytes_total", "Capture bytes accepted by stream uploads.")
+	m.stream.Packets = r.Counter("stream.packets", "caai_stream_packets_total", "Capture records framed by stream pipelines.")
+	m.stream.Flows = r.Counter("stream.flows", "caai_stream_flows_total", "Flows emitted by stream pipelines (expired+evicted+drained).")
 
 	s.flight.Declare(r, "traces")
 	telemetry.DeclareRuntime(r, "runtime")
@@ -281,7 +278,7 @@ type MetricsSnapshot struct {
 	// /v1/pcap/stream): request/shed/error totals, streams running now,
 	// the aggregate live-flow gauge with its high water (the bounded-
 	// memory witness), expiry-sweep counters, and pipeline throughput
-	// (bytes, packets, flows, ring occupancy high water).
+	// (bytes, packets, flows).
 	Stream struct {
 		Requests      int64 `json:"requests"`
 		Rejected      int64 `json:"rejected"`
@@ -294,7 +291,6 @@ type MetricsSnapshot struct {
 		Bytes         int64 `json:"bytes"`
 		Packets       int64 `json:"packets"`
 		Flows         int64 `json:"flows"`
-		RingHighWater int64 `json:"ring_high_water_bytes"`
 	} `json:"stream"`
 
 	// Census aggregates the fault-tolerance counters of every census

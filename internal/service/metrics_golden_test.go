@@ -105,10 +105,9 @@ func goldenMetricsService(t *testing.T) *Service {
 	sm.Tracker.LiveHighWater.Set(35)
 	sm.Tracker.Epochs.Add(1036)
 	sm.Tracker.Expired.Add(1037)
-	sm.Bytes.Add(1038)
+	m.streamBytes.Add(1038)
 	sm.Packets.Add(1039)
 	sm.Flows.Add(1040)
-	sm.RingHighWater.Set(1041)
 
 	for _, r := range []struct {
 		resp IdentifyResponse

@@ -4,10 +4,10 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/flow"
+	"repro/internal/telemetry"
 )
 
 // handlePcap accepts a raw pcap/pcapng capture (octet-stream body),
@@ -27,11 +27,10 @@ func (s *Service) handlePcap(w http.ResponseWriter, r *http.Request) {
 	// The same body bound every JSON endpoint enforces; the decoder reads
 	// incrementally so only its one-block buffer is resident. The counting
 	// wrapper feeds the ingest-throughput metrics (bytes over decode time).
-	body := &countingReader{r: http.MaxBytesReader(w, r.Body, maxBodyBytes)}
+	body := countingReader{http.MaxBytesReader(w, r.Body, maxBodyBytes), s.metrics.pcapBytes}
 	decodeStart := time.Now()
 	flows, stats, err := flow.Reassemble(body, flow.Config{})
 	decodeSpan := time.Since(decodeStart)
-	s.metrics.pcapBytes.Add(body.n.Load())
 	s.metrics.pcapDecode.Observe(decodeSpan)
 	s.metrics.pcapFlowsSeen.Add(stats.Flows)
 	s.metrics.pcapFlowsClassifiable.Add(stats.Classifiable)
@@ -127,14 +126,14 @@ func toFlowResponse(modelVersion string, p flow.FlowIdentification) IdentifyResp
 	return resp
 }
 
-// countingReader counts bytes pulled through it (atomically: handlers and
-// the metrics scraper race).
+// countingReader adds every read of a capture body to its counter as
+// the read lands, so the counter advances while a long upload runs.
 type countingReader struct {
 	r io.Reader
-	n atomic.Int64
+	n *telemetry.Counter
 }
 
-func (c *countingReader) Read(p []byte) (int, error) {
+func (c countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n.Add(int64(n))
 	return n, err

@@ -53,8 +53,8 @@ type Config struct {
 	// under steady batch traffic. <= 0 means DefaultJobRetention.
 	JobRetention int
 	// MaxStreams bounds concurrent POST /v1/pcap/stream uploads (each
-	// runs one decode-and-track goroutine over a bounded ingest ring);
-	// excess requests are shed with 429. 0 means DefaultMaxStreams.
+	// reads, decodes and tracks on its request's goroutine); excess
+	// requests are shed with 429. 0 means DefaultMaxStreams.
 	MaxStreams int
 	// TraceSampleN keeps a deterministic 1-in-N of normal-outcome traces
 	// in the flight recorder's retained store (errors/UNSURE/slow are

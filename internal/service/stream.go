@@ -3,7 +3,6 @@ package service
 import (
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 
 	"repro/internal/flow"
@@ -30,11 +29,12 @@ type StreamEvent struct {
 // answers with chunked NDJSON: one line per classified flow, emitted as
 // the flow closes -- idle past the epoch-expiry threshold, evicted, or
 // drained at end of stream. Unlike POST /v1/pcap there is no body size
-// cap and no job indirection; backpressure is the bound. The pipeline
-// ring buffer stalls the upload when classification falls behind, so a
-// slow consumer costs the client throughput, not the server memory.
-// ?model= selects the registry model. Concurrent streams beyond
-// Config.MaxStreams are shed with 429.
+// cap and no job indirection; backpressure is the bound. The handler's
+// goroutine reads, decodes and classifies in one loop, so while
+// classification runs the body is not read and a slow consumer costs
+// the client throughput, not the server memory. ?model= selects the
+// registry model. Concurrent streams beyond Config.MaxStreams are shed
+// with 429.
 func (s *Service) handlePcapStream(w http.ResponseWriter, r *http.Request) {
 	s.metrics.streamRequests.Add(1)
 	modelName := r.URL.Query().Get("model")
@@ -66,12 +66,10 @@ func (s *Service) handlePcapStream(w http.ResponseWriter, r *http.Request) {
 	version := model.Version()
 	reqID := requestIDFrom(r.Context())
 	enc := json.NewEncoder(w)
-	// The sink runs serially on the pipeline goroutine, which decodes,
-	// tracks and classifies inline (and, for the end-of-stream pairing
-	// flush, on this goroutine after the pipeline exits), so encoding to
-	// w needs no lock.
-	st := flow.NewIdentifyStream(r.Context(), model.Identifier(),
-		flow.StreamConfig{Metrics: &s.metrics.stream},
+	// The sink runs on this goroutine, between reads of the body, so
+	// encoding to w needs no lock.
+	stats, err := flow.IdentifyStream(r.Context(), countingReader{r.Body, s.metrics.streamBytes},
+		model.Identifier(), flow.StreamConfig{Metrics: &s.metrics.stream},
 		func(fi flow.FlowIdentification) {
 			resp := toFlowResponse(version, fi)
 			s.metrics.identifies.Add(1)
@@ -79,21 +77,6 @@ func (s *Service) handlePcapStream(w http.ResponseWriter, r *http.Request) {
 			_ = enc.Encode(StreamEvent{RequestID: reqID, Flow: &resp})
 			_ = rc.Flush()
 		})
-
-	_, cerr := io.Copy(st, r.Body)
-	if cerr != nil {
-		// The upload died (client gone, or a pipeline decode error
-		// surfaced through the ring as backpressure release). Tear down
-		// without draining: the client is not reading flows anymore.
-		st.Abort(cerr)
-		s.metrics.streamErrors.Add(1)
-		setOutcome(r.Context(), telemetry.OutcomeError)
-		stats := st.Stats()
-		_ = enc.Encode(StreamEvent{RequestID: reqID, Capture: &stats, Error: cerr.Error()})
-		return
-	}
-	err = st.Close()
-	stats := st.Stats()
 	final := StreamEvent{RequestID: reqID, Capture: &stats}
 	if err != nil {
 		s.metrics.streamErrors.Add(1)

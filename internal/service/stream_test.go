@@ -175,11 +175,11 @@ func TestPcapStreamGarbage(t *testing.T) {
 
 // TestPcapStreamDecodeErrorMidUpload: when decoding fails while the body
 // is still arriving, the final event reports the decoder's error, not
-// the closed ring the producer ran into.
+// an error from the unread rest of the upload.
 func TestPcapStreamDecodeErrorMidUpload(t *testing.T) {
 	_, ts := newTestService(t, Config{}, &fakeClassifier{Label: "X", Confidence: 1})
 	// A valid classic header, a record whose caplen 100 exceeds its
-	// origlen 50, then far more padding than the 1 MiB ring holds.
+	// origlen 50, then far more padding than the decoder buffers.
 	body := []byte{0xd4, 0xc3, 0xb2, 0xa1, 2, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0, 0, 1, 0, 0, 0}
 	body = binary.LittleEndian.AppendUint32(body, 1700000000)
 	body = binary.LittleEndian.AppendUint32(body, 0)
