@@ -137,29 +137,11 @@ func (k *flowKey) side(p *pcap.Packet) int {
 	return -1
 }
 
-// The tracker's clock is capture time as int64 Unix nanoseconds:
-// converted once per packet, it keeps time.Time arithmetic off the
-// per-packet path.
-var (
-	minClock = time.Unix(0, math.MinInt64)
-	maxClock = time.Unix(0, math.MaxInt64)
-)
-
-// clockOf converts a capture timestamp to the tracker clock. Timestamps
-// outside the int64 nanosecond range (hostile pcapng) saturate, as does
-// the zero Time that pcapng simple packet blocks carry.
-func clockOf(t time.Time) int64 {
-	if sec := t.Unix(); sec > math.MinInt64/1_000_000_000 && sec < math.MaxInt64/1_000_000_000 {
-		return sec*1e9 + int64(t.Nanosecond())
-	}
-	switch {
-	case t.Before(minClock):
-		return math.MinInt64
-	case t.After(maxClock):
-		return math.MaxInt64
-	}
-	return t.UnixNano()
-}
+// The tracker's clock is pcap.Packet.UnixNano: capture time as int64
+// Unix nanoseconds, which the decoder computes once per record and which
+// keeps time.Time arithmetic off the per-packet path. It saturates at
+// the top of the int64 range; math.MinInt64 marks a record with no
+// timestamp (a pcapng simple packet block).
 
 // timeOf converts a tracker clock reading back to the capture timestamp
 // it came from; the saturated low end maps back to the zero Time.
@@ -345,7 +327,7 @@ func (t *Tracker) Instrument(m *TrackerMetrics) { t.metrics = m }
 
 // Observe feeds one decoded TCP segment.
 func (t *Tracker) Observe(p *pcap.Packet) {
-	now := clockOf(p.Time)
+	now := p.UnixNano
 	var key flowKey
 	s, dir := t.hot, -1
 	if s != nil {
@@ -367,7 +349,10 @@ func (t *Tracker) Observe(p *pcap.Packet) {
 				s = nil
 			}
 		}
-		t.sweep(now)
+		// Most packets fall inside the running epoch and skip the call.
+		if d := since(now, t.epochAt); !t.epochSet || d < 0 || d >= t.cfg.epoch {
+			t.sweep(now, d)
+		}
 	}
 	if s == nil {
 		// Evict before inserting so live flows never exceed MaxFlows.
@@ -391,8 +376,9 @@ func (t *Tracker) Observe(p *pcap.Packet) {
 				}
 			}
 		}
-	} else {
-		t.lruTouch(s)
+	} else if s != t.head {
+		t.lruRemove(s)
+		t.lruPush(s)
 	}
 	t.hot = s
 	s.last = now
@@ -416,20 +402,19 @@ func (t *Tracker) idleAfter(s *state) time.Duration {
 	return idle
 }
 
-// sweep runs the epoch idle-expiry pass when an epoch of capture time
-// has elapsed: walking from the LRU tail (least recently active first),
-// it emits every flow idle past its own threshold and stops at the
-// first flow idle less than epoch, which floors every threshold.
-func (t *Tracker) sweep(now int64) {
-	d := since(now, t.epochAt)
+// sweep re-anchors the epoch, or runs the epoch idle-expiry pass; d is
+// since(now, epochAt), which Observe tested first: it calls sweep only
+// when the epoch is unanchored, capture time stepped backwards, or an
+// epoch of capture time has elapsed. The pass walks from the LRU tail
+// (least recently active first), emits every flow idle past its own
+// threshold and stops at the first flow idle less than epoch, which
+// floors every threshold.
+func (t *Tracker) sweep(now int64, d time.Duration) {
 	if !t.epochSet || d < 0 {
-		// First packet, or capture time stepped backwards: re-anchor. The
-		// zero Time leaves the epoch unanchored.
+		// First packet, or capture time stepped backwards: re-anchor. A
+		// record without a timestamp leaves the epoch unanchored.
 		t.epochAt = now
 		t.epochSet = now != math.MinInt64
-		return
-	}
-	if d < t.cfg.epoch {
 		return
 	}
 	t.epochAt = now
@@ -460,7 +445,7 @@ func (t *Tracker) expire(s *state) {
 }
 
 // observeFlow updates one flow's state with a segment from key side dir.
-// now is p.Time on the tracker clock.
+// now is p.UnixNano, the tracker clock.
 func (t *Tracker) observeFlow(s *state, p *pcap.Packet, dir int, now int64) {
 	d := &s.dirs[dir]
 	d.packets++
@@ -663,14 +648,6 @@ func (t *Tracker) lruPush(s *state) {
 	if t.tail == nil {
 		t.tail = s
 	}
-}
-
-func (t *Tracker) lruTouch(s *state) {
-	if t.head == s {
-		return
-	}
-	t.lruRemove(s)
-	t.lruPush(s)
 }
 
 func (t *Tracker) lruRemove(s *state) {

@@ -12,7 +12,7 @@ import (
 // pkt builds a decoded TCP segment at ms milliseconds.
 func pkt(ms int64, srcLast byte, srcPort uint16, dstLast byte, dstPort uint16, seq, ack uint32, flags uint8, payload int) *pcap.Packet {
 	p := &pcap.Packet{
-		Time:       time.Unix(1700000000, 0).Add(time.Duration(ms) * time.Millisecond),
+		UnixNano:   1_700_000_000e9 + ms*int64(time.Millisecond),
 		SrcPort:    srcPort,
 		DstPort:    dstPort,
 		Seq:        seq,
@@ -418,10 +418,12 @@ func TestPairUnpairedInvalid(t *testing.T) {
 	}
 }
 
-// TestTrackerClockMatchesTime pins the tracker's int64 capture clock to
-// the time.Time arithmetic it replaces: in range, differences equal Sub
-// and the round trip back to FlowTrace times is bit-equal; outside it,
-// readings and differences saturate as Sub does.
+// TestTrackerClockMatchesTime pins the tracker's int64 capture clock
+// (pcap.Packet.UnixNano) to the time.Time arithmetic it replaces: in
+// range, differences equal Sub and the round trip back to FlowTrace
+// times is bit-equal; between the saturated readings, differences
+// saturate as Sub does. The decoder's side, how a record's timestamp
+// becomes that clock, is pinned by pcap's TestUnixNanoMatchesExact.
 func TestTrackerClockMatchesTime(t *testing.T) {
 	times := []time.Time{
 		time.Unix(0, 0).UTC(),
@@ -431,24 +433,21 @@ func TestTrackerClockMatchesTime(t *testing.T) {
 		time.Unix(0, math.MinInt64+1).UTC(),
 	}
 	for _, a := range times {
-		if got := timeOf(clockOf(a)); got != a {
+		if got := timeOf(a.UnixNano()); got != a {
 			t.Fatalf("round trip of %v gave %v", a, got)
 		}
 		for _, b := range times {
-			if got, want := since(clockOf(a), clockOf(b)), a.Sub(b); got != want {
+			if got, want := since(a.UnixNano(), b.UnixNano()), a.Sub(b); got != want {
 				t.Fatalf("since(%v, %v) = %v, Sub gives %v", a, b, got, want)
 			}
 		}
 	}
 	far, past := time.Unix(1<<40, 0), time.Unix(-1<<40, 0)
-	if clockOf(far) != math.MaxInt64 || clockOf(past) != math.MinInt64 {
-		t.Fatalf("out-of-range clock readings %d, %d did not saturate", clockOf(far), clockOf(past))
-	}
-	if since(clockOf(far), clockOf(past)) != far.Sub(past) || since(clockOf(past), clockOf(far)) != past.Sub(far) {
+	if since(math.MaxInt64, math.MinInt64) != far.Sub(past) || since(math.MinInt64, math.MaxInt64) != past.Sub(far) {
 		t.Fatal("differences across the whole clock range did not saturate like Sub")
 	}
-	if got := timeOf(clockOf(time.Time{})); got != (time.Time{}) {
-		t.Fatalf("zero Time round trip gave %v", got)
+	if got := timeOf(math.MinInt64); got != (time.Time{}) {
+		t.Fatalf("a record without a timestamp maps to %v, not the zero Time", got)
 	}
 }
 

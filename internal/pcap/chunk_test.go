@@ -186,8 +186,8 @@ func TestOversizedRecordCopyPath(t *testing.T) {
 					t.Fatalf("record %d: %d bytes, through the copy buffer %v", i, rec.CapturedLen, copied)
 				}
 				var pkt Packet
-				pkt.Time = rec.Time
-				if ParseFrame(rec.LinkType, rec.Data, &pkt) != FrameTCP || pkt.Seq != uint32(i) {
+				pkt.UnixNano = rec.UnixNano
+				if parseFrame(rec.LinkType, rec.Data, &pkt) != parsedTCP || pkt.Seq != uint32(i) {
 					t.Fatalf("record %d decoded as seq %d", i, pkt.Seq)
 				}
 			}

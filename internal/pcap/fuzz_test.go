@@ -76,3 +76,57 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTCPOptions pins the timestamps-only fast path to the option walk:
+// for any option area, the Opt a parse leaves behind, fast path or not,
+// equals what parseTCPOptions alone decodes from it.
+func FuzzTCPOptions(f *testing.F) {
+	ts := []byte{8, 10, 0x11, 0x22, 0x33, 0x44, 0xaa, 0xbb, 0xcc, 0xdd}
+	for _, opts := range [][]byte{
+		append([]byte{1, 1}, ts...),                                      // NOP NOP TS: RFC 7323 Appendix A
+		append(append([]byte{}, ts...), 1, 1),                            // TS NOP NOP: AppendFrame
+		append([]byte{1, 1, 8, 11}, ts[2:]...),                           // a length byte of 11
+		append(append([]byte{}, ts...), 1, 0),                            // an EOL inside the area
+		append([]byte{0, 1}, ts...),                                      // an EOL first
+		append(append([]byte{1, 1}, ts...), 1),                           // 13 bytes
+		{2, 4, 5, 0xb4, 4, 2, 8, 10, 0, 0, 0, 1, 0, 0, 0, 0, 1, 3, 3, 7}, // a Linux SYN
+		appendTCPOptions(nil, &TCPOptions{MSS: 536, HasMSS: true, SackPermitted: true, HasTS: true, TSVal: 1}),
+	} {
+		f.Add(opts)
+	}
+	f.Fuzz(func(t *testing.T, opts []byte) {
+		var want TCPOptions
+		parseTCPOptions(opts, &want)
+		// Stale options from the previous packet must not leak through.
+		got := TCPOptions{MSS: 1, HasMSS: true, WScale: 2, HasWScale: true, SackPermitted: true, SackCount: 4, TSVal: 3, TSEcr: 4}
+		if timestampsOnly(opts, &got) && got != want {
+			t.Fatalf("fast path decoded % x as %+v, the walk as %+v", opts, got, want)
+		}
+		if len(opts) > 40 || len(opts)%4 != 0 {
+			return
+		}
+		// The same area through the TCP header parse.
+		seg := make([]byte, 20, 20+len(opts))
+		seg[12] = byte(20+len(opts)) / 4 << 4
+		seg = append(seg, opts...)
+		pkt := Packet{Opt: got}
+		if parseTCP(seg, len(seg), &pkt) != parsedTCP || pkt.Opt != want {
+			t.Fatalf("parseTCP decoded % x as %+v, the walk as %+v", opts, pkt.Opt, want)
+		}
+	})
+}
+
+// TestTimestampsOnlyLayouts pins which areas take the fast path: both
+// timestamps-only layouts do, so FuzzTCPOptions compares something.
+func TestTimestampsOnlyLayouts(t *testing.T) {
+	want := TCPOptions{TSVal: 0x11223344, TSEcr: 0xaabbccdd, HasTS: true}
+	for _, opts := range [][]byte{
+		{1, 1, 8, 10, 0x11, 0x22, 0x33, 0x44, 0xaa, 0xbb, 0xcc, 0xdd},
+		appendTCPOptions(nil, &want),
+	} {
+		var got TCPOptions
+		if !timestampsOnly(opts, &got) || got != want {
+			t.Fatalf("% x: fast path %+v, want %+v", opts, got, want)
+		}
+	}
+}

@@ -15,7 +15,7 @@ const (
 var be = binary.BigEndian
 
 // parseFrame decodes one captured frame of the given link type into pkt
-// (which already carries Time/CapturedLen/OrigLen). It never errors: a
+// (which already carries UnixNano/CapturedLen/OrigLen). It never errors: a
 // frame that is not a whole TCP/IP packet is classified as skipped or
 // truncated and the reader moves on, as passive tools must on real
 // captures.
@@ -199,9 +199,35 @@ func parseTCP(data []byte, ipPayloadLen int, pkt *Packet) parseResult {
 	pkt.Flags = data[13]
 	pkt.Window = be.Uint16(data[14:16])
 	pkt.PayloadLen = ipPayloadLen - dataOff
-	pkt.Opt = TCPOptions{}
-	parseTCPOptions(data[20:dataOff], &pkt.Opt)
+	if opts := data[20:dataOff]; !timestampsOnly(opts, &pkt.Opt) {
+		pkt.Opt = TCPOptions{}
+		parseTCPOptions(opts, &pkt.Opt)
+	}
 	return parsedTCP
+}
+
+// timestampsOnly is the option fast path: when opts is a 12-byte area
+// holding one timestamps option and two NOPs, it fills out from two
+// 32-bit loads and reports true. Two layouts qualify: NOP NOP TS, RFC
+// 7323 Appendix A's, which Linux and the BSDs send on every established
+// segment, and TS NOP NOP, which AppendFrame writes. Any other area is
+// left to parseTCPOptions, which decodes these two identically (pinned
+// by FuzzTCPOptions). The body stays within the inliner's budget.
+func timestampsOnly(opts []byte, out *TCPOptions) bool {
+	if len(opts) != 12 {
+		return false
+	}
+	switch head := be.Uint32(opts); {
+	case head == 0x0101080a: // NOP NOP TS
+		*out = TCPOptions{TSVal: be.Uint32(opts[4:]), TSEcr: be.Uint32(opts[8:]), HasTS: true}
+	case head>>16|uint32(opts[10])<<24|uint32(opts[11])<<16 == 0x0101080a:
+		// TS NOP NOP: the trailing NOP pair moved ahead of the kind and
+		// length bytes forms the same word.
+		*out = TCPOptions{TSVal: be.Uint32(opts[2:]), TSEcr: be.Uint32(opts[6:]), HasTS: true}
+	default:
+		return false
+	}
+	return true
 }
 
 // parseTCPOptions walks the option area; malformed options end the walk

@@ -19,7 +19,6 @@ package pcap
 import (
 	"fmt"
 	"net/netip"
-	"time"
 )
 
 // Link types (the subset of the tcpdump LINKTYPE registry the decoder
@@ -86,8 +85,11 @@ type TCPOptions struct {
 // Packet is one decoded TCP segment. Next fills a caller-owned Packet, so
 // iterating a capture allocates nothing per packet.
 type Packet struct {
-	// Time is the capture timestamp.
-	Time time.Time
+	// UnixNano is the capture timestamp in Unix nanoseconds. A stamp
+	// outside the int64 range saturates at math.MaxInt64; a pcapng
+	// simple packet block, which carries no timestamp, reads
+	// math.MinInt64.
+	UnixNano int64
 	// IPv6 reports the IP version; addresses are stored as 16-byte
 	// values, IPv4 in the v4-mapped form.
 	IPv6  bool

@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
-	"time"
 )
 
 // pcapng block types.
@@ -164,7 +164,7 @@ func (r *Reader) readEPB(body []byte, pkt *Packet) ([]byte, uint32, error) {
 	if capLen > origLen {
 		return nil, 0, fmt.Errorf("pcapng: packet capture length %d exceeds original length %d", capLen, origLen)
 	}
-	pkt.Time = ngTime(ts, iface)
+	pkt.UnixNano = ngTime(ts, iface)
 	pkt.CapturedLen = int(capLen)
 	pkt.OrigLen = int(origLen)
 	return body[20 : 20+capLen], iface.linkType, nil
@@ -189,51 +189,46 @@ func (r *Reader) readSPB(body []byte, pkt *Packet) ([]byte, uint32, error) {
 	if capLen > MaxSnapLen || int(capLen) > len(body)-4 {
 		return nil, 0, fmt.Errorf("pcapng: simple packet length %d out of range", capLen)
 	}
-	pkt.Time = time.Time{}
+	pkt.UnixNano = math.MinInt64
 	pkt.CapturedLen = int(capLen)
 	pkt.OrigLen = int(origLen)
 	return body[4 : 4+capLen], iface.linkType, nil
 }
 
-// ngTime converts a pcapng timestamp in the interface's units to a
-// time.Time, exactly (no float math).
-func ngTime(ts uint64, iface ngIface) time.Time {
+// ngTime converts a pcapng timestamp in the interface's units to Unix
+// nanoseconds, exactly (no float math) and saturating at
+// math.MaxInt64.
+func ngTime(ts uint64, iface ngIface) int64 {
+	var sec, nanos uint64
 	if iface.tsPow2 >= 0 {
-		n := uint(iface.tsPow2)
-		if n > 63 {
-			n = 63
-		}
-		sec := ts >> n
-		frac := ts & (1<<n - 1)
-		// frac / 2^n seconds in nanoseconds, without overflow for n <= 63.
-		nanos := uint64(0)
-		if n <= 30 {
-			nanos = frac * 1_000_000_000 >> n
-		} else {
-			nanos = uint64(float64(frac) / float64(uint64(1)<<n) * 1e9)
-		}
-		return time.Unix(int64(sec), int64(nanos)).UTC()
-	}
-	pow10 := iface.tsPow10
-	units := uint64(1)
-	for i := 0; i < pow10 && i < 19; i++ {
-		units *= 10
-	}
-	sec := ts / units
-	rem := ts % units
-	var nanos uint64
-	if pow10 <= 9 {
-		mult := uint64(1)
-		for i := pow10; i < 9; i++ {
-			mult *= 10
-		}
-		nanos = rem * mult
+		n := uint(min(iface.tsPow2, 63))
+		sec = ts >> n
+		// The fraction's nanoseconds, floor(frac * 1e9 / 2^n), through
+		// the 128-bit product, which loses no bits at any n.
+		hi, lo := bits.Mul64(ts&(1<<n-1), 1e9)
+		nanos = hi<<(64-n) | lo>>n
 	} else {
-		div := uint64(1)
-		for i := 9; i < pow10; i++ {
-			div *= 10
+		p := iface.tsPow10 // 0..18, as readIDB accepts
+		sec, nanos = ts/pow10[p], ts%pow10[p]
+		if p <= 9 {
+			nanos *= pow10[9-p]
+		} else {
+			nanos /= pow10[p-9]
 		}
-		nanos = rem / div
 	}
-	return time.Unix(int64(sec), int64(nanos)).UTC()
+	return unixNano(sec, nanos)
+}
+
+// pow10 holds 10^i for every if_tsresol power of ten readIDB accepts.
+var pow10 = [19]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18}
+
+// unixNano is sec seconds plus nanos (< 1e9) nanoseconds as int64 Unix
+// nanoseconds, saturating at math.MaxInt64.
+func unixNano(sec, nanos uint64) int64 {
+	const maxSec = math.MaxInt64 / 1_000_000_000
+	if sec > maxSec || sec == maxSec && nanos > math.MaxInt64%1_000_000_000 {
+		return math.MaxInt64
+	}
+	return int64(sec)*1_000_000_000 + int64(nanos)
 }

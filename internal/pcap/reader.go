@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"time"
 )
 
 // Classic pcap magic numbers, as they appear in the first four file bytes.
@@ -189,7 +188,7 @@ func (r *Reader) Next(pkt *Packet) error {
 // reader's reusable buffer and is only valid until the next Next or
 // NextRaw call; callers that defer parsing must copy it.
 type RawRecord struct {
-	Time        time.Time
+	UnixNano    int64 // as Packet.UnixNano
 	LinkType    uint32
 	CapturedLen int
 	OrigLen     int
@@ -197,9 +196,10 @@ type RawRecord struct {
 }
 
 // NextRaw reads the next packet record without decoding its frame,
-// for pipelines that fan parsing out to workers (see ParseFrame). It
-// advances only Stats.Packets; frame classification counters belong to
-// whoever parses. Returns io.EOF at the clean end of the capture.
+// for pipelines that sniff or shard frames before parsing them (see
+// TupleSniff). It advances only Stats.Packets; frame classification
+// counters belong to whoever parses. Returns io.EOF at the clean end of
+// the capture.
 func (r *Reader) NextRaw(rec *RawRecord) error {
 	for {
 		var (
@@ -219,7 +219,7 @@ func (r *Reader) NextRaw(rec *RawRecord) error {
 			continue // non-packet block (pcapng)
 		}
 		r.stats.Packets++
-		rec.Time = r.raw.Time
+		rec.UnixNano = r.raw.UnixNano
 		rec.LinkType = linkType
 		rec.CapturedLen = r.raw.CapturedLen
 		rec.OrigLen = r.raw.OrigLen
@@ -228,41 +228,22 @@ func (r *Reader) NextRaw(rec *RawRecord) error {
 	}
 }
 
-// FrameClass is ParseFrame's verdict on one raw frame.
-type FrameClass int
-
-const (
-	// FrameTCP: pkt holds a decoded TCP segment.
-	FrameTCP FrameClass = iota
-	// FrameSkip: not a whole TCP/IP packet (non-TCP, unknown link, ...).
-	FrameSkip
-	// FrameTruncated: the snaplen cut into a header.
-	FrameTruncated
-)
-
-// ParseFrame decodes one raw frame (a RawRecord's Data) into pkt, which
-// must already carry the record's Time/CapturedLen/OrigLen. It never
-// errors: malformed frames classify as skipped or truncated, as passive
-// tools must on real captures.
-func ParseFrame(linkType uint32, data []byte, pkt *Packet) FrameClass {
-	switch parseFrame(linkType, data, pkt) {
-	case parsedTCP:
-		return FrameTCP
-	case parsedTruncated:
-		return FrameTruncated
-	default:
-		return FrameSkip
-	}
-}
-
-// nextClassic reads one classic-pcap record.
+// nextClassic reads one classic-pcap record. The header and the body
+// are sliced straight out of the window when they fit, with one length
+// compare each (take costs too much to inline); only a piece that does
+// not fit goes through refill, take's slow path.
 func (r *Reader) nextClassic(pkt *Packet) ([]byte, uint32, error) {
-	hdr, err := r.take(16)
-	if err != nil {
-		if err == io.EOF {
-			return nil, 0, io.EOF
+	var hdr []byte
+	if off := r.off; off+16 <= len(r.win) {
+		hdr, r.off = r.win[off:off+16], off+16
+	} else {
+		var err error
+		if hdr, err = r.refill(16); err != nil {
+			if err == io.EOF {
+				return nil, 0, io.EOF
+			}
+			return nil, 0, fmt.Errorf("pcap: truncated record header: %w", noEOF(err))
 		}
-		return nil, 0, fmt.Errorf("pcap: truncated record header: %w", noEOF(err))
 	}
 	// The fields are read before the body is taken: a refill for the
 	// body may move the bytes hdr aliases.
@@ -285,9 +266,14 @@ func (r *Reader) nextClassic(pkt *Packet) ([]byte, uint32, error) {
 	if capLen > origLen {
 		return nil, 0, fmt.Errorf("pcap: record capture length %d exceeds original length %d", capLen, origLen)
 	}
-	data, err := r.take(int(capLen))
-	if err != nil {
-		return nil, 0, fmt.Errorf("pcap: truncated record body: %w", noEOF(err))
+	var data []byte
+	if off, end := r.off, r.off+int(capLen); end <= len(r.win) {
+		data, r.off = r.win[off:end], end
+	} else {
+		var err error
+		if data, err = r.refill(int(capLen)); err != nil {
+			return nil, 0, fmt.Errorf("pcap: truncated record body: %w", noEOF(err))
+		}
 	}
 	if data == nil {
 		// A zero-length body taken from an empty window (after the
@@ -303,7 +289,7 @@ func (r *Reader) nextClassic(pkt *Packet) ([]byte, uint32, error) {
 	} else if sub > 999_999_999 {
 		return nil, 0, fmt.Errorf("pcap: record nanoseconds field %d out of range", sub)
 	}
-	pkt.Time = time.Unix(int64(sec), nanos).UTC()
+	pkt.UnixNano = int64(sec)*1e9 + nanos
 	pkt.CapturedLen = int(capLen)
 	pkt.OrigLen = int(origLen)
 	return data, r.linkType, nil

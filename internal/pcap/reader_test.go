@@ -90,8 +90,8 @@ func TestRoundTripBothFormats(t *testing.T) {
 			if sack.Opt.SackCount != 1 || sack.Opt.Sack[0] != (SackBlock{Start: 9600, End: 10136}) {
 				t.Fatalf("SACK decoded wrong: %+v", sack.Opt)
 			}
-			if !pkts[1].Time.After(pkts[0].Time) {
-				t.Fatalf("timestamps not increasing: %v then %v", pkts[0].Time, pkts[1].Time)
+			if pkts[1].UnixNano <= pkts[0].UnixNano {
+				t.Fatalf("timestamps not increasing: %d then %d", pkts[0].UnixNano, pkts[1].UnixNano)
 			}
 		})
 	}

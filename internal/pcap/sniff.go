@@ -2,31 +2,27 @@ package pcap
 
 import "encoding/binary"
 
-// TupleHash extracts the TCP 4-tuple from a raw frame without a full
+// TupleSniff extracts the TCP 4-tuple from a raw frame without a full
 // decode and returns a direction-normalized hash: both directions of a
 // connection map to the same value, so a pipeline that shards packets
-// by TupleHash keeps every flow on one worker. The sniff walks the same
-// link/IP layers as ParseFrame but reads only addresses and ports.
+// by the hash keeps every flow on one worker. The sniff walks the same
+// link/IP layers as the full parse but reads only addresses and ports.
+//
+// span is the frame's header span: the number of leading bytes covering
+// the link, IP, and TCP headers, options included. The full parse never
+// reads past it -- the payload length comes from the IP header, not the
+// captured bytes -- so a sharding framer may hand workers
+// data[:min(span, len(data))] and decode identically while skipping the
+// payload copy (pinned by TestTupleSniffSpanPreservesParse). When the
+// capture cut the frame before the TCP header-length byte, span falls
+// back to len(data).
 //
 // ok is false when the frame has no reachable TCP 4-tuple. The sniff is
-// deliberately laxer than the full parse in that case -- a frame
-// ParseFrame classifies as TCP always sniffs ok with the right tuple
-// (pinned by TestTupleHashAgreesWithParse), while a frame that sniffs
-// ok may still fail the full parse; it then just lands on some shard
-// and is counted skipped or truncated there.
-func TupleHash(linkType uint32, data []byte) (uint64, bool) {
-	h, _, ok := TupleSniff(linkType, data)
-	return h, ok
-}
-
-// TupleSniff is TupleHash plus the frame's header span: the number of
-// leading bytes covering the link, IP, and TCP headers, options
-// included. ParseFrame never reads past that span -- the payload length
-// comes from the IP header, not the captured bytes -- so a sharding
-// framer may hand workers data[:min(span, len(data))] and decode
-// identically while skipping the payload copy (pinned by
-// TestTupleSniffSpanPreservesParse). When the capture cut the frame
-// before the TCP header-length byte, span falls back to len(data).
+// deliberately laxer than the full parse in that case -- a frame the
+// parse classifies as TCP always sniffs ok with the right tuple (pinned
+// by TestTupleSniffAgreesWithParse), while a frame that sniffs ok may
+// still fail the full parse; it then just lands on some shard and is
+// counted skipped or truncated there.
 func TupleSniff(linkType uint32, data []byte) (hash uint64, span int, ok bool) {
 	orig := len(data)
 	switch linkType {

@@ -24,10 +24,10 @@ func sniffFrames() []*FrameSpec {
 	return fs
 }
 
-// TestTupleHashAgreesWithParse pins the sniffer's contract: every frame
+// TestTupleSniffAgreesWithParse pins the sniffer's contract: every frame
 // the full parse classifies as TCP must sniff ok, and every packet of
 // one connection -- both directions -- must land on the same hash.
-func TestTupleHashAgreesWithParse(t *testing.T) {
+func TestTupleSniffAgreesWithParse(t *testing.T) {
 	data := buildCapture(t, "pcap", 0, sniffFrames()...)
 	r, err := NewReader(bytes.NewReader(data))
 	if err != nil {
@@ -45,11 +45,11 @@ func TestTupleHashAgreesWithParse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pkt.Time, pkt.CapturedLen, pkt.OrigLen = rec.Time, rec.CapturedLen, rec.OrigLen
-		if ParseFrame(rec.LinkType, rec.Data, &pkt) != FrameTCP {
+		pkt.UnixNano, pkt.CapturedLen, pkt.OrigLen = rec.UnixNano, rec.CapturedLen, rec.OrigLen
+		if parseFrame(rec.LinkType, rec.Data, &pkt) != parsedTCP {
 			t.Fatalf("unexpected non-TCP frame in synthetic capture")
 		}
-		h, ok := TupleHash(rec.LinkType, rec.Data)
+		h, _, ok := TupleSniff(rec.LinkType, rec.Data)
 		if !ok {
 			t.Fatalf("parse said TCP but sniff failed: %s -> %s", pkt.Src(), pkt.Dst())
 		}
@@ -73,9 +73,9 @@ func TestTupleHashAgreesWithParse(t *testing.T) {
 	}
 }
 
-// TestTupleHashOtherLinkTypes covers the VLAN, null, loopback and raw-IP
+// TestTupleSniffOtherLinkTypes covers the VLAN, null, loopback and raw-IP
 // paths the Ethernet-only capture above does not reach.
-func TestTupleHashOtherLinkTypes(t *testing.T) {
+func TestTupleSniffOtherLinkTypes(t *testing.T) {
 	full := AppendFrame(nil, &FrameSpec{Src: testSrc, Dst: testDst, Seq: 9, Flags: FlagSYN})
 	ip := full[14:]
 	tagged := append([]byte{}, full[:12]...)
@@ -95,10 +95,10 @@ func TestTupleHashOtherLinkTypes(t *testing.T) {
 	var want uint64
 	for i, tc := range cases {
 		var pkt Packet
-		if ParseFrame(tc.linkType, tc.frame, &pkt) != FrameTCP {
+		if parseFrame(tc.linkType, tc.frame, &pkt) != parsedTCP {
 			t.Fatalf("%s: full parse rejected the frame", tc.name)
 		}
-		h, ok := TupleHash(tc.linkType, tc.frame)
+		h, _, ok := TupleSniff(tc.linkType, tc.frame)
 		if !ok {
 			t.Fatalf("%s: sniff failed on a parseable TCP frame", tc.name)
 		}
@@ -108,7 +108,7 @@ func TestTupleHashOtherLinkTypes(t *testing.T) {
 			t.Fatalf("%s: hash %x, want %x (same tuple must hash identically across encapsulations)", tc.name, h, want)
 		}
 	}
-	if _, ok := TupleHash(LinkEthernet, []byte{1, 2, 3}); ok {
+	if _, _, ok := TupleSniff(LinkEthernet, []byte{1, 2, 3}); ok {
 		t.Fatal("sniff accepted a 3-byte frame")
 	}
 }
@@ -121,7 +121,7 @@ func TestTupleSniffSpanPreservesParse(t *testing.T) {
 	for _, spec := range sniffFrames() {
 		frame := AppendFrame(nil, spec)
 		var full Packet
-		class := ParseFrame(LinkEthernet, frame, &full)
+		class := parseFrame(LinkEthernet, frame, &full)
 		_, span, ok := TupleSniff(LinkEthernet, frame)
 		if !ok {
 			t.Fatalf("sniff failed on synthetic frame %v", spec)
@@ -135,7 +135,7 @@ func TestTupleSniffSpanPreservesParse(t *testing.T) {
 			snapped = snapped[:span]
 		}
 		var snap Packet
-		if got := ParseFrame(LinkEthernet, snapped, &snap); got != class {
+		if got := parseFrame(LinkEthernet, snapped, &snap); got != class {
 			t.Fatalf("snapped parse classified %v, full parse %v", got, class)
 		}
 		if snap != full {
@@ -147,7 +147,7 @@ func TestTupleSniffSpanPreservesParse(t *testing.T) {
 // FuzzTupleSniff hammers the sniffer with arbitrary frames: it must
 // never panic, must never miss a frame the full parse accepts as TCP
 // (a miss would break flow-affinity in the sharded pipeline), and its
-// header span must never change what ParseFrame decodes.
+// header span must never change what parseFrame decodes.
 func FuzzTupleSniff(f *testing.F) {
 	f.Add(uint8(0), AppendFrame(nil, &FrameSpec{Src: testSrc, Dst: testDst, Seq: 1, Flags: FlagSYN}))
 	f.Add(uint8(2), AppendFrame(nil, &FrameSpec{Src: testSrc, Dst: testDst, Seq: 1, Flags: FlagSYN})[14:])
@@ -157,12 +157,12 @@ func FuzzTupleSniff(f *testing.F) {
 		linkTypes := []uint32{LinkEthernet, LinkNull, LinkRaw, LinkLoop, 147}
 		linkType := linkTypes[int(link)%len(linkTypes)]
 		var pkt Packet
-		class := ParseFrame(linkType, data, &pkt)
+		class := parseFrame(linkType, data, &pkt)
 		h1, span, ok := TupleSniff(linkType, data)
-		if class == FrameTCP && !ok {
+		if class == parsedTCP && !ok {
 			t.Fatalf("parse=TCP but sniff failed (link %d)", linkType)
 		}
-		h2, ok2 := TupleHash(linkType, data)
+		h2, _, ok2 := TupleSniff(linkType, data)
 		if ok != ok2 || h1 != h2 {
 			t.Fatal("sniff not deterministic")
 		}
@@ -172,17 +172,17 @@ func FuzzTupleSniff(f *testing.F) {
 				snapped = snapped[:span]
 			}
 			var snap Packet
-			if got := ParseFrame(linkType, snapped, &snap); got != class {
+			if got := parseFrame(linkType, snapped, &snap); got != class {
 				t.Fatalf("span %d changed the parse: %v -> %v (link %d)", span, class, got, linkType)
 			}
-			if class == FrameTCP && snap != pkt {
+			if class == parsedTCP && snap != pkt {
 				t.Fatalf("span %d changed the decode (link %d):\nsnap %+v\nfull %+v", span, linkType, snap, pkt)
 			}
 		}
 	})
 }
 
-// TestNextRawMatchesNext pins that the raw-record path plus ParseFrame
+// TestNextRawMatchesNext pins that the raw-record path plus parseFrame
 // reproduces the one-shot Next path exactly, packets and stats both.
 func TestNextRawMatchesNext(t *testing.T) {
 	frames := sniffFrames()
@@ -206,12 +206,12 @@ func TestNextRawMatchesNext(t *testing.T) {
 				t.Fatal(err)
 			}
 			var pkt Packet
-			pkt.Time, pkt.CapturedLen, pkt.OrigLen = rec.Time, rec.CapturedLen, rec.OrigLen
-			switch ParseFrame(rec.LinkType, rec.Data, &pkt) {
-			case FrameTCP:
+			pkt.UnixNano, pkt.CapturedLen, pkt.OrigLen = rec.UnixNano, rec.CapturedLen, rec.OrigLen
+			switch parseFrame(rec.LinkType, rec.Data, &pkt) {
+			case parsedTCP:
 				stats.TCP++
 				got = append(got, pkt)
-			case FrameTruncated:
+			case parsedTruncated:
 				stats.Truncated++
 			default:
 				stats.Skipped++

@@ -59,8 +59,8 @@ func TestCaptureShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ts := pkt.Time.UnixNano(); ts < lastTime {
-			t.Fatalf("timestamps went backwards at %v", pkt.Time)
+		if ts := pkt.UnixNano; ts < lastTime {
+			t.Fatalf("timestamps went backwards at %d", ts)
 		} else {
 			lastTime = ts
 		}
