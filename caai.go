@@ -43,8 +43,8 @@
 //	...
 //	id, _ = caai.LoadModel("caai-model.json") // no retraining
 //	jobs := []caai.BatchJob{{Server: s1, Cond: c1}, {Server: s2, Cond: c2}}
-//	for _, r := range id.IdentifyBatch(jobs, caai.BatchOptions{}) {
-//		fmt.Println(r.Out)
+//	for i, r := range id.IdentifyBatch(jobs, caai.BatchOptions{}) {
+//		fmt.Println(jobs[i].Server.Name, r)
 //	}
 //
 // Alternative classifier backends (the paper's Weka comparison):
@@ -70,7 +70,6 @@ import (
 	"repro/internal/cc"
 	"repro/internal/classify"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/feature"
 	"repro/internal/flow"
 	"repro/internal/forest"
@@ -106,23 +105,13 @@ type (
 	// Classifier is the pluggable classification backend interface; any
 	// implementation can drive the pipeline (see TrainWithClassifier).
 	Classifier = classify.Classifier
-	// BatchJob is one (server, condition) identification request for
-	// IdentifyBatch. A zero Seed derives a per-job seed deterministically.
-	BatchJob = engine.Job
-	// BatchResult pairs a BatchJob with its Identification.
-	BatchResult = engine.Result[core.Identification]
-	// BatchOptions tunes IdentifyBatch (parallelism, probe config, seed,
-	// an optional streaming OnResult callback, and an optional per-worker
-	// session factory; nil runs IdentifyBatch's default session). A zero
-	// probe config probes at the model's budget.
-	BatchOptions = engine.BatchConfig[core.Identification]
 	// FlowIdentification is the classification of one captured flow pair
 	// (see Identifier.IdentifyCapture).
 	FlowIdentification = flow.FlowIdentification
 	// CaptureStats summarizes one ingested packet capture.
 	CaptureStats = flow.CaptureStats
-	// CaptureOptions tunes capture ingestion (tracker bounds,
-	// classification parallelism, optional per-stage span recording).
+	// CaptureOptions tunes capture ingestion (tracker bounds, optional
+	// per-stage span recording).
 	CaptureOptions = flow.IdentifyOptions
 	// StreamOptions tunes Identifier.IdentifyStream (tracker bounds and
 	// optional live metrics).
@@ -256,22 +245,44 @@ func (id *Identifier) IdentifyTimed(server *Server, cond Condition, cfg ProbeCon
 	return sess.Identify(server, cond, cfg, rng)
 }
 
+// BatchJob is one (server, condition) identification request for
+// IdentifyBatch. A zero Seed derives a per-job seed deterministically.
+type BatchJob struct {
+	Server *Server
+	Cond   Condition
+	Seed   int64
+}
+
+// BatchOptions tunes IdentifyBatch.
+type BatchOptions struct {
+	// Parallelism bounds concurrent probes; 0 uses all CPUs.
+	Parallelism int
+	// Probe is the probe budget; the zero config probes at the model's.
+	Probe ProbeConfig
+	// Seed derives the seeds of jobs that leave BatchJob.Seed zero.
+	Seed int64
+}
+
+// jobSeedStride spaces derived per-job seeds (a prime, so neighbouring
+// jobs never share RNG streams).
+const jobSeedStride = 15485863
+
 // IdentifyBatch probes every job on a bounded worker pool and returns the
-// identifications in input order. Results are deterministic for a fixed
-// (jobs, opts.Seed) regardless of opts.Parallelism; set opts.OnResult to
-// stream results as they complete, one job at a time. Each pool worker
+// identifications in job order. Results are deterministic for a fixed
+// (jobs, opts.Seed) regardless of opts.Parallelism. Each pool worker
 // runs a reusable session that recycles probe and feature scratch across
-// its jobs and classifies each probe as soon as it is gathered.
-func (id *Identifier) IdentifyBatch(jobs []BatchJob, opts BatchOptions) []BatchResult {
+// its jobs.
+func (id *Identifier) IdentifyBatch(jobs []BatchJob, opts BatchOptions) []Identification {
 	if reflect.ValueOf(opts.Probe).IsZero() {
 		opts.Probe = id.core.Probe()
 	}
-	if opts.NewWorkerBlock == nil {
-		opts.NewWorkerBlock = func() engine.BlockIdentifier[core.Identification] {
-			return id.core.NewBlockSession()
+	return id.core.IdentifyEach(len(jobs), opts.Parallelism, opts.Probe, func(i int) (*Server, Condition, int64) {
+		seed := jobs[i].Seed
+		if seed == 0 {
+			seed = opts.Seed + int64(i+1)*jobSeedStride
 		}
-	}
-	return engine.IdentifyBatch[core.Identification](id.core, jobs, opts)
+		return jobs[i].Server, jobs[i].Cond, seed
+	})
 }
 
 // IdentifyCapture runs the passive pipeline against a pcap or pcapng

@@ -143,34 +143,14 @@ func TestIdentifyBatchMatchesSingleAndIsDeterministic(t *testing.T) {
 	serial := id.IdentifyBatch(jobs, BatchOptions{Parallelism: 1, Seed: 7})
 	parallel := id.IdentifyBatch(jobs, BatchOptions{Parallelism: 4, Seed: 7})
 	for i := range jobs {
-		if serial[i].Out.Label != parallel[i].Out.Label || serial[i].Out.Confidence != parallel[i].Out.Confidence {
+		if serial[i].Label != parallel[i].Label || serial[i].Confidence != parallel[i].Confidence {
 			t.Errorf("job %d: parallelism changed the result (%s vs %s)",
-				i, serial[i].Out.Label, parallel[i].Out.Label)
+				i, serial[i].Label, parallel[i].Label)
 		}
 		want := id.Identify(NewTestbedServer(algs[i]), LosslessCondition(), rand.New(rand.NewSource(int64(100+i))))
-		if serial[i].Out.Label != want.Label {
-			t.Errorf("job %d: batch says %s, single-shot says %s", i, serial[i].Out.Label, want.Label)
+		if serial[i].Label != want.Label {
+			t.Errorf("job %d: batch says %s, single-shot says %s", i, serial[i].Label, want.Label)
 		}
-	}
-}
-
-func TestIdentifyBatchStreaming(t *testing.T) {
-	if testing.Short() {
-		t.Skip("expensive")
-	}
-	id := identifier(t)
-	jobs := []BatchJob{
-		{Server: NewTestbedServer("BIC"), Cond: LosslessCondition()},
-		{Server: NewTestbedServer("CUBIC2"), Cond: LosslessCondition()},
-	}
-	streamed := 0
-	id.IdentifyBatch(jobs, BatchOptions{
-		Parallelism: 2,
-		Seed:        3,
-		OnResult:    func(BatchResult) { streamed++ },
-	})
-	if streamed != len(jobs) {
-		t.Fatalf("streamed %d results, want %d", streamed, len(jobs))
 	}
 }
 

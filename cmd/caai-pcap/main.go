@@ -51,7 +51,6 @@ func run(args []string, stdout io.Writer) error {
 	conditions := fs.Int("conditions", 25, "training conditions per (algorithm, wmax) pair when no -model is given")
 	seed := fs.Int64("seed", 1, "random seed (training and -gen)")
 	jsonOut := fs.Bool("json", false, "emit JSON instead of the table")
-	parallelism := fs.Int("parallelism", 0, "classification parallelism (0 = all CPUs)")
 	timings := fs.Bool("timings", false, "record and report per-stage wall-clock timings (decode, feature, classify)")
 	maxFlows := fs.Int("max-flows", 0, "bound on concurrently tracked flows (0 = default)")
 	follow := fs.Bool("follow", false, "stream continuously: classify and print each flow as it closes (idle flows expire) instead of waiting for end of input; suits endless live captures on stdin")
@@ -106,7 +105,7 @@ func run(args []string, stdout io.Writer) error {
 		return followStream(stdout, id, r, *jsonOut, *maxFlows)
 	}
 
-	opts := caai.CaptureOptions{Parallelism: *parallelism, Timings: *timings}
+	opts := caai.CaptureOptions{Timings: *timings}
 	opts.Tracker.MaxFlows = *maxFlows
 	pairs, stats, err := id.IdentifyCapture(r, opts)
 	if err != nil {

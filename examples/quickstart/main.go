@@ -62,7 +62,7 @@ func main() {
 	for _, alg := range []string{"RENO", "BIC", "CUBIC2", "STCP", "VEGAS", "HTCP"} {
 		jobs = append(jobs, caai.BatchJob{Server: caai.NewTestbedServer(alg), Cond: caai.LosslessCondition()})
 	}
-	for _, r := range loaded.IdentifyBatch(jobs, caai.BatchOptions{Seed: 9}) {
-		fmt.Printf("  %-10s -> %s\n", r.Job.Server.Name, r.Out)
+	for i, r := range loaded.IdentifyBatch(jobs, caai.BatchOptions{Seed: 9}) {
+		fmt.Printf("  %-10s -> %s\n", jobs[i].Server.Name, r)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/cc"
 	"repro/internal/classify"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/feature"
 	"repro/internal/flow"
@@ -97,9 +96,10 @@ func ForestClassify(model classify.Classifier) func(*testing.B) {
 }
 
 // ForestClassifyBatch measures a block of m spread-out vectors classified
-// one by one with ClassifyBuf into caller-owned votes, as BlockSession
-// runs the forest. One op classifies the whole block, so the ns/sample
-// metric is directly comparable with forest/classify.
+// one by one with ClassifyBuf into caller-owned votes, the walk
+// Forest.Classify runs for every job a Session identifies. One op
+// classifies the whole block, so the ns/sample metric is directly
+// comparable with forest/classify.
 func ForestClassifyBatch(f *forest.Forest, m int) func(*testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
@@ -204,32 +204,31 @@ func IdentifyMix(model classify.Classifier) func(*testing.B) {
 }
 
 // IdentifyBatch measures batched identification of jobs servers through a
-// pretrained model on the worker pool, one block session per worker (the
-// default engine path; probing dominates, allocs/op is the budgeted
-// number).
+// pretrained model on the worker pool, one Session per worker
+// (core.Identifier.IdentifyEach; probing dominates, allocs/op is the
+// budgeted number).
 func IdentifyBatch(model classify.Classifier, jobs int) func(*testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		id := core.NewIdentifier(model)
 		rng := rand.New(rand.NewSource(77))
 		db := netem.MeasuredDatabase()
-		batch := make([]engine.Job, jobs)
+		servers := make([]*websim.Server, jobs)
+		conds := make([]netem.Condition, jobs)
 		names := cc.CAAINames()
-		for i := range batch {
-			batch[i] = engine.Job{Server: websim.Testbed(names[i%len(names)]), Cond: db.Sample(rng)}
+		for i := range servers {
+			servers[i], conds[i] = websim.Testbed(names[i%len(names)]), db.Sample(rng)
 		}
 		b.ResetTimer()
 		var valid int
 		for i := 0; i < b.N; i++ {
-			results := engine.IdentifyBatch[core.Identification](id, batch, engine.BatchConfig[core.Identification]{
-				Seed: int64(i),
-				NewWorkerBlock: func() engine.BlockIdentifier[core.Identification] {
-					return id.NewBlockSession()
-				},
+			seed := int64(i)
+			results := id.IdentifyEach(jobs, 0, probe.Config{}, func(k int) (*websim.Server, netem.Condition, int64) {
+				return servers[k], conds[k], seed + int64(k+1)*15485863
 			})
 			valid = 0
 			for _, r := range results {
-				if r.Out.Valid {
+				if r.Valid {
 					valid++
 				}
 			}

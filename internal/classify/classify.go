@@ -3,10 +3,11 @@
 // for a feature vector; everything that can produce those -- the random
 // forest the paper settled on, the Weka comparison classifiers in
 // internal/ml, or an out-of-tree experiment -- implements Classifier and
-// plugs into core.Identifier, engine.IdentifyBatch, and the census runner
-// unchanged. The pipeline calls Classify once per feature vector, batch
-// paths included: a vote costs microseconds against a millisecond of
-// probing, so there is no batched entry point to implement.
+// plugs into core.Identifier, its per-worker batches (IdentifyEach), and
+// the census runner unchanged. The pipeline calls Classify once per
+// feature vector, batch paths included: a vote costs microseconds against
+// a millisecond of probing, so there is no batched entry point to
+// implement.
 //
 // The package also defines the model persistence layer: a Codec serializes
 // one classifier backend, and Save/Load wrap codecs in a self-describing

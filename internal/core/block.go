@@ -13,7 +13,7 @@ import (
 // engine.BlockIdentifier form of the pipeline. Gather runs
 // Session.Identify and buffers the outcome under the job's tag; Flush
 // emits the buffer in gather order. Results are Session.Identify's job
-// for job, and a traced job's stage spans carry its tag.
+// for job.
 //
 // A BlockSession is NOT safe for concurrent use; engine.IdentifyBatch
 // hands one to each pool worker (see engine.BatchConfig.NewWorkerBlock)
@@ -34,16 +34,9 @@ func (id *Identifier) NewBlockSession() *BlockSession {
 // Session.EnableTimings).
 func (bs *BlockSession) EnableTimings(tel *telemetry.Pipeline) { bs.s.EnableTimings(tel) }
 
-// BindTrace attaches subsequent Gather span recording to a trace in f's
-// rings (see Session.BindTrace), each span tagged with its job's tag.
-func (bs *BlockSession) BindTrace(f *telemetry.Flight, tr telemetry.TraceID) {
-	bs.s.BindTrace(f, tr, 0)
-}
-
 // Gather identifies one server exactly as Session.Identify would -- same
 // prober reuse, same RNG stream -- and buffers the outcome under tag.
 func (bs *BlockSession) Gather(tag int, server *websim.Server, cond netem.Condition, cfg probe.Config, rng *rand.Rand) {
-	bs.s.tag = uint64(tag) & 0xffffffff
 	bs.tags = append(bs.tags, tag)
 	bs.outs = append(bs.outs, bs.s.Identify(server, cond, cfg, rng))
 }

@@ -216,10 +216,10 @@ type Identification struct {
 	// Elapsed is the simulated probing time.
 	Elapsed time.Duration
 	// Timings is the wall-clock per-stage span breakdown, stamped only by
-	// pipelines with span recording enabled (Session.EnableTimings,
-	// BlockSession.EnableTimings, an armed IdentifyResultWith clock); zero
-	// otherwise. Unlike Elapsed -- which is simulated probe time -- these
-	// are real host-clock durations.
+	// pipelines with span recording enabled (Session.EnableTimings, or a
+	// clock the caller armed for IdentifyResultWith); zero otherwise.
+	// Unlike Elapsed -- which is simulated probe time -- these are real
+	// host-clock durations.
 	Timings telemetry.StageTimings
 }
 

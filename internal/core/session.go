@@ -1,14 +1,17 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/feature"
 	"repro/internal/netem"
 	"repro/internal/probe"
 	"repro/internal/telemetry"
 	"repro/internal/websim"
+	"repro/internal/xrand"
 )
 
 // Session is a reusable single-goroutine identification pipeline over one
@@ -19,8 +22,8 @@ import (
 // condition, RNG) for every call, so each result depends only on that
 // call's arguments; Identifier.Identify is one call on a fresh Session.
 //
-// A Session is NOT safe for concurrent use: the census runners hold one
-// per pool worker and the service pools them per model.
+// A Session is NOT safe for concurrent use: IdentifyEach and the census
+// runners hold one per pool worker and the service pools them per model.
 type Session struct {
 	id *Identifier
 	p  probe.Prober
@@ -122,4 +125,27 @@ func (s *Session) classify(out *Identification) {
 	copy(s.vec, out.Vector[:])
 	label, conf := s.id.model.Classify(s.vec)
 	applyLabel(out, label, conf)
+}
+
+// IdentifyEach identifies n servers on the engine pool, at most
+// parallelism at a time (0 = GOMAXPROCS), and returns the results in
+// index order. job(i) names job i's server, condition and seed. Each
+// pool worker owns one Session and one RNG, reseeded per job to the
+// stream xrand.New(seed) draws, so result i is
+// NewSession().Identify(server, cond, cfg, xrand.New(seed)) whichever
+// worker runs it. job is called on the worker that runs job i.
+func (id *Identifier) IdentifyEach(n, parallelism int, cfg probe.Config, job func(i int) (*websim.Server, netem.Condition, int64)) []Identification {
+	outs := make([]Identification, n)
+	workers := engine.Workers(n, parallelism)
+	sessions := make([]*Session, workers)
+	rngs := make([]*rand.Rand, workers)
+	for w := range sessions {
+		sessions[w], rngs[w] = id.NewSession(), xrand.New(0)
+	}
+	engine.RunWorkers(context.Background(), n, parallelism, func(w, i int) {
+		server, cond, seed := job(i)
+		xrand.Reseed(rngs[w], seed)
+		outs[i] = sessions[w].Identify(server, cond, cfg, rngs[w])
+	})
+	return outs
 }

@@ -49,22 +49,6 @@ type BlockIdentifier[R any] interface {
 	Flush(emit func(tag int, out R))
 }
 
-// single adapts a shared Identifier as a block of one, for batches that
-// bring no per-worker sessions. IdentifyBatch flushes it after every
-// Gather, so it never holds more than one result and is never flushed
-// empty.
-type single[R any] struct {
-	id  Identifier[R]
-	tag int
-	out R
-}
-
-func (s *single[R]) Gather(tag int, server *websim.Server, cond netem.Condition, cfg probe.Config, rng *rand.Rand) {
-	s.tag, s.out = tag, s.id.Identify(server, cond, cfg, rng)
-}
-
-func (s *single[R]) Flush(emit func(tag int, out R)) { emit(s.tag, s.out) }
-
 // BatchConfig controls IdentifyBatch.
 type BatchConfig[R any] struct {
 	// Ctx, when non-nil, cancels the batch: once Ctx is done no further
@@ -85,7 +69,8 @@ type BatchConfig[R any] struct {
 	// callback must not block for long or it stalls the pool.
 	OnResult func(Result[R])
 	// NewWorkerBlock, when set, is called once per pool worker; its
-	// session runs that worker's jobs instead of the shared identifier.
+	// session runs that worker's jobs instead of the shared identifier,
+	// which runs them otherwise.
 	// Pipelines use it to give every worker private reusable scratch
 	// (probe buffers, feature scratch) without locks. Each session must
 	// produce results identical to the shared identifier -- job outcomes
@@ -127,8 +112,6 @@ func IdentifyBatch[R any](id Identifier[R], jobs []Job, cfg BatchConfig[R]) []Re
 		rngs[w] = xrand.New(0)
 		if cfg.NewWorkerBlock != nil {
 			blocks[w] = cfg.NewWorkerBlock()
-		} else {
-			blocks[w] = &single[R]{id: id}
 		}
 	}
 	// Result slots are disjoint; only OnResult needs serializing. It runs
@@ -146,6 +129,10 @@ func IdentifyBatch[R any](id Identifier[R], jobs []Job, cfg BatchConfig[R]) []Re
 	}
 	RunWorkers(ctx, len(jobs), cfg.Parallelism, func(w, i int) {
 		xrand.Reseed(rngs[w], jobSeed(i))
+		if blocks[w] == nil {
+			commit(i, id.Identify(jobs[i].Server, jobs[i].Cond, cfg.Probe, rngs[w]))
+			return
+		}
 		blocks[w].Gather(i, jobs[i].Server, jobs[i].Cond, cfg.Probe, rngs[w])
 		blocks[w].Flush(commit)
 	})

@@ -18,8 +18,8 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/feature"
+	"repro/internal/netem"
 	"repro/internal/trace"
 	"repro/internal/websim"
 )
@@ -180,10 +180,9 @@ const trialSeedStride = 6700417
 // deterministically derived RNG, probing a cooperative testbed server
 // through the scenario's netem condition with the budget's prober — the
 // same session pipeline the service and census use. Each budget sweeps as
-// one engine.IdentifyBatch whose workers each reuse one session and
-// classify every trial as soon as it is gathered. Outcomes are a pure
-// function of (models, cfg), independent of parallelism and worker
-// scheduling.
+// one core.Identifier.IdentifyEach, whose pool workers each reuse one
+// session. Outcomes are a pure function of (models, cfg), independent of
+// parallelism and worker scheduling.
 func Run(modelFor func(ProbeBudget) *core.Identifier, cfg Config) *Matrix {
 	cfg = cfg.withDefaults()
 	type cellDef struct {
@@ -199,34 +198,18 @@ func Run(modelFor func(ProbeBudget) *core.Identifier, cfg Config) *Matrix {
 			}
 		}
 	}
-	jobs := len(defs) * cfg.Trials
-	outs := make([]core.Identification, jobs)
-	// The probe budget varies only along the batch-config axis, so the
-	// matrix partitions into one batch per budget (defs are budget-major).
+	// The probe budget and the model vary only along the budget axis, so
+	// the matrix runs as one fan-out per budget (defs are budget-major).
 	perBudget := len(cfg.Scenarios) * len(cfg.Algorithms) * cfg.Trials
+	outs := make([]core.Identification, 0, len(defs)*cfg.Trials)
 	for b := range cfg.Budgets {
-		id := modelFor(cfg.Budgets[b])
 		base := b * perBudget
-		ejobs := make([]engine.Job, perBudget)
-		for k := range ejobs {
-			j := base + k
-			d := defs[j/cfg.Trials]
-			ejobs[k] = engine.Job{
-				Server: websim.Testbed(d.alg),
-				Cond:   cfg.Scenarios[d.scen].Cond,
-				Seed:   cfg.Seed + int64(j+1)*trialSeedStride,
-			}
-		}
-		results := engine.IdentifyBatch[core.Identification](id, ejobs, engine.BatchConfig[core.Identification]{
-			Parallelism: cfg.Parallelism,
-			Probe:       cfg.Budgets[b].Probe,
-			NewWorkerBlock: func() engine.BlockIdentifier[core.Identification] {
-				return id.NewBlockSession()
-			},
-		})
-		for k, r := range results {
-			outs[base+k] = r.Out
-		}
+		outs = append(outs, modelFor(cfg.Budgets[b]).IdentifyEach(perBudget, cfg.Parallelism, cfg.Budgets[b].Probe,
+			func(k int) (*websim.Server, netem.Condition, int64) {
+				j := base + k
+				d := defs[j/cfg.Trials]
+				return websim.Testbed(d.alg), cfg.Scenarios[d.scen].Cond, cfg.Seed + int64(j+1)*trialSeedStride
+			})...)
 	}
 
 	m := &Matrix{

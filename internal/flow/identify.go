@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/feature"
 	"repro/internal/probe"
 	"repro/internal/telemetry"
@@ -19,9 +18,6 @@ import (
 type IdentifyOptions struct {
 	// Tracker bounds flow reassembly (zero value: defaults).
 	Tracker Config
-	// Parallelism bounds concurrent classification on the engine pool
-	// (0 = all CPUs).
-	Parallelism int
 	// Timings enables per-stage span recording: each pair's ID.Timings
 	// gets its feature/classify spans plus its share of decode+reassembly
 	// time under StageGather (the passive pipeline's gather).
@@ -105,7 +101,8 @@ func Pair(flows []*FlowTrace) []FlowIdentification {
 
 // ClassifyOptions tunes ClassifyAll.
 type ClassifyOptions struct {
-	// Parallelism bounds the preparation fan-out (0 = all CPUs).
+	// Deprecated: Parallelism is ignored; ClassifyAll classifies on the
+	// caller's goroutine.
 	Parallelism int
 	// Timings enables per-pair span recording into ID.Timings.
 	Timings bool
@@ -121,25 +118,26 @@ type ClassifyOptions struct {
 	OnResult func(i int)
 }
 
-// ClassifyAll classifies paired flows in place, fanning the per-pair
-// classification IdentifyStream runs inline out on the engine worker
-// pool. A cancelled run returns ctx's error without invoking OnResult.
-// model is taken as trained at the default probe budget unless it is a
-// *core.Identifier, which carries its own (see core.NewIdentifier): a
-// pair whose wmax lies above the budget's top rung answers UNSURE.
+// ClassifyAll classifies paired flows in place, in pair order on the
+// caller's goroutine, through the per-pair classification IdentifyStream
+// runs inline. A cancelled run returns ctx's error without invoking
+// OnResult. model is taken as trained at the default probe budget unless
+// it is a *core.Identifier, which carries its own (see
+// core.NewIdentifier): a pair whose wmax lies above the budget's top
+// rung answers UNSURE.
 func ClassifyAll(ctx context.Context, pairs []FlowIdentification, model classify.Classifier, opts ClassifyOptions) error {
 	id := core.NewIdentifier(model)
 	record := opts.Timings || opts.Telemetry != nil
-	scratch := make([]feature.Scratch, engine.Workers(len(pairs), opts.Parallelism))
-	err := engine.RunWorkers(ctx, len(pairs), opts.Parallelism, func(w, i int) {
+	var sc feature.Scratch
+	for i := range pairs {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		var clock telemetry.SpanClock
 		if record {
 			clock.Start()
 		}
-		classifyPair(id, &pairs[i], &scratch[w], &clock)
-	})
-	if err != nil {
-		return err
+		classifyPair(id, &pairs[i], &sc, &clock)
 	}
 	var gatherShare time.Duration
 	if record && len(pairs) > 0 {
@@ -206,8 +204,8 @@ func pairResult(p *FlowIdentification) *probe.Result {
 // IdentifyCapture is the passive pipeline end to end for a recorded
 // capture: Reassemble (the engine with idle expiry off), Pair (the
 // stream's pairer, unbounded), and ClassifyAll (the stream's per-pair
-// classification on the worker pool). The capture is decoded
-// incrementally; memory stays bounded regardless of its size.
+// classification, pair by pair). The capture is decoded incrementally;
+// memory stays bounded regardless of its size.
 func IdentifyCapture(r io.Reader, model classify.Classifier, opts IdentifyOptions) ([]FlowIdentification, CaptureStats, error) {
 	start := time.Now()
 	flows, stats, err := Reassemble(r, opts.Tracker)
@@ -217,10 +215,9 @@ func IdentifyCapture(r io.Reader, model classify.Classifier, opts IdentifyOption
 	gather := time.Since(start)
 	pairs := Pair(flows)
 	err = ClassifyAll(context.Background(), pairs, model, ClassifyOptions{
-		Parallelism: opts.Parallelism,
-		Timings:     opts.Timings,
-		Telemetry:   opts.Telemetry,
-		GatherSpan:  gather,
+		Timings:    opts.Timings,
+		Telemetry:  opts.Telemetry,
+		GatherSpan: gather,
 	})
 	return pairs, stats, err
 }

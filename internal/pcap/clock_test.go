@@ -135,10 +135,10 @@ func ngCapture(bo binary.AppendByteOrder, tsresol []byte, stamps []uint64, spb b
 // TestUnixNanoMatchesExact pins Packet.UnixNano, the clock the flow
 // tracker runs on, to exact integer arithmetic for every timestamp
 // encoding the decoder reads: both classic resolutions in both byte
-// orders, pcapng power-of-ten and power-of-two if_tsresol units from 1 s
-// down, stamps past the int64 nanosecond range (which saturate at
-// math.MaxInt64), and the simple packet block, which has no timestamp
-// and reads math.MinInt64.
+// orders, pcapng with no if_tsresol and with every if_tsresol byte (10^-n
+// and 2^-n s units for n in 0..127), stamps past the int64 nanosecond
+// range (which saturate at math.MaxInt64), and the simple packet block,
+// which has no timestamp and reads math.MinInt64.
 func TestUnixNanoMatchesExact(t *testing.T) {
 	for _, c := range []struct {
 		magic          uint32
@@ -161,7 +161,7 @@ func TestUnixNanoMatchesExact(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(7))
 	for _, bo := range []binary.AppendByteOrder{binary.LittleEndian, binary.BigEndian} {
-		for _, resol := range []int{-1, 0, 3, 6, 9, 12, 18, 0x80, 0x80 | 10, 0x80 | 30, 0x80 | 31, 0x80 | 59, 0x80 | 63} {
+		for resol := -1; resol <= 0xff; resol++ {
 			var tsresol []byte
 			units := big.NewInt(1e6) // the default: microseconds
 			if resol >= 0 {

@@ -135,7 +135,7 @@ func (r *Reader) readIDB(body []byte) error {
 			if v&0x80 != 0 {
 				iface.tsPow2 = int(v & 0x7f)
 				iface.tsPow10 = -1
-			} else if int(v) <= 18 {
+			} else {
 				iface.tsPow10 = int(v)
 			}
 		}
@@ -196,39 +196,32 @@ func (r *Reader) readSPB(body []byte, pkt *Packet) ([]byte, uint32, error) {
 }
 
 // ngTime converts a pcapng timestamp in the interface's units to Unix
-// nanoseconds, exactly (no float math) and saturating at
-// math.MaxInt64.
+// nanoseconds, floor(ts * 1e9 / units), exactly (no float math) and
+// saturating at math.MaxInt64, for every unit if_tsresol can declare:
+// 2^-n and 10^-n s for n in 0..127.
 func ngTime(ts uint64, iface ngIface) int64 {
-	var sec, nanos uint64
+	var hi, ns uint64 // the result's high and low 64 bits
 	if iface.tsPow2 >= 0 {
-		n := uint(min(iface.tsPow2, 63))
-		sec = ts >> n
-		// The fraction's nanoseconds, floor(frac * 1e9 / 2^n), through
-		// the 128-bit product, which loses no bits at any n.
-		hi, lo := bits.Mul64(ts&(1<<n-1), 1e9)
-		nanos = hi<<(64-n) | lo>>n
-	} else {
-		p := iface.tsPow10 // 0..18, as readIDB accepts
-		sec, nanos = ts/pow10[p], ts%pow10[p]
-		if p <= 9 {
-			nanos *= pow10[9-p]
+		// ts * 1e9 >> n through the 128-bit product, which loses no
+		// bits at any n.
+		n := uint(iface.tsPow2)
+		h, l := bits.Mul64(ts, 1e9)
+		if n < 64 {
+			hi, ns = h>>n, h<<(64-n)|l>>n
 		} else {
-			nanos /= pow10[p-9]
+			ns = h >> (n - 64)
 		}
+	} else if p := iface.tsPow10; p <= 9 {
+		hi, ns = bits.Mul64(ts, pow10[9-p])
+	} else if p-9 < len(pow10) {
+		ns = ts / pow10[p-9] // beyond, every stamp is under 1 ns
 	}
-	return unixNano(sec, nanos)
-}
-
-// pow10 holds 10^i for every if_tsresol power of ten readIDB accepts.
-var pow10 = [19]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
-	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18}
-
-// unixNano is sec seconds plus nanos (< 1e9) nanoseconds as int64 Unix
-// nanoseconds, saturating at math.MaxInt64.
-func unixNano(sec, nanos uint64) int64 {
-	const maxSec = math.MaxInt64 / 1_000_000_000
-	if sec > maxSec || sec == maxSec && nanos > math.MaxInt64%1_000_000_000 {
+	if hi != 0 || ns > math.MaxInt64 {
 		return math.MaxInt64
 	}
-	return int64(sec)*1_000_000_000 + int64(nanos)
+	return int64(ns)
 }
+
+// pow10 holds every power of ten a uint64 holds.
+var pow10 = [20]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}

@@ -81,16 +81,16 @@ type PcapAccepted struct {
 }
 
 // runPcap executes one accepted capture job: every flow pair is
-// classified on the engine pool, streaming per-flow completions into the
-// job's progress counter. Classification of reconstructed traces needs no
-// probing, so capture jobs drain quickly even between long probe batches.
+// classified in capture order on the job's worker, and the results then
+// land in the job's progress counter. Classification of reconstructed
+// traces needs no probing, so capture jobs drain quickly even between
+// long probe batches.
 func (s *Service) runPcap(j *job, model *Model) error {
 	version := model.Version()
 	err := flow.ClassifyAll(j.ctx, j.pcap, model.Identifier(), flow.ClassifyOptions{
-		Parallelism: s.cfg.Parallelism,
-		Timings:     true,
-		Telemetry:   &s.metrics.pipeline,
-		GatherSpan:  j.gatherSpan,
+		Timings:    true,
+		Telemetry:  &s.metrics.pipeline,
+		GatherSpan: j.gatherSpan,
 		OnResult: func(i int) {
 			resp := toFlowResponse(version, j.pcap[i])
 			s.metrics.identifies.Add(1)

@@ -5,11 +5,15 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/flow"
+	"repro/internal/netem"
 	"repro/internal/pcapgen"
 	"repro/internal/probe"
+	"repro/internal/websim"
 )
 
 // uploadCapture POSTs raw capture bytes to /v1/pcap.
@@ -89,6 +93,74 @@ func TestPcapEndToEnd(t *testing.T) {
 	}
 	if snap.Labels["CUBIC2"] != 2 {
 		t.Fatalf("label counters: %+v", snap.Labels)
+	}
+}
+
+// TestPcapJobMatchesIdentifyCapture: a /v1/pcap job's results are
+// flow.IdentifyCapture's pairs index by index -- same server, clients,
+// validity, reason and features -- over a capture that mixes paired
+// servers, a lossy path and a small-page server whose one flow is invalid
+// and unpaired.
+func TestPcapJobMatchesIdentifyCapture(t *testing.T) {
+	model := &fakeClassifier{Label: "CUBIC2", Confidence: 0.93}
+	_, ts := newTestService(t, Config{}, model)
+
+	smallPage := websim.Testbed("BIC")
+	smallPage.Name = "small-page"
+	smallPage.DefaultPageBytes, smallPage.LongestPageBytes = 8000, 0
+	var capture bytes.Buffer
+	if _, err := pcapgen.Generate(&capture, []pcapgen.ServerSpec{
+		{Algorithm: "RENO", Seed: 41},
+		{Server: smallPage, Seed: 42},
+		{Algorithm: "CUBIC2", Seed: 43, Cond: netem.Condition{MeanRTT: 80 * time.Millisecond, LossRate: 0.02}},
+		{Algorithm: "VEGAS", Seed: 44},
+		{Algorithm: "HTCP", Seed: 45},
+	}, pcapgen.Options{Probe: probe.Config{WmaxLadder: []int{64}}}); err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := flow.IdentifyCapture(bytes.NewReader(capture.Bytes()), model, flow.IdentifyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	resp, data := uploadCapture(t, ts.URL, capture.Bytes())
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	}
+	var acc PcapAccepted
+	if err := json.Unmarshal(data, &acc); err != nil {
+		t.Fatal(err)
+	}
+	st := pollJob(t, ts.URL, acc.JobID, 10*time.Second)
+	if st.State != StateDone {
+		t.Fatalf("job finished %s (%s)", st.State, st.Error)
+	}
+	if len(st.Results) != len(want) {
+		t.Fatalf("job has %d results, IdentifyCapture %d pairs", len(st.Results), len(want))
+	}
+	invalid := 0
+	for i, w := range want {
+		got := st.Results[i]
+		var clientB string
+		if w.B != nil {
+			clientB = w.B.Client
+		}
+		if got.Flow == nil || got.Server != w.A.Server || got.Flow.ClientA != w.A.Client || got.Flow.ClientB != clientB {
+			t.Fatalf("result %d is %s %+v, IdentifyCapture pair %d is %s %s/%s", i, got.Server, got.Flow, i, w.A.Server, w.A.Client, clientB)
+		}
+		if got.Valid != w.ID.Valid || got.Reason != string(w.ID.Reason) || got.Wmax != w.ID.Wmax {
+			t.Fatalf("result %d: valid %v reason %q wmax %d, IdentifyCapture valid %v reason %q wmax %d",
+				i, got.Valid, got.Reason, got.Wmax, w.ID.Valid, w.ID.Reason, w.ID.Wmax)
+		}
+		if wf := toResponse("", w.A.Server, w.ID).Features; !reflect.DeepEqual(got.Features, wf) {
+			t.Fatalf("result %d: features %v, IdentifyCapture %v", i, got.Features, wf)
+		}
+		if !w.ID.Valid {
+			invalid++
+		}
+	}
+	if invalid == 0 || invalid == len(want) {
+		t.Fatalf("%d of %d pairs invalid: the capture must mix valid and invalid pairs", invalid, len(want))
 	}
 }
 

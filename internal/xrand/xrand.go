@@ -2,13 +2,13 @@
 // identification hot path. math/rand's default lagged-Fibonacci source
 // burns ~600 multiplications seeding its 607-word state, which profiles
 // showed costing ~5% of a cache-miss identification (the service seeds one
-// RNG per request, the engine one per batch job). The SplitMix64 generator
-// here seeds in O(1), draws faster, and passes through the standard
-// *rand.Rand front end so every consumer keeps its signature.
+// RNG per request, a batch one per job). The SplitMix64 generator here
+// seeds in O(1), draws faster, and passes through the standard *rand.Rand
+// front end so every consumer keeps its signature.
 //
 // Streams are deterministic per seed (the repo-wide reproducibility
 // contract) but differ from math/rand's streams for the same seed. The
-// identification paths (service requests, engine batch jobs, the census
+// identification paths (service requests, batch jobs, the census
 // runner — and therefore the regenerated Table IV) draw from this source;
 // training-set generation intentionally stays on math/rand so trained and
 // published models are bit-identical to earlier builds.
@@ -40,7 +40,7 @@ func (s *source) Seed(seed int64) { s.state = uint64(seed) }
 func New(seed int64) *rand.Rand { return rand.New(&source{state: uint64(seed)}) }
 
 // Reseed rewinds r -- which must come from New -- to the exact stream
-// New(seed) produces. Per-job paths (the engine's batch workers) keep one
-// RNG per worker and reseed it between jobs instead of paying New's two
+// New(seed) produces. Per-job paths (core.Identifier.IdentifyEach's pool
+// workers) keep one RNG per worker and reseed it between jobs instead of paying New's two
 // allocations per job.
 func Reseed(r *rand.Rand, seed int64) { r.Seed(seed) }

@@ -4,7 +4,7 @@ import "testing"
 
 // TestStreamsDeterministicPerSeed: the identify-path RNG is a pure
 // function of its seed — the repo-wide reproducibility contract every
-// seeded path (service requests, engine batch jobs, eval trials) builds
+// seeded path (service requests, batch jobs, eval trials) builds
 // on.
 func TestStreamsDeterministicPerSeed(t *testing.T) {
 	a, b := New(12345), New(12345)
