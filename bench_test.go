@@ -273,64 +273,20 @@ func BenchmarkTBITSurvey(b *testing.B) {
 }
 
 // --- Microbenchmarks of the hot paths ---
-//
-// These delegate to internal/bench, the shared suite cmd/caai-bench runs
-// standalone and persists to BENCH_<n>.json (see DESIGN.md section on the
-// perf-regression harness). Names here stay stable because the perf
-// history and the CI budget gate reference the suite's measurements.
 
-// BenchmarkGatherSession measures one full environment-A gathering session
-// against a lossless CUBIC2 testbed server with a reused prober.
-func BenchmarkGatherSession(b *testing.B) {
-	bench.GatherSession()(b)
-}
-
-// BenchmarkFeatureExtraction measures CAAI step 2 on a gathered trace with
-// reused scratch.
-func BenchmarkFeatureExtraction(b *testing.B) {
-	bench.FeatureExtraction()(b)
-}
-
-// BenchmarkForestClassify measures CAAI step 3 on a trained model.
-func BenchmarkForestClassify(b *testing.B) {
-	ctx := benchCtx(b)
-	model, err := ctx.Model()
+// BenchmarkSuite runs the hot-path suite of internal/bench, the one
+// cmd/caai-bench runs standalone and persists to BENCH_<n>.json (see
+// DESIGN.md section 5.3), with each case under its suite name, e.g.
+// BenchmarkSuite/service/identify_miss. The perf history and the budget
+// gate reference those names.
+func BenchmarkSuite(b *testing.B) {
+	cases, err := bench.Suite(benchCtx(b))
 	if err != nil {
 		b.Fatal(err)
 	}
-	bench.ForestClassify(model)(b)
-}
-
-// BenchmarkForestVotesInto measures the arena vote walk with a reused
-// buffer (the zero-allocation classification core).
-func BenchmarkForestVotesInto(b *testing.B) {
-	ctx := benchCtx(b)
-	model, err := ctx.Model()
-	if err != nil {
-		b.Fatal(err)
+	for _, c := range cases {
+		b.Run(c.Name, c.Bench)
 	}
-	f, ok := model.(*forest.Forest)
-	if !ok {
-		b.Skipf("model backend is %T, not a forest", model)
-	}
-	bench.ForestVotesInto(f)(b)
-}
-
-// BenchmarkForestClassifyBatch measures a 64-sample block classified one
-// vector at a time into caller-owned votes (one op = one block; see the
-// ns/sample extra metric for the per-sample cost against
-// BenchmarkForestClassify).
-func BenchmarkForestClassifyBatch(b *testing.B) {
-	ctx := benchCtx(b)
-	model, err := ctx.Model()
-	if err != nil {
-		b.Fatal(err)
-	}
-	f, ok := model.(*forest.Forest)
-	if !ok {
-		b.Skipf("model backend is %T, not a forest", model)
-	}
-	bench.ForestClassifyBatch(f, 64)(b)
 }
 
 // BenchmarkForestTrain measures growing the paper's K=80 forest.
@@ -367,82 +323,4 @@ func BenchmarkAlgorithmOnAck(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkIdentifyMix measures the scalar cache-miss pipeline over the
-// 14 algorithms round-robin under measured-database conditions, one fresh
-// seed per op through a reused core.Session.
-func BenchmarkIdentifyMix(b *testing.B) {
-	ctx := benchCtx(b)
-	model, err := ctx.Model()
-	if err != nil {
-		b.Fatal(err)
-	}
-	bench.IdentifyMix(model)(b)
-}
-
-// BenchmarkIdentifyBatch measures the batch identification engine: many
-// (server, condition) jobs through a pretrained model on the bounded
-// worker pool with per-worker sessions, the production
-// train-once/identify-many hot path.
-func BenchmarkIdentifyBatch(b *testing.B) {
-	ctx := benchCtx(b)
-	model, err := ctx.Model()
-	if err != nil {
-		b.Fatal(err)
-	}
-	bench.IdentifyBatch(model, 64)(b)
-}
-
-// BenchmarkPcapDecode measures the pcap decoder alone (record framing
-// and the TCP/IP parse), one packet per op, over a two-server probe
-// capture (ns/packet).
-func BenchmarkPcapDecode(b *testing.B) {
-	bench.PcapDecode()(b)
-}
-
-// BenchmarkPcapIngest measures the passive pipeline end to end: pcap
-// decode, TCP flow reassembly, congestion-window reconstruction, and
-// classification of a synthetic two-server capture (MB/s of capture).
-func BenchmarkPcapIngest(b *testing.B) {
-	ctx := benchCtx(b)
-	model, err := ctx.Model()
-	if err != nil {
-		b.Fatal(err)
-	}
-	bench.PcapIngest(model)(b)
-}
-
-// BenchmarkPcapStreamIngest measures the streaming pipeline (decode and
-// online flow tracking over a reader) on a live-monitoring workload of
-// concurrent MTU-sized bulk transfers (MB/s of capture).
-func BenchmarkPcapStreamIngest(b *testing.B) {
-	bench.PcapStreamIngest()(b)
-}
-
-// BenchmarkPcapStreamProbeCapture measures streaming identification
-// (decode, tracking, pairing, classification) over an eight-server
-// probe capture gathered one connection at a time (MB/s of capture).
-func BenchmarkPcapStreamProbeCapture(b *testing.B) {
-	ctx := benchCtx(b)
-	model, err := ctx.Model()
-	if err != nil {
-		b.Fatal(err)
-	}
-	bench.PcapStreamProbeCapture(model)(b)
-}
-
-// BenchmarkServiceIdentify measures the HTTP service path of
-// internal/service end to end (JSON decode, registry lookup, cache,
-// pipeline, JSON encode): "hit" serves one request repeatedly from the
-// LRU result cache, "miss" forces a fresh probe every iteration by
-// varying the seed.
-func BenchmarkServiceIdentify(b *testing.B) {
-	ctx := benchCtx(b)
-	model, err := ctx.Model()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("hit", bench.ServiceIdentify(model, false))
-	b.Run("miss", bench.ServiceIdentify(model, true))
 }

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/experiments"
+	"repro/internal/trajectory"
 )
 
 func main() {
@@ -47,19 +48,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *compare {
-		if fs.NArg() != 2 {
-			return fmt.Errorf("-compare wants exactly two trajectory files, got %d", fs.NArg())
-		}
-		before, err := bench.ReadPoint(fs.Arg(0))
-		if err != nil {
-			return err
-		}
-		after, err := bench.ReadPoint(fs.Arg(1))
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(stdout, bench.Compare(before, after))
-		return nil
+		return trajectory.Compare(stdout, bench.Trajectory, fs.Args(), bench.Compare)
 	}
 
 	var filter *regexp.Regexp
@@ -95,39 +84,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "%-28s %14.2f%%\n", "crossval accuracy", acc*100)
 	}
 
-	if filter != nil {
-		// A filtered run is a partial measurement: writing it would leave
-		// a hole in the trajectory history, and gating it would report the
-		// skipped benchmarks as violations. Treat it as exploratory.
-		fmt.Fprintln(stdout, "filtered run: trajectory write and budget gate skipped")
-		return nil
-	}
-
-	if !*dryRun {
-		path, err := bench.NextPointPath(*out)
-		if err != nil {
-			return err
-		}
-		if err := bench.WritePoint(path, point); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", path)
-	}
-	if *budgetPath != "" {
-		budget, err := bench.LoadBudget(*budgetPath)
-		if os.IsNotExist(err) {
-			return nil // no gate configured
-		}
-		if err != nil {
-			return err
-		}
-		if violations := budget.Check(point.Benchmarks); len(violations) > 0 {
-			for _, v := range violations {
-				fmt.Fprintln(stdout, "BUDGET VIOLATION:", v)
-			}
-			return fmt.Errorf("%d benchmark budget violation(s)", len(violations))
-		}
-		fmt.Fprintln(stdout, "all benchmark budgets met")
-	}
-	return nil
+	return trajectory.Record[bench.Point, bench.Budget](stdout, bench.Trajectory, point, trajectory.Run{
+		Dir: *out, Budget: *budgetPath, DryRun: *dryRun, Filtered: filter != nil,
+	})
 }

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/trajectory"
 )
 
 // TestCompareMode: -compare renders a before/after table without running
@@ -19,10 +21,10 @@ func TestCompareMode(t *testing.T) {
 	after.Benchmarks = []bench.Result{{Name: "service/identify_miss", NsPerOp: 450000, AllocsPerOp: 88}}
 	b0 := filepath.Join(dir, "BENCH_0.json")
 	b1 := filepath.Join(dir, "BENCH_1.json")
-	if err := bench.WritePoint(b0, before); err != nil {
+	if err := trajectory.Write(b0, before); err != nil {
 		t.Fatal(err)
 	}
-	if err := bench.WritePoint(b1, after); err != nil {
+	if err := trajectory.Write(b1, after); err != nil {
 		t.Fatal(err)
 	}
 
@@ -50,7 +52,7 @@ func TestBudgetsFileParses(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Skipf("budget file not present: %v", err)
 	}
-	budget, err := bench.LoadBudget(path)
+	budget, err := trajectory.LoadBudget[bench.Budget](path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,5 +71,55 @@ func TestBudgetsFileParses(t *testing.T) {
 	// absent fields.
 	if lim := budget["forest/votes_into"]; lim.MaxAllocsPerOp == nil || *lim.MaxAllocsPerOp != 0 {
 		t.Fatal("forest/votes_into must carry an explicit 0 allocs/op budget")
+	}
+}
+
+// TestCompareRejectsAccuracyPoints: -compare reads only BENCH points. An
+// ACCURACY file is an error naming it, not an empty table, and the
+// committed history, hand-recorded BENCH_0.json included, still compares.
+func TestCompareRejectsAccuracyPoints(t *testing.T) {
+	root := filepath.Join("..", "..")
+	var out strings.Builder
+	accuracy := filepath.Join(root, "ACCURACY_1.json")
+	err := run([]string{"-compare", filepath.Join(root, "ACCURACY_0.json"), accuracy}, &out)
+	if err == nil || !strings.Contains(err.Error(), "ACCURACY_0.json") {
+		t.Fatalf("-compare of ACCURACY points: err = %v, output:\n%s", err, out.String())
+	}
+	err = run([]string{"-compare", filepath.Join(root, "BENCH_5.json"), accuracy}, &out)
+	if err == nil || !strings.Contains(err.Error(), "ACCURACY_1.json") {
+		t.Fatalf("-compare against an ACCURACY point: err = %v", err)
+	}
+	out.Reset()
+	if err := run([]string{"-compare", filepath.Join(root, "BENCH_0.json"), filepath.Join(root, "BENCH_5.json")}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "service/identify_miss") || !strings.Contains(out.String(), "speedup min/median/max") {
+		t.Fatalf("committed history compares to:\n%s", out.String())
+	}
+}
+
+// TestBudgetRejectsUnknownLimitField runs the suite once per case and
+// gates it on a budget whose only limit is mistyped: the run must fail on
+// the budget rather than pass 0 allocs/op against no limit at all.
+func TestBudgetRejectsUnknownLimitField(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model and runs the suite")
+	}
+	benchtime := flag.Lookup("test.benchtime")
+	old := benchtime.Value.String()
+	if err := benchtime.Value.Set("1x"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { benchtime.Value.Set(old) })
+
+	dir := t.TempDir()
+	budget := filepath.Join(dir, "budget.json")
+	if err := os.WriteFile(budget, []byte(`{"forest/votes_into": {"max_alloc_per_op": 0}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	err := run([]string{"-conditions", "2", "-accuracy=false", "-n", "-budget", budget}, &out)
+	if err == nil || !strings.Contains(err.Error(), "max_alloc_per_op") {
+		t.Fatalf("mistyped budget: err = %v, output:\n%s", err, out.String())
 	}
 }

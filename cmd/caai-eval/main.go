@@ -25,6 +25,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/forest"
 	"repro/internal/netem"
+	"repro/internal/trajectory"
 )
 
 func main() {
@@ -61,19 +62,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *compare {
-		if fs.NArg() != 2 {
-			return fmt.Errorf("-compare wants exactly two trajectory files, got %d", fs.NArg())
-		}
-		before, err := eval.ReadPoint(fs.Arg(0))
-		if err != nil {
-			return err
-		}
-		after, err := eval.ReadPoint(fs.Arg(1))
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(stdout, eval.Compare(before, after))
-		return nil
+		return trajectory.Compare(stdout, eval.Trajectory, fs.Args(), eval.Compare)
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
@@ -158,41 +147,9 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprint(stdout, matrix.Table())
 	point := eval.NewPoint(*label, modelDesc, *seed, matrix)
 
-	if filtered {
-		// A filtered run is a partial measurement: writing it would punch a
-		// hole in the trajectory, and gating it would report the skipped
-		// scenarios as violations. Treat it as exploratory.
-		fmt.Fprintln(stdout, "filtered run: trajectory write and budget gate skipped")
-		return nil
-	}
-
-	if !*dryRun {
-		path, err := eval.NextPointPath(*out)
-		if err != nil {
-			return err
-		}
-		if err := eval.WritePoint(path, point); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", path)
-	}
-	if *budgetPath != "" {
-		budget, err := eval.LoadBudget(*budgetPath)
-		if os.IsNotExist(err) {
-			return nil // no gate configured
-		}
-		if err != nil {
-			return err
-		}
-		if violations := budget.Check(point); len(violations) > 0 {
-			for _, v := range violations {
-				fmt.Fprintln(stdout, "ACCURACY VIOLATION:", v)
-			}
-			return fmt.Errorf("%d accuracy budget violation(s)", len(violations))
-		}
-		fmt.Fprintln(stdout, "all accuracy budgets met")
-	}
-	return nil
+	return trajectory.Record[eval.Point, eval.Budget](stdout, eval.Trajectory, point, trajectory.Run{
+		Dir: *out, Budget: *budgetPath, DryRun: *dryRun, Filtered: filtered,
+	})
 }
 
 // selectByName filters items by a comma-separated name list, preserving

@@ -11,6 +11,7 @@ import (
 	"repro/internal/forest"
 	"repro/internal/netem"
 	"repro/internal/probe"
+	"repro/internal/trajectory"
 )
 
 // TestEvalWritesPointAndEnforcesBudget drives the command end to end at a
@@ -36,7 +37,7 @@ func TestEvalWritesPointAndEnforcesBudget(t *testing.T) {
 	if !strings.Contains(out.String(), "all accuracy budgets met") {
 		t.Fatalf("budget gate did not run:\n%s", out.String())
 	}
-	p, err := eval.ReadPoint(filepath.Join(dir, "ACCURACY_0.json"))
+	p, err := trajectory.Read[eval.Point](eval.Trajectory, filepath.Join(dir, "ACCURACY_0.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,5 +130,22 @@ func TestEvalRejectsUnknownNames(t *testing.T) {
 	}
 	if err := run([]string{"-budgets", "nope"}, &out); err == nil {
 		t.Fatal("unknown budget should fail")
+	}
+}
+
+// TestCompareCommittedHistory: -compare renders the committed accuracy
+// history and rejects a BENCH point by name.
+func TestCompareCommittedHistory(t *testing.T) {
+	root := filepath.Join("..", "..")
+	var out strings.Builder
+	if err := run([]string{"-compare", filepath.Join(root, "ACCURACY_0.json"), filepath.Join(root, "ACCURACY_1.json")}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "burst_loss") || !strings.Contains(out.String(), "overall") {
+		t.Fatalf("committed history compares to:\n%s", out.String())
+	}
+	err := run([]string{"-compare", filepath.Join(root, "ACCURACY_1.json"), filepath.Join(root, "BENCH_5.json")}, &out)
+	if err == nil || !strings.Contains(err.Error(), "BENCH_5.json") {
+		t.Fatalf("-compare against a BENCH point: err = %v", err)
 	}
 }

@@ -39,6 +39,7 @@ import (
 	caai "repro"
 	"repro/internal/eval"
 	"repro/internal/service"
+	"repro/internal/trajectory"
 )
 
 // loadEvalSummary resolves -eval: a file loads that trajectory point, a
@@ -49,16 +50,13 @@ func loadEvalSummary(path string) (eval.Summary, error) {
 	if err != nil {
 		return eval.Summary{}, err
 	}
-	p := eval.Point{}
 	if info.IsDir() {
-		p, err = eval.LatestPoint(path)
-	} else {
-		p, err = eval.ReadPoint(path)
+		if path, err = eval.Trajectory.LatestPath(path); err != nil {
+			return eval.Summary{}, err
+		}
 	}
-	if err != nil {
-		return eval.Summary{}, err
-	}
-	return p.Summary, nil
+	p, err := trajectory.Read[eval.Point](eval.Trajectory, path)
+	return p.Summary, err
 }
 
 func main() {

@@ -16,6 +16,7 @@ import (
 
 	caai "repro"
 	"repro/internal/eval"
+	"repro/internal/trajectory"
 )
 
 func TestSplitModelFlag(t *testing.T) {
@@ -436,10 +437,10 @@ func TestServeEvalSummaryFlag(t *testing.T) {
 	newest := eval.Point{Schema: eval.PointSchema, Source: "caai-eval",
 		Summary: eval.Summary{Label: "newest", OverallAccuracy: 0.9,
 			ScenarioAccuracy: map[string]float64{"clean": 0.99}}}
-	if err := eval.WritePoint(filepath.Join(dir, "ACCURACY_0.json"), older); err != nil {
+	if err := trajectory.Write(filepath.Join(dir, "ACCURACY_0.json"), older); err != nil {
 		t.Fatal(err)
 	}
-	if err := eval.WritePoint(filepath.Join(dir, "ACCURACY_1.json"), newest); err != nil {
+	if err := trajectory.Write(filepath.Join(dir, "ACCURACY_1.json"), newest); err != nil {
 		t.Fatal(err)
 	}
 

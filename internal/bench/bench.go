@@ -8,13 +8,12 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"regexp"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/stats"
@@ -62,6 +61,13 @@ type Point struct {
 
 // PointSchema is the current Point layout version.
 const PointSchema = 1
+
+// Trajectory is the perf history: BENCH_<n>.json points that caai-bench
+// writes, plus hand-recorded `go test -bench` baselines.
+var Trajectory = trajectory.Kind{
+	Prefix: "BENCH", Schema: PointSchema, Noun: "benchmark", Violation: "BUDGET",
+	Source: func(s string) bool { return s == "caai-bench" || strings.HasPrefix(s, "go test ") },
+}
 
 // NewPoint returns a Point pre-filled with toolchain/platform provenance.
 func NewPoint(label, scale string) Point {
@@ -121,60 +127,6 @@ func Run(cases []Case, filter *regexp.Regexp, log io.Writer) ([]Result, error) {
 	return out, nil
 }
 
-// filePrefix names the trajectory files (BENCH_<n>.json).
-const filePrefix = "BENCH"
-
-// NextPointPath returns the path of the next trajectory file in dir
-// (BENCH_<max+1>.json, starting at BENCH_0.json in an empty history).
-func NextPointPath(dir string) (string, error) {
-	return trajectory.NextPath(dir, filePrefix)
-}
-
-// WritePoint writes p to path as indented JSON.
-func WritePoint(path string, p Point) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(p); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadPoint reads a trajectory point from path.
-func ReadPoint(path string) (Point, error) {
-	var p Point
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return p, err
-	}
-	if err := json.Unmarshal(data, &p); err != nil {
-		return p, fmt.Errorf("bench: parsing %s: %w", path, err)
-	}
-	return p, nil
-}
-
-// History loads every BENCH_<n>.json in dir in index order.
-func History(dir string) ([]Point, error) {
-	entries, err := trajectory.Entries(dir, filePrefix)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Point, len(entries))
-	for i, e := range entries {
-		p, err := ReadPoint(e.Path)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = p
-	}
-	return out, nil
-}
-
 // Limits bounds one benchmark in the budget file. Absent (null) fields
 // are unchecked; pointers keep an explicit 0 enforceable — the
 // zero-allocation budgets are the whole point of the gate. Allocation
@@ -192,26 +144,13 @@ type Limits struct {
 // Budget maps suite benchmark names to their limits.
 type Budget map[string]Limits
 
-// LoadBudget reads a budget file.
-func LoadBudget(path string) (Budget, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var b Budget
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("bench: parsing budget %s: %w", path, err)
-	}
-	return b, nil
-}
-
-// Check compares results against the budget and returns one human-readable
-// violation per exceeded limit (empty = within budget). Budget entries
-// with no matching result are reported too: a silently skipped benchmark
-// must not pass the gate.
-func (b Budget) Check(results []Result) []string {
+// Check compares p's benchmarks against the budget and returns one
+// human-readable violation per exceeded limit (empty = within budget).
+// Budget entries with no matching result are reported too: a silently
+// skipped benchmark must not pass the gate.
+func (b Budget) Check(p Point) []string {
 	byName := map[string]Result{}
-	for _, r := range results {
+	for _, r := range p.Benchmarks {
 		byName[r.Name] = r
 	}
 	names := make([]string, 0, len(b))

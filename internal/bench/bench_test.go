@@ -1,35 +1,22 @@
 package bench
 
 import (
-	"os"
+	"flag"
+	"math/rand"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
-)
 
-func TestNextPointPathSequencing(t *testing.T) {
-	dir := t.TempDir()
-	p, err := NextPointPath(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Base(p) != "BENCH_0.json" {
-		t.Fatalf("empty history starts at %s, want BENCH_0.json", p)
-	}
-	for _, name := range []string{"BENCH_0.json", "BENCH_3.json", "BENCH_2.json", "notes.txt"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p, err = NextPointPath(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Base(p) != "BENCH_4.json" {
-		t.Fatalf("next point = %s, want BENCH_4.json (max existing + 1)", p)
-	}
-}
+	"repro/internal/cc"
+	"repro/internal/core"
+	"repro/internal/netem"
+	"repro/internal/probe"
+	"repro/internal/trajectory"
+	"repro/internal/websim"
+	"repro/internal/xrand"
+)
 
 func TestPointRoundTripAndHistory(t *testing.T) {
 	dir := t.TempDir()
@@ -37,20 +24,31 @@ func TestPointRoundTripAndHistory(t *testing.T) {
 	p0.Benchmarks = []Result{{Name: "a/b", N: 10, NsPerOp: 100, AllocsPerOp: 2}}
 	p1 := NewPoint("second", "quick")
 	p1.Benchmarks = []Result{{Name: "a/b", N: 20, NsPerOp: 50, AllocsPerOp: 0}}
-	if err := WritePoint(filepath.Join(dir, "BENCH_0.json"), p0); err != nil {
-		t.Fatal(err)
+	for _, p := range []Point{p0, p1} {
+		path, err := Trajectory.NextPath(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := trajectory.Write(path, p); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := WritePoint(filepath.Join(dir, "BENCH_1.json"), p1); err != nil {
-		t.Fatal(err)
-	}
-	hist, err := History(dir)
+	first, err := trajectory.Read[Point](Trajectory, filepath.Join(dir, "BENCH_0.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hist) != 2 || hist[0].Label != "first" || hist[1].Label != "second" {
-		t.Fatalf("history = %+v", hist)
+	latest, err := Trajectory.LatestPath(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	table := Compare(hist[0], hist[1])
+	second, err := trajectory.Read[Point](Trajectory, latest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Label != "first" || second.Label != "second" || !reflect.DeepEqual(second.Benchmarks, p1.Benchmarks) {
+		t.Fatalf("history = %+v, %+v", first, second)
+	}
+	table := Compare(first, second)
 	if !strings.Contains(table, "2.00x") {
 		t.Fatalf("compare table missing the 2x speedup:\n%s", table)
 	}
@@ -69,7 +67,7 @@ func TestBudgetCheck(t *testing.T) {
 		{Name: "hot/path", AllocsPerOp: 11},
 		{Name: "timed/path", NsPerOp: 999},
 	}
-	violations := b.Check(results)
+	violations := b.Check(Point{Benchmarks: results})
 	if len(violations) != 2 {
 		t.Fatalf("violations = %v, want allocs overrun + missing benchmark", violations)
 	}
@@ -80,7 +78,7 @@ func TestBudgetCheck(t *testing.T) {
 
 	results[0].AllocsPerOp = 10
 	results = append(results, Result{Name: "never/ran"})
-	if violations := b.Check(results); len(violations) != 0 {
+	if violations := b.Check(Point{Benchmarks: results}); len(violations) != 0 {
 		t.Fatalf("within-budget run reported %v", violations)
 	}
 }
@@ -94,15 +92,15 @@ func TestBudgetCheckMetrics(t *testing.T) {
 		MaxMetrics:     map[string]float64{"overhead-%": 5},
 	}}
 	over := []Result{{Name: "telemetry/overhead", Metrics: map[string]float64{"overhead-%": 7.2}}}
-	if v := b.Check(over); len(v) != 1 || !strings.Contains(v[0], "overhead-%") {
+	if v := b.Check(Point{Benchmarks: over}); len(v) != 1 || !strings.Contains(v[0], "overhead-%") {
 		t.Fatalf("7.2%% against a 5%% metric budget reported %v, want one violation", v)
 	}
 	missing := []Result{{Name: "telemetry/overhead"}}
-	if v := b.Check(missing); len(v) != 1 || !strings.Contains(v[0], "not reported") {
+	if v := b.Check(Point{Benchmarks: missing}); len(v) != 1 || !strings.Contains(v[0], "not reported") {
 		t.Fatalf("unreported budgeted metric reported %v, want one violation", v)
 	}
 	within := []Result{{Name: "telemetry/overhead", Metrics: map[string]float64{"overhead-%": 1.3}}}
-	if v := b.Check(within); len(v) != 0 {
+	if v := b.Check(Point{Benchmarks: within}); len(v) != 0 {
 		t.Fatalf("within-budget metric reported %v", v)
 	}
 }
@@ -111,10 +109,10 @@ func TestBudgetCheckMetrics(t *testing.T) {
 // the zero-allocation contracts are the whole point of the gate.
 func TestBudgetCheckZeroIsEnforced(t *testing.T) {
 	b := Budget{"forest/votes_into": {MaxAllocsPerOp: allocLimit(0)}}
-	if v := b.Check([]Result{{Name: "forest/votes_into", AllocsPerOp: 1}}); len(v) != 1 {
+	if v := b.Check(Point{Benchmarks: []Result{{Name: "forest/votes_into", AllocsPerOp: 1}}}); len(v) != 1 {
 		t.Fatalf("1 alloc against a 0 budget reported %v, want a violation", v)
 	}
-	if v := b.Check([]Result{{Name: "forest/votes_into", AllocsPerOp: 0}}); len(v) != 0 {
+	if v := b.Check(Point{Benchmarks: []Result{{Name: "forest/votes_into", AllocsPerOp: 0}}}); len(v) != 0 {
 		t.Fatalf("0 allocs against a 0 budget reported %v", v)
 	}
 }
@@ -154,5 +152,58 @@ func TestRunSurfacesBenchmarkFailure(t *testing.T) {
 	}}}
 	if _, err := Run(cases, nil, nil); err == nil || !strings.Contains(err.Error(), "broken/case") {
 		t.Fatalf("err = %v, want a failure naming broken/case", err)
+	}
+}
+
+// stub answers every vector with one label; identification validity
+// depends on probing alone.
+type stub struct{}
+
+func (stub) Name() string                         { return "stub" }
+func (stub) Classify([]float64) (string, float64) { return "RENO", 1 }
+
+// TestIdentifyBatchValidCountsEveryBatch: valid-% is the valid share of
+// every job of every batch the benchmark ran, not of its last batch, so
+// the figure does not depend on b.N.
+func TestIdentifyBatchValidCountsEveryBatch(t *testing.T) {
+	benchtime := flag.Lookup("test.benchtime")
+	old := benchtime.Value.String()
+	if err := benchtime.Value.Set("14x"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { benchtime.Value.Set(old) })
+
+	const jobs = 64
+	r := testing.Benchmark(IdentifyBatch(stub{}, jobs))
+	if r.N != 14 {
+		t.Fatalf("benchmark ran %d batches, want 14", r.N)
+	}
+	// Replay the benchmark's batches: the same servers, conditions and
+	// seeds. Of these 14, only the last has an invalid job.
+	rng := rand.New(rand.NewSource(77))
+	db := netem.MeasuredDatabase()
+	names := cc.CAAINames()
+	servers := make([]*websim.Server, jobs)
+	conds := make([]netem.Condition, jobs)
+	for i := range servers {
+		servers[i], conds[i] = websim.Testbed(names[i%len(names)]), db.Sample(rng)
+	}
+	id := core.NewIdentifier(stub{})
+	valid, perBatch := 0, map[int]bool{}
+	for i := 0; i < r.N; i++ {
+		batch := 0
+		for k := 0; k < jobs; k++ {
+			if id.NewSession().Identify(servers[k], conds[k], probe.Config{}, xrand.New(int64(i)+int64(k+1)*15485863)).Valid {
+				batch++
+			}
+		}
+		valid += batch
+		perBatch[batch] = true
+	}
+	if len(perBatch) < 2 {
+		t.Fatalf("every batch had the same valid count %v: the check cannot tell one batch from all", perBatch)
+	}
+	if got, want := r.Extra["valid-%"], float64(valid)/float64(jobs*r.N)*100; got != want {
+		t.Fatalf("valid-%% = %v, want %v over all %d batches", got, want, r.N)
 	}
 }

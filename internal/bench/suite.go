@@ -206,7 +206,8 @@ func IdentifyMix(model classify.Classifier) func(*testing.B) {
 // IdentifyBatch measures batched identification of jobs servers through a
 // pretrained model on the worker pool, one Session per worker
 // (core.Identifier.IdentifyEach; probing dominates, allocs/op is the
-// budgeted number).
+// budgeted number). valid-% is the valid share of every job of every
+// batch, so it does not depend on b.N.
 func IdentifyBatch(model classify.Classifier, jobs int) func(*testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
@@ -226,14 +227,13 @@ func IdentifyBatch(model classify.Classifier, jobs int) func(*testing.B) {
 			results := id.IdentifyEach(jobs, 0, probe.Config{}, func(k int) (*websim.Server, netem.Condition, int64) {
 				return servers[k], conds[k], seed + int64(k+1)*15485863
 			})
-			valid = 0
 			for _, r := range results {
 				if r.Valid {
 					valid++
 				}
 			}
 		}
-		b.ReportMetric(float64(valid)/float64(jobs)*100, "valid-%")
+		b.ReportMetric(float64(valid)/float64(jobs*b.N)*100, "valid-%")
 		b.ReportMetric(float64(jobs), "jobs/op")
 	}
 }

@@ -1,10 +1,7 @@
 package eval
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 )
@@ -27,26 +24,16 @@ type Limits struct {
 // silently skipped scenario must not pass the gate.
 type Budget map[string]Limits
 
-// LoadBudget reads a budget file. Unknown keys AND unknown limit fields
-// both fail loudly: a typo like "min_accurracy" would otherwise leave the
-// entry limitless and silently disable the gate.
-func LoadBudget(path string) (Budget, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var b Budget
-	if err := dec.Decode(&b); err != nil {
-		return nil, fmt.Errorf("eval: parsing budget %s: %w", path, err)
-	}
+// Validate rejects a budget holding an unknown key form.
+// trajectory.LoadBudget runs it after its strict decode, so a mistyped key
+// fails the load rather than the gate.
+func (b Budget) Validate() error {
 	for key := range b {
 		if _, err := parseBudgetKey(key); err != nil {
-			return nil, fmt.Errorf("eval: budget %s: %v", path, err)
+			return err
 		}
 	}
-	return b, nil
+	return nil
 }
 
 // budgetTarget is one parsed budget address.

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/probe"
+	"repro/internal/trajectory"
 )
 
 // stub is a fixed-answer classifier: it makes matrix accounting exact
@@ -168,17 +169,17 @@ func TestPointRoundTripAndHistory(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	path, err := NextPointPath(dir)
+	path, err := Trajectory.NextPath(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if filepath.Base(path) != "ACCURACY_0.json" {
 		t.Fatalf("first point should be ACCURACY_0.json, got %s", path)
 	}
-	if err := WritePoint(path, p); err != nil {
+	if err := trajectory.Write(path, p); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadPoint(path)
+	got, err := trajectory.Read[Point](Trajectory, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,22 +187,23 @@ func TestPointRoundTripAndHistory(t *testing.T) {
 		t.Fatal("point did not round-trip")
 	}
 
-	next, err := NextPointPath(dir)
+	next, err := Trajectory.NextPath(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if filepath.Base(next) != "ACCURACY_1.json" {
 		t.Fatalf("second point should be ACCURACY_1.json, got %s", next)
 	}
-	if err := WritePoint(next, p); err != nil {
+	p.Label = "second"
+	if err := trajectory.Write(next, p); err != nil {
 		t.Fatal(err)
 	}
-	hist, err := History(dir)
+	latest, err := Trajectory.LatestPath(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hist) != 2 {
-		t.Fatalf("history length %d, want 2", len(hist))
+	if got, err := trajectory.Read[Point](Trajectory, latest); err != nil || got.Label != "second" {
+		t.Fatalf("latest point = %q, %v; want the second", got.Label, err)
 	}
 
 	if out := Compare(p, got); !strings.Contains(out, "overall") {
@@ -246,41 +248,14 @@ func TestBudgetLoadRejectsBadKeys(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"bogus_key": {"min_accuracy": 0.5}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadBudget(path); err == nil {
+	if _, err := trajectory.LoadBudget[Budget](path); err == nil {
 		t.Fatal("LoadBudget should reject unknown key forms")
 	}
 	if err := os.WriteFile(path, []byte(`{"scenario/clean": {"min_accuracy": 0.5}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadBudget(path); err != nil {
+	if _, err := trajectory.LoadBudget[Budget](path); err != nil {
 		t.Fatalf("valid budget rejected: %v", err)
-	}
-}
-
-func TestReadPointRejectsForeignFiles(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ACCURACY_0.json")
-	if err := os.WriteFile(path, []byte(`{"schema":1,"source":"caai-bench"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadPoint(path); err == nil {
-		t.Fatal("a bench/foreign point must not read as an ACCURACY point")
-	}
-	if err := os.WriteFile(path, []byte(`{"schema":99,"source":"caai-eval"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadPoint(path); err == nil {
-		t.Fatal("an unknown schema must be rejected")
-	}
-}
-
-func TestBudgetLoadRejectsUnknownLimitField(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "budget.json")
-	if err := os.WriteFile(path, []byte(`{"scenario/clean": {"min_accurracy": 0.95}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBudget(path); err == nil {
-		t.Fatal("a typoed limit field must fail loudly, not silently disable the gate")
 	}
 }
 

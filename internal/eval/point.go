@@ -1,9 +1,7 @@
 package eval
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -13,6 +11,13 @@ import (
 
 // PointSchema is the current Point layout version.
 const PointSchema = 1
+
+// Trajectory is the accuracy history: ACCURACY_<n>.json points that
+// caai-eval writes.
+var Trajectory = trajectory.Kind{
+	Prefix: "ACCURACY", Schema: PointSchema, Noun: "accuracy", Violation: "ACCURACY",
+	Source: func(s string) bool { return s == "caai-eval" },
+}
 
 // ScenarioInfo records one scenario's identity inside a Point, with its
 // condition rendered as text (the structured knobs live in code; the file
@@ -133,78 +138,6 @@ func NewPoint(label, model string, seed int64, m *Matrix) Point {
 		}
 	}
 	return p
-}
-
-// filePrefix names the trajectory files (ACCURACY_<n>.json).
-const filePrefix = "ACCURACY"
-
-// NextPointPath returns the path of the next trajectory file in dir
-// (ACCURACY_<max+1>.json, starting at ACCURACY_0.json in an empty
-// history).
-func NextPointPath(dir string) (string, error) {
-	return trajectory.NextPath(dir, filePrefix)
-}
-
-// WritePoint writes p to path as indented JSON.
-func WritePoint(path string, p Point) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(p); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadPoint reads a trajectory point from path, rejecting files that are
-// not ACCURACY points (a BENCH file or foreign JSON unmarshals "cleanly"
-// to all-zero fields and would otherwise be served as a 0%-accuracy
-// summary).
-func ReadPoint(path string) (Point, error) {
-	var p Point
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return p, err
-	}
-	if err := json.Unmarshal(data, &p); err != nil {
-		return p, fmt.Errorf("eval: parsing %s: %w", path, err)
-	}
-	if p.Schema != PointSchema || p.Source != "caai-eval" {
-		return Point{}, fmt.Errorf("eval: %s is not an ACCURACY point (schema %d, source %q)", path, p.Schema, p.Source)
-	}
-	return p, nil
-}
-
-// LatestPoint reads only the highest-indexed ACCURACY_<n>.json in dir —
-// the cheap startup path (caai-serve -eval) that neither parses the whole
-// history nor fails on a stale early point.
-func LatestPoint(dir string) (Point, error) {
-	path, err := trajectory.LatestPath(dir, filePrefix)
-	if err != nil {
-		return Point{}, err
-	}
-	return ReadPoint(path)
-}
-
-// History loads every ACCURACY_<n>.json in dir in index order.
-func History(dir string) ([]Point, error) {
-	entries, err := trajectory.Entries(dir, filePrefix)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Point, len(entries))
-	for i, e := range entries {
-		p, err := ReadPoint(e.Path)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = p
-	}
-	return out, nil
 }
 
 // Compare renders a before/after per-scenario accuracy delta table (the

@@ -22,9 +22,6 @@ type IdentifyOptions struct {
 	// gets its feature/classify spans plus its share of decode+reassembly
 	// time under StageGather (the passive pipeline's gather).
 	Timings bool
-	// Telemetry, when non-nil, aggregates every pair's spans into
-	// per-stage histograms (implies Timings).
-	Telemetry *telemetry.Pipeline
 }
 
 // CaptureStats summarizes one ingested capture for callers and the
@@ -216,7 +213,6 @@ func IdentifyCapture(r io.Reader, model classify.Classifier, opts IdentifyOption
 	pairs := Pair(flows)
 	err = ClassifyAll(context.Background(), pairs, model, ClassifyOptions{
 		Timings:    opts.Timings,
-		Telemetry:  opts.Telemetry,
 		GatherSpan: gather,
 	})
 	return pairs, stats, err

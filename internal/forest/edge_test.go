@@ -16,7 +16,7 @@ func TestSubspaceLargerThanDims(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.Trees != 80 || cfg.Subspace != 4 || cfg.MinLeaf != 1 {
+	if cfg.Trees != 80 || cfg.Subspace != 4 {
 		t.Fatalf("paper defaults wrong: %+v", cfg)
 	}
 }
@@ -60,20 +60,6 @@ func TestCrossValidateFoldFloor(t *testing.T) {
 	}
 	if total != ds.Len() {
 		t.Fatalf("validated %d, want %d", total, ds.Len())
-	}
-}
-
-func TestMinLeafStopsSplitting(t *testing.T) {
-	ds := clusterDataset(t, 30, 38)
-	// A huge MinLeaf forces root-level majority leaves.
-	f := Train(ds, Config{Trees: 3, Subspace: 2, MinLeaf: 1000, Seed: 39})
-	votes := f.Votes([]float64{0, 0, 0})
-	sum := 0
-	for _, v := range votes {
-		sum += v
-	}
-	if sum != 3 {
-		t.Fatalf("votes = %v", votes)
 	}
 }
 

@@ -86,9 +86,6 @@ type Config struct {
 	// Subspace is the paper's F, the features considered per split;
 	// CAAI uses 4 (Weka's default log2(7)+1 rounds to the same choice).
 	Subspace int
-	// MinLeaf stops splitting below this many samples (1 = grow fully,
-	// no pruning, as the paper specifies).
-	MinLeaf int
 	// Seed makes training deterministic.
 	Seed int64
 	// Parallelism bounds concurrent tree construction; 0 means
@@ -102,9 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Subspace <= 0 {
 		c.Subspace = 4
-	}
-	if c.MinLeaf <= 0 {
-		c.MinLeaf = 1
 	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)
@@ -248,7 +242,6 @@ func Train(ds *Dataset, cfg Config) *Forest {
 			labels:   labels,
 			classes:  len(ds.classes),
 			subspace: cfg.Subspace,
-			minLeaf:  cfg.MinLeaf,
 			rng:      rng,
 		}
 		trees[t] = b.build(idx)

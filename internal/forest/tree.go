@@ -38,7 +38,6 @@ type treeBuilder struct {
 	labels   []int
 	classes  int
 	subspace int
-	minLeaf  int
 	rng      *rand.Rand
 	nodes    []treeNode
 }
@@ -62,7 +61,9 @@ func (b *treeBuilder) grow(idx []int) int32 {
 	major, pure := majority(counts, len(idx))
 	self := int32(len(b.nodes))
 	b.nodes = append(b.nodes, treeNode{leaf: true, label: major})
-	if pure || len(idx) <= b.minLeaf {
+	// Trees grow fully, unpruned, as the paper specifies: only a pure
+	// node or a single sample stops splitting.
+	if pure || len(idx) <= 1 {
 		return self
 	}
 

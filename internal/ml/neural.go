@@ -26,32 +26,19 @@ var _ Classifier = (*MLP)(nil)
 
 // MLPConfig tunes training.
 type MLPConfig struct {
-	// Hidden is the hidden layer width (default 16).
-	Hidden int
-	// Epochs is the number of SGD passes (default 60).
-	Epochs int
-	// LearningRate is the SGD step (default 0.05).
-	LearningRate float64
 	// Seed makes training deterministic.
 	Seed int64
 }
 
-func (c MLPConfig) withDefaults() MLPConfig {
-	if c.Hidden <= 0 {
-		c.Hidden = 16
-	}
-	if c.Epochs <= 0 {
-		c.Epochs = 60
-	}
-	if c.LearningRate <= 0 {
-		c.LearningRate = 0.05
-	}
-	return c
-}
+// The MLP's hidden layer width, SGD passes and SGD step.
+const (
+	mlpHidden       = 16
+	mlpEpochs       = 60
+	mlpLearningRate = 0.05
+)
 
 // NewMLP trains an MLP on ds.
 func NewMLP(ds *forest.Dataset, cfg MLPConfig) *MLP {
-	cfg = cfg.withDefaults()
 	samples := ds.Samples()
 	classes := ds.Classes()
 	index := make(map[string]int, len(classes))
@@ -64,16 +51,16 @@ func NewMLP(ds *forest.Dataset, cfg MLPConfig) *MLP {
 	m.mean, m.std = standardize(samples, dims)
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	m.w1 = randMatrix(rng, cfg.Hidden, dims, math.Sqrt(2/float64(dims)))
-	m.b1 = make([]float64, cfg.Hidden)
-	m.w2 = randMatrix(rng, len(classes), cfg.Hidden, math.Sqrt(2/float64(cfg.Hidden)))
+	m.w1 = randMatrix(rng, mlpHidden, dims, math.Sqrt(2/float64(dims)))
+	m.b1 = make([]float64, mlpHidden)
+	m.w2 = randMatrix(rng, len(classes), mlpHidden, math.Sqrt(2/float64(mlpHidden)))
 	m.b2 = make([]float64, len(classes))
 
 	order := rng.Perm(len(samples))
-	hidden := make([]float64, cfg.Hidden)
+	hidden := make([]float64, mlpHidden)
 	logits := make([]float64, len(classes))
 	probs := make([]float64, len(classes))
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < mlpEpochs; epoch++ {
 		for _, i := range order {
 			s := samples[i]
 			x := m.normalize(s.Features)
@@ -81,7 +68,7 @@ func NewMLP(ds *forest.Dataset, cfg MLPConfig) *MLP {
 			softmax(logits, probs)
 			target := index[s.Label]
 			// Backprop: dL/dlogit = p - y.
-			lr := cfg.LearningRate
+			lr := mlpLearningRate
 			for c := range probs {
 				grad := probs[c]
 				if c == target {
@@ -224,27 +211,18 @@ var _ Classifier = (*LinearSVM)(nil)
 
 // SVMConfig tunes training.
 type SVMConfig struct {
-	// Epochs is the number of SGD passes (default 40).
-	Epochs int
-	// Lambda is the regularization strength (default 1e-4).
-	Lambda float64
 	// Seed makes training deterministic.
 	Seed int64
 }
 
-func (c SVMConfig) withDefaults() SVMConfig {
-	if c.Epochs <= 0 {
-		c.Epochs = 40
-	}
-	if c.Lambda <= 0 {
-		c.Lambda = 1e-4
-	}
-	return c
-}
+// The SVM's SGD passes and regularization strength.
+const (
+	svmEpochs = 40
+	svmLambda = 1e-4
+)
 
 // NewLinearSVM trains a one-vs-rest linear SVM on ds.
 func NewLinearSVM(ds *forest.Dataset, cfg SVMConfig) *LinearSVM {
-	cfg = cfg.withDefaults()
 	samples := ds.Samples()
 	classes := ds.Classes()
 	index := make(map[string]int, len(classes))
@@ -264,12 +242,12 @@ func NewLinearSVM(ds *forest.Dataset, cfg SVMConfig) *LinearSVM {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	order := rng.Perm(len(samples))
 	t := 1.0
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < svmEpochs; epoch++ {
 		for _, i := range order {
 			s := samples[i]
 			x := svm.normalize(s.Features)
 			target := index[s.Label]
-			eta := 1 / (cfg.Lambda * t)
+			eta := 1 / (svmLambda * t)
 			t++
 			for c := range classes {
 				y := -1.0
@@ -283,7 +261,7 @@ func NewLinearSVM(ds *forest.Dataset, cfg SVMConfig) *LinearSVM {
 				// Pegasos update: shrink, then step on margin
 				// violations.
 				for d := range svm.w[c] {
-					svm.w[c][d] *= 1 - eta*cfg.Lambda
+					svm.w[c][d] *= 1 - eta*svmLambda
 				}
 				if y*score < 1 {
 					for d := range svm.w[c] {

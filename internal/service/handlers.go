@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/telemetry"
 )
 
@@ -173,14 +172,7 @@ func (s *Service) handleIdentify(w http.ResponseWriter, r *http.Request) {
 	}
 	// Classify the identification for tail sampling: an UNSURE or
 	// invalid outcome is a 200 the flight recorder must always keep.
-	switch {
-	case !resp.Valid:
-		setOutcome(r.Context(), telemetry.OutcomeInvalid)
-	case resp.Special != "":
-		setOutcome(r.Context(), telemetry.OutcomeSpecial)
-	case resp.Label == core.LabelUnsure:
-		setOutcome(r.Context(), telemetry.OutcomeUnsure)
-	}
+	setOutcome(r.Context(), outcomeOf(resp))
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -144,17 +144,33 @@ func newMetrics(s *Service) *metrics {
 // reported label (special shapes and invalid traces get their own
 // labels).
 func (m *metrics) countLabel(resp IdentifyResponse) {
-	label, outcome := resp.Label, "labeled"
+	label, outcome := resp.Label, outcomeOf(resp)
+	class := outcome.String()
+	switch outcome {
+	case telemetry.OutcomeOK:
+		class = "labeled"
+	case telemetry.OutcomeInvalid:
+		label = "INVALID"
+	case telemetry.OutcomeSpecial:
+		label = "SPECIAL:" + resp.Special
+	}
+	m.outcomes.Add(class, 1)
+	m.labels.Add(label, 1)
+}
+
+// outcomeOf classifies one identification: invalid, else a special
+// shape, else UNSURE, else ok. The sync trace, the outcome counters and
+// a job's trace all read it.
+func outcomeOf(resp IdentifyResponse) telemetry.Outcome {
 	switch {
 	case !resp.Valid:
-		label, outcome = "INVALID", "invalid"
+		return telemetry.OutcomeInvalid
 	case resp.Special != "":
-		label, outcome = "SPECIAL:"+resp.Special, "special"
+		return telemetry.OutcomeSpecial
 	case resp.Label == core.LabelUnsure:
-		outcome = "unsure"
+		return telemetry.OutcomeUnsure
 	}
-	m.outcomes.Add(outcome, 1)
-	m.labels.Add(label, 1)
+	return telemetry.OutcomeOK
 }
 
 // observeEndpoint records one request's latency under its matched route

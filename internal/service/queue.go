@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/flow"
 	"repro/internal/telemetry"
 )
@@ -65,9 +64,11 @@ type job struct {
 	state     string
 	completed int
 	cacheHits int
-	unsure    int // UNSURE/invalid results, for the trace's outcome class
-	errMsg    string
-	results   []IdentifyResponse
+	// outcomes has bit 1<<o set for each outcome o among the results,
+	// for the trace's outcome class.
+	outcomes uint8
+	errMsg   string
+	results  []IdentifyResponse
 }
 
 // complete records the result for spec index i.
@@ -79,9 +80,7 @@ func (j *job) complete(i int, resp IdentifyResponse, fromCache bool) {
 	if fromCache {
 		j.cacheHits++
 	}
-	if !resp.Valid || resp.Label == core.LabelUnsure {
-		j.unsure++
-	}
+	j.outcomes |= 1 << outcomeOf(resp)
 }
 
 // requestCancel cancels the job's context and, when the job has not
@@ -246,23 +245,30 @@ func (s *Service) lookupJob(id string) (*job, bool) {
 }
 
 // finishJobTrace re-finishes the job's trace at job completion, so the
-// tail sampler re-evaluates the whole async lifetime: a batch whose
-// results came back UNSURE (or that failed) is retained even though its
-// 202 acceptance looked perfectly normal. The retained store replaces by
-// ID, so this fuller scan wins over the acceptance-time one.
+// tail sampler re-evaluates the whole async lifetime: a batch that failed
+// or whose results include an UNSURE, invalid or special answer is
+// retained even though its 202 acceptance looked perfectly normal. Its
+// outcome is error for a failed or cancelled job, else the first of
+// unsure, invalid and special among its results, else ok. The retained
+// store replaces by ID, so this fuller scan wins over the acceptance-time
+// one.
 func (s *Service) finishJobTrace(j *job) {
 	if j.trace == 0 {
 		return
 	}
 	j.mu.Lock()
-	state, unsure := j.state, j.unsure
+	state, outcomes := j.state, j.outcomes
 	j.mu.Unlock()
 	outcome := telemetry.OutcomeOK
-	switch {
-	case state == StateFailed || state == StateCancelled:
+	if state == StateFailed || state == StateCancelled {
 		outcome = telemetry.OutcomeError
-	case unsure > 0:
-		outcome = telemetry.OutcomeUnsure
+	} else {
+		for _, o := range []telemetry.Outcome{telemetry.OutcomeUnsure, telemetry.OutcomeInvalid, telemetry.OutcomeSpecial} {
+			if outcomes&(1<<o) != 0 {
+				outcome = o
+				break
+			}
+		}
 	}
 	start := j.enqueuedAt
 	if start.IsZero() {

@@ -267,3 +267,42 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Errorf("access log has no matched route:\n%s", logs)
 	}
 }
+
+// TestJobTraceKeepsInvalidOutcome: a batch job's trace carries the
+// outcome class of its results, as a sync answer's does. A batch whose
+// one spec is rejected for its MSS is kept as invalid, not unsure.
+func TestJobTraceKeepsInvalidOutcome(t *testing.T) {
+	_, ts := newTestService(t, Config{TraceSampleN: -1}, &fakeClassifier{Label: "RENO", Confidence: 0.9})
+	const batchID = "batch-invalid-mss"
+	resp, data := postJSONWithID(t, ts.URL+"/v1/batch", batchID, map[string]any{
+		"jobs": []map[string]any{{"server": map[string]any{"algorithm": "RENO", "min_mss": 2000}, "seed": 3}},
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("batch status %d: %s", resp.StatusCode, data)
+	}
+	var acc BatchAccepted
+	if err := json.Unmarshal(data, &acc); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	var tr telemetry.Trace
+	for {
+		// Until the job's re-finish retains the trace, this is a 404.
+		tr = telemetry.Trace{}
+		if getJSON(t, ts.URL+"/v1/traces/"+batchID, &tr); tr.Route == "job:batch" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job trace never retained: %+v", tr)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	var st JobStatus
+	getJSON(t, ts.URL+"/v1/jobs/"+acc.JobID, &st)
+	if len(st.Results) != 1 || st.Results[0].Valid {
+		t.Fatalf("job results = %+v, want one invalid answer", st.Results)
+	}
+	if tr.Outcome != "invalid" || tr.Retained != telemetry.RetainOutcome {
+		t.Fatalf("job trace = outcome %q retained %q, want invalid/outcome", tr.Outcome, tr.Retained)
+	}
+}

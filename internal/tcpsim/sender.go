@@ -25,9 +25,6 @@ type Options struct {
 	InitialWindow float64
 	// TotalSegments is how much application data is available to send.
 	TotalSegments int64
-	// ReceiveWindow is the peer's advertised window in segments; 0 means
-	// effectively unlimited (CAAI advertises ~1 GB).
-	ReceiveWindow int64
 	// SendBufferSegments caps the number of in-flight segments (a small
 	// send buffer produces the paper's "Bounded Window" traces); 0 means
 	// unlimited.
@@ -163,9 +160,6 @@ func (s *Sender) window() int64 {
 		w = s.opts.PostTimeoutClamp
 	}
 	win := int64(w)
-	if s.opts.ReceiveWindow > 0 && win > s.opts.ReceiveWindow {
-		win = s.opts.ReceiveWindow
-	}
 	if s.opts.SendBufferSegments > 0 && win > s.opts.SendBufferSegments {
 		win = s.opts.SendBufferSegments
 	}

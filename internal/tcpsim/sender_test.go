@@ -77,10 +77,6 @@ func TestWindowRespectsBuffersAndClamps(t *testing.T) {
 	if got := len(s2.SendBurst(0)); got != 7 {
 		t.Fatalf("cwnd clamp: burst = %d, want 7", got)
 	}
-	s3 := newRenoSender(1<<20, Options{InitialWindow: 64, ReceiveWindow: 5})
-	if got := len(s3.SendBurst(0)); got != 5 {
-		t.Fatalf("receive window: burst = %d, want 5", got)
-	}
 }
 
 func TestDataExhaustion(t *testing.T) {
