@@ -58,6 +58,12 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("bad -filter: %w", err)
 		}
 	}
+	rec, err := trajectory.Open[bench.Point, bench.Budget](bench.Trajectory, trajectory.Run{
+		Dir: *out, Budget: *budgetPath, DryRun: *dryRun, Filtered: filter != nil,
+	})
+	if err != nil {
+		return err
+	}
 
 	ctx := experiments.NewQuickContext()
 	ctx.TrainingConditions = *conditions
@@ -84,7 +90,5 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "%-28s %14.2f%%\n", "crossval accuracy", acc*100)
 	}
 
-	return trajectory.Record[bench.Point, bench.Budget](stdout, bench.Trajectory, point, trajectory.Run{
-		Dir: *out, Budget: *budgetPath, DryRun: *dryRun, Filtered: filter != nil,
-	})
+	return rec.Record(stdout, point)
 }

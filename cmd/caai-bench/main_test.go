@@ -98,13 +98,12 @@ func TestCompareRejectsAccuracyPoints(t *testing.T) {
 	}
 }
 
-// TestBudgetRejectsUnknownLimitField runs the suite once per case and
-// gates it on a budget whose only limit is mistyped: the run must fail on
-// the budget rather than pass 0 allocs/op against no limit at all.
+// TestBudgetRejectsUnknownLimitField gates a run on a budget whose only
+// limit is mistyped: the run must fail on the budget rather than pass 0
+// allocs/op against no limit at all, and fail before it trains, runs a
+// single case or writes a point. The suite is held to one iteration per
+// case in case it does run.
 func TestBudgetRejectsUnknownLimitField(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a model and runs the suite")
-	}
 	benchtime := flag.Lookup("test.benchtime")
 	old := benchtime.Value.String()
 	if err := benchtime.Value.Set("1x"); err != nil {
@@ -118,8 +117,14 @@ func TestBudgetRejectsUnknownLimitField(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	err := run([]string{"-conditions", "2", "-accuracy=false", "-n", "-budget", budget}, &out)
+	err := run([]string{"-conditions", "2", "-accuracy=false", "-out", dir, "-budget", budget}, &out)
 	if err == nil || !strings.Contains(err.Error(), "max_alloc_per_op") {
 		t.Fatalf("mistyped budget: err = %v, output:\n%s", err, out.String())
+	}
+	if out.Len() > 0 {
+		t.Fatalf("a run with a mistyped budget measured before failing:\n%s", out.String())
+	}
+	if points, _ := filepath.Glob(filepath.Join(dir, "BENCH_*.json")); len(points) > 0 {
+		t.Fatalf("a run with a mistyped budget wrote %v", points)
 	}
 }

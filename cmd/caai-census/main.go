@@ -112,16 +112,13 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		id = core.NewIdentifier(trained.Classifier())
 	}
 
-	// The same seed derivations as experiments.TableIV and the service's
-	// POST /v1/census, so every runner produces the identical table.
-	popCfg := census.DefaultPopulationConfig()
-	popCfg.Servers = *servers
-	popCfg.Seed = *seed + 77
-	pop := census.GeneratePopulation(popCfg)
-
+	// census.Campaign derives the population and probing seed, as for
+	// experiments.TableIV and the service's POST /v1/census, so every
+	// runner produces the identical table.
+	pop, probeSeed := census.Campaign(*servers, *seed)
 	coord, err := shard.New(pop, id, netem.MeasuredDatabase(), shard.Config{
 		Workers:      *workers,
-		Seed:         *seed + 99,
+		Seed:         probeSeed,
 		MaxAttempts:  *maxAttempts,
 		MaxDeferrals: *maxDeferrals,
 		Checkpoint:   *checkpoint,

@@ -73,9 +73,10 @@ func run(args []string, stdout io.Writer) error {
 		Seed:        *seed,
 		Parallelism: *parallelism,
 	}
-	filtered := false
+	// A subset sweep, or a saved model graded at its own budget only, is
+	// exploratory: no trajectory write, no gate.
+	filtered := *algorithms != "" || *scenarios != "" || *budgets != "" || *modelPath != ""
 	if *algorithms != "" {
-		filtered = true
 		for _, name := range strings.Split(*algorithms, ",") {
 			name = strings.ToUpper(strings.TrimSpace(name))
 			if _, ok := cc.Lookup(name); !ok {
@@ -85,7 +86,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	if *scenarios != "" {
-		filtered = true
 		selected, err := selectByName(*scenarios, eval.DefaultScenarios(),
 			func(s eval.Scenario) string { return s.Name })
 		if err != nil {
@@ -94,13 +94,18 @@ func run(args []string, stdout io.Writer) error {
 		cfg.Scenarios = selected
 	}
 	if *budgets != "" {
-		filtered = true
 		selected, err := selectByName(*budgets, eval.DefaultBudgets(),
 			func(b eval.ProbeBudget) string { return b.Name })
 		if err != nil {
 			return fmt.Errorf("-budgets: %v", err)
 		}
 		cfg.Budgets = selected
+	}
+	rec, err := trajectory.Open[eval.Point, eval.Budget](eval.Trajectory, trajectory.Run{
+		Dir: *out, Budget: *budgetPath, DryRun: *dryRun, Filtered: filtered,
+	})
+	if err != nil {
+		return err
 	}
 
 	var modelFor func(eval.ProbeBudget) *core.Identifier
@@ -117,7 +122,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 		b := eval.BudgetOf(id.Probe())
 		cfg.Budgets = []eval.ProbeBudget{b}
-		filtered = true
 		modelFor = func(eval.ProbeBudget) *core.Identifier { return id }
 		modelDesc = fmt.Sprintf("%s (%s)", id.Name(), *modelPath)
 		fmt.Fprintf(stdout, "evaluating %s model from %s at its %s budget\n", id.Name(), *modelPath, b.Name)
@@ -147,9 +151,7 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprint(stdout, matrix.Table())
 	point := eval.NewPoint(*label, modelDesc, *seed, matrix)
 
-	return trajectory.Record[eval.Point, eval.Budget](stdout, eval.Trajectory, point, trajectory.Run{
-		Dir: *out, Budget: *budgetPath, DryRun: *dryRun, Filtered: filtered,
-	})
+	return rec.Record(stdout, point)
 }
 
 // selectByName filters items by a comma-separated name list, preserving

@@ -61,6 +61,28 @@ func TestEvalWritesPointAndEnforcesBudget(t *testing.T) {
 	}
 }
 
+// TestEvalRejectsMistypedBudgetFirst: a budget with a mistyped limit
+// fails the run before it trains a model, sweeps a cell or writes a
+// point.
+func TestEvalRejectsMistypedBudgetFirst(t *testing.T) {
+	dir := t.TempDir()
+	budget := filepath.Join(dir, "accuracy_budget.json")
+	if err := os.WriteFile(budget, []byte(`{"scenario/clean": {"min_accurracy": 0.95}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	err := run([]string{"-train", "4", "-trees", "20", "-trials", "2", "-out", dir, "-budget", budget}, &out)
+	if err == nil || !strings.Contains(err.Error(), "min_accurracy") {
+		t.Fatalf("mistyped budget: err = %v, output:\n%s", err, out.String())
+	}
+	if out.Len() > 0 {
+		t.Fatalf("a run with a mistyped budget measured before failing:\n%s", out.String())
+	}
+	if points, _ := filepath.Glob(filepath.Join(dir, "ACCURACY_*.json")); len(points) > 0 {
+		t.Fatalf("a run with a mistyped budget wrote %v", points)
+	}
+}
+
 // TestEvalFilteredRunSkipsWriteAndGate mirrors caai-bench: subset runs
 // (any of -algorithms, -scenarios, -budgets) are exploratory — a partial
 // matrix must neither enter the trajectory history nor face the gate.

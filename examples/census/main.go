@@ -36,7 +36,7 @@ func main() {
 	pop := census.GeneratePopulation(cfg)
 	fmt.Printf("probing %d servers...\n\n", len(pop))
 
-	report := census.Run(pop, id, netem.MeasuredDatabase(), census.RunConfig{Seed: 1})
+	report := census.Run(pop, id, netem.MeasuredDatabase(), 1)
 	fmt.Println(report.TableIV())
 	fmt.Printf("BIC+CUBIC share of valid traces: %.2f%% (paper: 46.92%%)\n",
 		report.LabelShare("BIC")+report.LabelShare("CUBIC1")+report.LabelShare("CUBIC2"))

@@ -159,7 +159,7 @@ func TestRunSmallCensus(t *testing.T) {
 	cfg := DefaultPopulationConfig()
 	cfg.Servers = 250
 	pop := GeneratePopulation(cfg)
-	report := Run(pop, id, db, RunConfig{Seed: 7})
+	report := Run(pop, id, db, 7)
 
 	if report.Total != 250 {
 		t.Fatalf("total = %d", report.Total)
@@ -253,14 +253,13 @@ type paperStub struct{}
 func (paperStub) Name() string                         { return "stub" }
 func (paperStub) Classify([]float64) (string, float64) { return "BIC", 0.9 }
 
-// TestRunProbesAtModelBudget: a zero RunConfig probes at the model's
-// budget, so a model trained at probe.Paper gathers on its four-rung
+// TestRunProbesAtModelBudget: Run probes at the model's budget, so a model trained at probe.Paper gathers on its four-rung
 // ladder and yields valid outcomes at wmax 512.
 func TestRunProbesAtModelBudget(t *testing.T) {
 	cfg := DefaultPopulationConfig()
 	cfg.Servers = 40
 	id := core.NewIdentifierAt(paperStub{}, probe.Paper)
-	report := Run(GeneratePopulation(cfg), id, netem.MeasuredDatabase(), RunConfig{Seed: 3})
+	report := Run(GeneratePopulation(cfg), id, netem.MeasuredDatabase(), 3)
 	if report.ValidByWmax[512] == 0 {
 		t.Fatalf("no valid outcome at wmax 512 (valid by wmax %v): the census did not probe at the model's budget", report.ValidByWmax)
 	}

@@ -24,7 +24,7 @@ func TestDebugSmallCensus(t *testing.T) {
 	cfg := DefaultPopulationConfig()
 	cfg.Servers = 600
 	pop := GeneratePopulation(cfg)
-	report := Run(pop, id, db, RunConfig{Seed: 99})
+	report := Run(pop, id, db, 99)
 	t.Logf("\n%s", report.TableIV())
 	t.Logf("ground-truth accuracy on valid ordinary traces: %.2f%%", report.Accuracy()*100)
 }

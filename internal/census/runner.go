@@ -14,14 +14,6 @@ import (
 	"repro/internal/xrand"
 )
 
-// RunConfig controls a census run.
-type RunConfig struct {
-	// Seed drives the per-server network conditions and probing.
-	Seed int64
-	// Parallelism bounds concurrent servers; 0 = GOMAXPROCS.
-	Parallelism int
-}
-
 // Outcome pairs a server's ground truth with CAAI's identification.
 type Outcome struct {
 	Truth GroundTruth
@@ -134,20 +126,32 @@ func ShareBy(population []GroundTruth, key func(GroundTruth) string) map[string]
 	return out
 }
 
+// Campaign is the paper's Table IV study at the given size and seed: the
+// generated population and the seed its targets are probed with. Every
+// census runner (experiments.TableIV, cmd/caai-census, the service's
+// POST /v1/census) derives both here, so one seed and model give one
+// table whichever runs it.
+func Campaign(servers int, seed int64) (population []GroundTruth, probeSeed int64) {
+	cfg := DefaultPopulationConfig()
+	cfg.Servers = servers
+	cfg.Seed = seed + 77
+	return GeneratePopulation(cfg), seed + 99
+}
+
 // Run probes every server in the population at the model's probe budget
-// (id.Probe()) on the engine's worker pool and aggregates Table IV. Each
-// pool worker reuses one pipeline session (probe and feature scratch)
-// across the servers it probes; outcomes stay independent of worker
-// scheduling.
-func Run(population []GroundTruth, id *core.Identifier, db *netem.Database, cfg RunConfig) *Report {
+// (id.Probe()) on the engine's worker pool, seeding server i's conditions
+// and probe from seed, and aggregates Table IV. Each pool worker reuses
+// one pipeline session (probe and feature scratch) across the servers it
+// probes; outcomes stay independent of worker scheduling.
+func Run(population []GroundTruth, id *core.Identifier, db *netem.Database, seed int64) *Report {
 	budget := id.Probe()
 	outcomes := make([]Outcome, len(population))
-	sessions := make([]*core.Session, engine.Workers(len(population), cfg.Parallelism))
+	sessions := make([]*core.Session, engine.Workers(len(population), 0))
 	for w := range sessions {
 		sessions[w] = id.NewSession()
 	}
-	engine.RunWorkers(context.Background(), len(population), cfg.Parallelism, func(w, i int) {
-		rng := xrand.New(cfg.Seed + int64(i)*6700417)
+	engine.RunWorkers(context.Background(), len(population), 0, func(w, i int) {
+		rng := xrand.New(seed + int64(i)*6700417)
 		cond := db.Sample(rng)
 		// Start from a pristine ssthresh cache so the outcome is a pure
 		// function of (server, seed): re-running a census over the same

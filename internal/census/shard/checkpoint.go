@@ -23,7 +23,8 @@ import (
 // Checkpoint layout: a checkpoint directory holds
 //
 //	checkpoint.jsonl  -- append-only, one Record per completed target
-//	MANIFEST.json     -- atomically replaced (tmp+rename) metadata
+//	MANIFEST.json     -- metadata, atomically replaced (tmp+rename) when
+//	                     the checkpoint is opened and when it is closed
 //
 // The JSONL file is the source of truth: a record is durable the moment
 // its line (with trailing newline) hits the file. The manifest carries a
@@ -97,7 +98,9 @@ func (r Record) identification() core.Identification {
 	return id
 }
 
-// Manifest is the atomically replaced checkpoint metadata.
+// Manifest is the atomically replaced checkpoint metadata. Decoding
+// ignores unknown fields, so a manifest that still carries the record
+// count older writers kept ("completed") resumes as well.
 type Manifest struct {
 	// Version is the checkpoint format version.
 	Version int `json:"version"`
@@ -106,9 +109,6 @@ type Manifest struct {
 	Fingerprint string `json:"fingerprint"`
 	// Targets is the population size of the run.
 	Targets int `json:"targets"`
-	// Completed is the number of records at the last manifest update; the
-	// JSONL file may be ahead (records are durable first), never behind.
-	Completed int `json:"completed"`
 }
 
 // manifestVersion is the current checkpoint format version.
@@ -143,7 +143,7 @@ func decodeManifest(data []byte) (Manifest, error) {
 	if m.Version != manifestVersion {
 		return Manifest{}, fmt.Errorf("shard: manifest version %d, want %d", m.Version, manifestVersion)
 	}
-	if m.Targets <= 0 || m.Completed < 0 {
+	if m.Targets <= 0 {
 		return Manifest{}, fmt.Errorf("shard: manifest out of range: %+v", m)
 	}
 	return m, nil
@@ -239,27 +239,22 @@ func LoadCheckpoint(dir string) (Manifest, []Record, int, error) {
 	return m, recs, skipped, nil
 }
 
-// checkpointWriter appends records durably and keeps the manifest fresh.
-// Appends are serialized (workers complete targets concurrently) and each
-// record is flushed with its trailing newline before append returns, so
-// the torn-write window is confined to the final line.
+// checkpointWriter appends records durably. Appends are serialized
+// (workers complete targets concurrently) and each record is flushed with
+// its trailing newline before append returns, so the torn-write window is
+// confined to the final line.
 type checkpointWriter struct {
 	mu        sync.Mutex
 	f         *os.File
 	dir       string
 	manifest  Manifest
-	appended  int // records since the last manifest update
 	total     int // records ever written (for fault cadence)
 	failEvery int // inject a write failure every Nth append (0 = never)
 }
 
-// manifestEvery bounds how stale the manifest's Completed count may get.
-const manifestEvery = 32
-
-// openCheckpoint opens dir for appending, creating it (and the manifest)
-// on first use and validating the fingerprint on reuse. completed is the
-// number of records already loaded by the caller.
-func openCheckpoint(dir string, m Manifest, completed, failEvery int) (*checkpointWriter, error) {
+// openCheckpoint opens dir for appending, creating it on first use, and
+// writes m as its manifest.
+func openCheckpoint(dir string, m Manifest, failEvery int) (*checkpointWriter, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -268,7 +263,6 @@ func openCheckpoint(dir string, m Manifest, completed, failEvery int) (*checkpoi
 		return nil, err
 	}
 	w := &checkpointWriter{f: f, dir: dir, manifest: m, failEvery: failEvery}
-	w.manifest.Completed = completed
 	if err := w.writeManifest(); err != nil {
 		f.Close()
 		return nil, err
@@ -293,20 +287,12 @@ func (w *checkpointWriter) append(rec Record) error {
 	if w.failEvery > 0 && w.total%w.failEvery == 0 {
 		return errInjectedWrite
 	}
-	if _, err := w.f.Write(append(data, '\n')); err != nil {
-		return err
-	}
-	w.manifest.Completed++
-	w.appended++
-	if w.appended >= manifestEvery {
-		w.appended = 0
-		return w.writeManifest()
-	}
-	return nil
+	_, err = w.f.Write(append(data, '\n'))
+	return err
 }
 
 // writeManifest atomically replaces the manifest (tmp+rename). Callers
-// hold w.mu.
+// hold w.mu, or own w exclusively.
 func (w *checkpointWriter) writeManifest() error {
 	data, err := json.MarshalIndent(w.manifest, "", "  ")
 	if err != nil {
@@ -319,7 +305,7 @@ func (w *checkpointWriter) writeManifest() error {
 	return os.Rename(tmp, filepath.Join(w.dir, manifestFile))
 }
 
-// close flushes the final manifest and releases the log file.
+// close rewrites the manifest and releases the log file.
 func (w *checkpointWriter) close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -46,8 +46,8 @@ type Progress struct {
 	Deferrals        int64 `json:"deferrals"`
 	TargetsAbandoned int64 `json:"targets_abandoned"`
 
-	// Steals is always 0: every worker pops the one shared queue, so no
-	// worker takes work from another.
+	// Steals is always 0: every worker takes from the one shared queue,
+	// so no worker takes work from another.
 	//
 	// Deprecated: kept only while the end-to-end benchmark
 	// (e2ebench/workloads.go) still reads it.

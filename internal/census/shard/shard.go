@@ -4,15 +4,17 @@
 // time out, targets rate-limit, workers die, and the process itself may
 // be killed and restarted.
 //
-// The coordinator puts the population on one shared FIFO queue that N
-// workers pop from, so a crashed worker simply stops popping and the
+// The coordinator puts the population on one channel that N workers
+// receive from, so a crashed worker simply stops receiving and the
 // survivors finish the rest. Failures follow a three-way taxonomy:
 // timeouts retry with a longer probe budget under exponential backoff
 // with jitter, rate-limited attempts are deferred without consuming a
 // retry, and permanently unreachable targets are abandoned with the
-// reason recorded in the census report's InvalidByReason. Completed
-// targets stream to an append-only JSONL checkpoint with an atomic
-// manifest, so a killed census resumes where it stopped.
+// reason recorded in the census report's InvalidByReason. A target in
+// backoff waits on a timer, not on a worker, and re-enters the channel
+// when its timer fires. Completed targets stream to an append-only JSONL
+// checkpoint with an atomic manifest, so a killed census resumes where
+// it stopped.
 //
 // Everything is deterministic by construction: probe outcomes derive from
 // per-(target, attempt) seeds and injected faults (FaultPlan) from
@@ -60,9 +62,9 @@ type Config struct {
 	// Workers is the worker count; 0 = engine default parallelism,
 	// clamped to the population size.
 	Workers int
-	// Seed drives probing exactly like census.RunConfig.Seed: a shard
-	// run with no faults is outcome-identical to census.Run with the
-	// same seed. Targets are probed at the model's budget (the
+	// Seed drives probing exactly like census.Run's seed: a shard run
+	// with no faults is outcome-identical to census.Run with the same
+	// seed. Targets are probed at the model's budget (the
 	// identifier's Probe); retries grow its MaxPreRounds by 50% per
 	// attempt.
 	Seed int64
@@ -106,11 +108,6 @@ const (
 	defaultMaxDeferrals = 8
 	defaultBackoffBase  = 100 * time.Millisecond
 	defaultBackoffMax   = 5 * time.Second
-
-	// idlePoll and maxIdleWait bound how long a starved worker sleeps
-	// between queue scans.
-	idlePoll    = 200 * time.Microsecond
-	maxIdleWait = 10 * time.Millisecond
 )
 
 func (c Config) workerCount(targets int) int {
@@ -135,55 +132,11 @@ func (c Config) maxDeferrals() int {
 var ErrStalled = errors.New("shard: census stalled: every worker exited with targets pending")
 
 // task is one pending target: attempt counts consumed probe attempts,
-// deferrals counts rate-limit bounces, notBefore schedules backoff.
+// deferrals counts rate-limit bounces.
 type task struct {
 	idx       int
 	attempt   int
 	deferrals int
-	notBefore time.Time
-}
-
-// workQueue is the FIFO every worker pops from. Which worker takes a
-// target never changes its outcome, so one queue is all the scheduling
-// the census needs.
-type workQueue struct {
-	mu    sync.Mutex
-	tasks []task
-	head  int
-}
-
-func (q *workQueue) push(t task) {
-	q.mu.Lock()
-	q.tasks = append(q.tasks, t)
-	q.mu.Unlock()
-}
-
-// pop removes the first ready task. When nothing is ready it returns the
-// earliest notBefore among pending tasks (zero when the queue is empty).
-func (q *workQueue) pop(now time.Time) (task, bool, time.Time) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var earliest time.Time
-	for i := q.head; i < len(q.tasks); i++ {
-		t := q.tasks[i]
-		if !t.notBefore.After(now) {
-			if i == q.head {
-				q.head++
-				if q.head > 64 && q.head*2 >= len(q.tasks) {
-					n := copy(q.tasks, q.tasks[q.head:])
-					q.tasks = q.tasks[:n]
-					q.head = 0
-				}
-			} else {
-				q.tasks = append(q.tasks[:i], q.tasks[i+1:]...)
-			}
-			return t, true, time.Time{}
-		}
-		if earliest.IsZero() || t.notBefore.Before(earliest) {
-			earliest = t.notBefore
-		}
-	}
-	return task{}, false, earliest
 }
 
 // Coordinator owns one sharded census run. Build with New, drive with
@@ -195,7 +148,14 @@ type Coordinator struct {
 	id  *core.Identifier
 	db  *netem.Database
 
-	queue workQueue
+	// queue holds the targets ready to probe. It is buffered to the
+	// pending count and each pending target is in it, in a worker, or on
+	// a backoff timer, so a send never blocks. Which worker takes a
+	// target never changes its outcome, so one channel is all the
+	// scheduling the census needs.
+	queue chan task
+	// finished is closed by the finish that completes the last target.
+	finished chan struct{}
 
 	outcomes []census.Outcome
 	done     []atomic.Bool
@@ -264,17 +224,18 @@ func New(pop []census.GroundTruth, id *core.Identifier, db *netem.Database, cfg 
 			failEvery = cfg.Fault.CheckpointFailEvery
 		}
 		w, err := openCheckpoint(cfg.Checkpoint,
-			Manifest{Version: manifestVersion, Fingerprint: fp, Targets: len(pop)},
-			c.resumed, failEvery)
+			Manifest{Version: manifestVersion, Fingerprint: fp, Targets: len(pop)}, failEvery)
 		if err != nil {
 			return nil, err
 		}
 		c.ckpt = w
 	}
 
+	c.queue = make(chan task, len(pop)-c.resumed)
+	c.finished = make(chan struct{})
 	for i := range pop {
 		if !c.done[i].Load() {
-			c.queue.push(task{idx: i})
+			c.queue <- task{idx: i}
 		}
 	}
 	c.remaining.Store(int64(len(pop) - c.resumed))
@@ -312,15 +273,12 @@ func (c *Coordinator) Run(ctx context.Context) error {
 	return nil
 }
 
-// worker is one worker's loop: pop the shared queue until the census is
-// done, sleeping while every pending task is backing off, and die on
-// schedule when the fault plan says so.
+// worker is one worker's loop: take targets from the queue until the
+// census is done or cancelled, blocking while every pending target is
+// backing off, and die on schedule when the fault plan says so.
 func (c *Coordinator) worker(ctx context.Context, w int, sess *core.Session) {
 	crashAfter := c.cfg.Fault.crashAfter(w)
 	for {
-		if ctx.Err() != nil {
-			return
-		}
 		// The crash check precedes the done check: a worker scheduled to
 		// die at k completions dies even if the census finishes first, so
 		// chaos runs always record the planned crash.
@@ -330,20 +288,17 @@ func (c *Coordinator) worker(ctx context.Context, w int, sess *core.Session) {
 			}
 			return
 		}
-		if c.remaining.Load() == 0 {
+		if ctx.Err() != nil {
 			return
 		}
-		now := time.Now()
-		t, ok, wait := c.queue.pop(now)
-		if !ok {
-			d := idlePoll
-			if !wait.IsZero() {
-				d = max(d, wait.Sub(now))
-			}
-			sleep(ctx, min(d, maxIdleWait))
-			continue
+		select {
+		case t := <-c.queue:
+			c.process(ctx, w, t, sess)
+		case <-c.finished:
+			return
+		case <-ctx.Done():
+			return
 		}
-		c.process(ctx, w, t, sess)
 	}
 }
 
@@ -401,11 +356,11 @@ func (c *Coordinator) process(ctx context.Context, w int, t task, sess *core.Ses
 	}
 }
 
-// requeueAfter schedules a retry/deferral after delay.
+// requeueAfter puts a retry/deferral back on the queue once delay has
+// passed; until then the target holds no worker.
 func (c *Coordinator) requeueAfter(t task, delay time.Duration) {
 	c.bump(func(m *Metrics) *telemetry.Counter { return &m.BackoffNanos }, int64(delay))
-	t.notBefore = time.Now().Add(delay)
-	c.queue.push(t)
+	time.AfterFunc(delay, func() { c.queue <- t })
 }
 
 // backoffDelay is the deterministic exponential backoff with jitter for
@@ -466,7 +421,9 @@ func (c *Coordinator) finish(w, idx, attempts int, ident core.Identification) {
 	}
 	c.workerDone[w].Add(1)
 	c.completed.Add(1)
-	c.remaining.Add(-1)
+	if c.remaining.Add(-1) == 0 {
+		close(c.finished)
+	}
 }
 
 // bump adds n to one counter in the per-run metrics and mirrors it into

@@ -2,7 +2,10 @@ package shard
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -47,7 +50,7 @@ func fastBackoff(cfg *Config) {
 // the same seed, whatever the worker count.
 func TestNoFaultMatchesCensusRun(t *testing.T) {
 	pop, id, db := testEnv(t, 120)
-	want := census.Run(pop, id, db, census.RunConfig{Seed: 7})
+	want := census.Run(pop, id, db, 7)
 
 	for _, workers := range []int{1, 3, 8} {
 		got, prog, err := Run(context.Background(), pop, id, db, Config{Workers: workers, Seed: 7})
@@ -326,5 +329,132 @@ func TestRetryEscalatesResolvedBudget(t *testing.T) {
 		if got, want := c.probeConfig(1).MaxPreRounds, base*3/2; got != want {
 			t.Errorf("attempt 1 of %+v: MaxPreRounds %d, want 1.5 x %d = %d", budget, got, base, want)
 		}
+	}
+}
+
+// retryOncePlan finds a fault plan under which, of the first n targets,
+// only target idx fails its first trial (with a timeout) and its retry
+// succeeds.
+func retryOncePlan(t *testing.T, n, idx int) *FaultPlan {
+	t.Helper()
+	for seed := int64(1); seed < 10000; seed++ {
+		p := &FaultPlan{Seed: seed, ProbeErrorRate: 0.1}
+		ok := p.decide(idx, 0) == failTimeout && p.decide(idx, 1) == failNone
+		for i := 0; i < n && ok; i++ {
+			ok = i == idx || p.decide(i, 0) == failNone
+		}
+		if ok {
+			return p
+		}
+	}
+	t.Fatal("no plan seed times out exactly one target once")
+	return nil
+}
+
+// TestBackoffHoldsNoWorker: a target waiting out its retry backoff holds
+// no worker. With one worker and a long backoff, the early target that
+// times out once re-enters the queue only after the worker has probed
+// every later target -- all within the backoff -- so its checkpoint
+// record lands last.
+func TestBackoffHoldsNoWorker(t *testing.T) {
+	const n, retried = 6, 1
+	pop, id, db := testEnv(t, n)
+	cfg := Config{
+		Workers:     1,
+		Seed:        29,
+		Checkpoint:  t.TempDir(),
+		Fault:       retryOncePlan(t, n, retried),
+		backoffBase: time.Second,
+		backoffMax:  time.Second,
+	}
+	start := time.Now()
+	var probed []time.Duration // when each probe began; one worker probes in order
+	cfg.beforeProbe = func() { probed = append(probed, time.Since(start)) }
+	_, prog, err := Run(context.Background(), pop, id, db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog.Retries != 1 || prog.Probes != n {
+		t.Fatalf("want one retry and %d probes: %+v", n, prog)
+	}
+	backoff := (&Coordinator{cfg: cfg}).backoffDelay(retried, 1, 0)
+	for k, at := range probed[:n-1] {
+		if at >= backoff {
+			t.Fatalf("probe %d began %v into the run, past target %d's %v backoff: the backoff held the worker", k, at, retried, backoff)
+		}
+	}
+	_, recs, _, err := LoadCheckpoint(cfg.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := make([]int, len(recs))
+	for i, rec := range recs {
+		order[i] = rec.I
+	}
+	if len(order) != n || order[n-1] != retried {
+		t.Fatalf("checkpoint order %v: target %d, retried after its backoff, must land after every later target", order, retried)
+	}
+}
+
+// TestResumeManifestWithCompletedCount: a checkpoint whose MANIFEST.json
+// still carries the "completed" record count that older writers kept
+// resumes, and converges to the clean run's Table IV.
+func TestResumeManifestWithCompletedCount(t *testing.T) {
+	pop, id, db := testEnv(t, 60)
+	base := Config{Workers: 3, Seed: 31}
+	clean, _, err := Run(context.Background(), pop, id, db, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var probes atomic.Int64
+	interrupted := base
+	interrupted.Checkpoint = t.TempDir()
+	interrupted.beforeProbe = func() {
+		if probes.Add(1) == int64(len(pop)/3) {
+			cancel()
+		}
+	}
+	c, err := New(pop, id, db, interrupted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run returned %v, want context.Canceled", err)
+	}
+
+	// Rewrite the manifest in the older layout, record count included.
+	m, recs, _, err := LoadCheckpoint(interrupted.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := json.MarshalIndent(struct {
+		Manifest
+		Completed int `json:"completed"`
+	}{m, len(recs)}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(interrupted.Checkpoint, manifestFile), append(legacy, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	resume := interrupted
+	resume.Resume = true
+	resume.beforeProbe = nil
+	r, err := New(pop, id, db, resume)
+	if err != nil {
+		t.Fatalf("resuming from a manifest with a completed count: %v", err)
+	}
+	if err := r.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Progress().Resumed; got != len(recs) {
+		t.Fatalf("resumed %d targets, the checkpoint holds %d", got, len(recs))
+	}
+	if got := r.Report().TableIV(); got != clean.TableIV() {
+		t.Fatalf("resumed table differs from clean run:\n%s\n--\n%s", got, clean.TableIV())
 	}
 }

@@ -123,12 +123,8 @@ func TableIV(ctx *Context) (*TableIVResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := census.DefaultPopulationConfig()
-	cfg.Servers = ctx.CensusServers
-	cfg.Seed = ctx.Seed + 77
-	pop := census.GeneratePopulation(cfg)
-	id := core.NewIdentifier(model)
-	report := census.Run(pop, id, ctx.DB, census.RunConfig{Seed: ctx.Seed + 99})
+	pop, probeSeed := census.Campaign(ctx.CensusServers, ctx.Seed)
+	report := census.Run(pop, core.NewIdentifier(model), ctx.DB, probeSeed)
 	return &TableIVResult{Report: report}, nil
 }
 

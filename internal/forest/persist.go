@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/classify"
 )
@@ -153,29 +152,6 @@ func Load(r io.Reader) (*Forest, error) {
 	// flatten re-lays the trees in level order exactly as Train does, so
 	// loaded and freshly trained models share one in-memory representation.
 	return flatten(doc.Classes, width, trees), nil
-}
-
-// SaveFile writes the forest to path.
-func (f *Forest) SaveFile(path string) error {
-	w, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := f.Save(w); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
-}
-
-// LoadFile reads a forest from path.
-func LoadFile(path string) (*Forest, error) {
-	r, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	return Load(r)
 }
 
 // codec adapts Save/Load to the classify.Codec registry so envelope-tagged

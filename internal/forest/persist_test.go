@@ -3,7 +3,6 @@ package forest
 import (
 	"bytes"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -79,24 +78,6 @@ func TestSaveLoadRoundTripExactLabels(t *testing.T) {
 		if !reflect.DeepEqual(loaded.Votes(q), orig.Votes(q)) {
 			t.Fatalf("Votes(%v) changed across save/load", q)
 		}
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	ds := persistDataset(t)
-	orig := Train(ds, Config{Trees: 10, Subspace: 2, Seed: 5})
-	path := filepath.Join(t.TempDir(), "model.json")
-	if err := orig.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := []float64{5.5, 6.2, 0.3}
-	wantL, _ := orig.Classify(q)
-	if gotL, _ := loaded.Classify(q); gotL != wantL {
-		t.Fatalf("got %s, want %s", gotL, wantL)
 	}
 }
 

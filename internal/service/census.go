@@ -133,14 +133,10 @@ func (s *Service) submitCensus(ctx context.Context, req CensusRequest) (*job, er
 // across every campaign.
 func (s *Service) runCensus(j *job, model *Model) error {
 	req := j.census.req
-	popCfg := census.DefaultPopulationConfig()
-	popCfg.Servers = req.Servers
-	popCfg.Seed = req.Seed + 77 // experiments.TableIV's derivation
-	pop := census.GeneratePopulation(popCfg)
-
+	pop, probeSeed := census.Campaign(req.Servers, req.Seed)
 	coord, err := shard.New(pop, model.Identifier(), netem.MeasuredDatabase(), shard.Config{
 		Workers:      req.Workers,
-		Seed:         req.Seed + 99, // experiments.TableIV's probing seed
+		Seed:         probeSeed,
 		MaxAttempts:  req.MaxAttempts,
 		MaxDeferrals: req.MaxDeferrals,
 		Fault:        req.Fault,

@@ -78,7 +78,7 @@ func TestCensusEndToEndMatchesDirectRun(t *testing.T) {
 	popCfg.Servers = 60
 	popCfg.Seed = 5 + 77
 	pop := census.GeneratePopulation(popCfg)
-	direct := census.Run(pop, model.Identifier(), netem.MeasuredDatabase(), census.RunConfig{Seed: 5 + 99})
+	direct := census.Run(pop, model.Identifier(), netem.MeasuredDatabase(), 5+99)
 	if got, want := st.Census.TableIV, direct.TableIV(); got != want {
 		t.Fatalf("service census table diverged from census.Run:\n--- service\n%s\n--- direct\n%s", got, want)
 	}

@@ -329,10 +329,9 @@ type CensusRequest struct {
 	// MaxCensusServers so one request cannot pin a census the size of
 	// the paper's full 63 124-server study without operator involvement).
 	Servers int `json:"servers"`
-	// Seed drives population generation and probing, following the
-	// experiments package's derivation (population Seed+77, probing
-	// Seed+99) so a service census reproduces cmd/caai-census's table
-	// for the same seed and model. 0 is normalized to 2011.
+	// Seed drives population generation and probing through
+	// census.Campaign, so a service census reproduces cmd/caai-census's
+	// table for the same seed and model. 0 is normalized to 2011.
 	Seed int64 `json:"seed,omitempty"`
 	// Workers is the coordinator's worker count (0 = engine default
 	// parallelism, at most MaxCensusWorkers).

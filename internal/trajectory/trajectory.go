@@ -160,12 +160,41 @@ type Run struct {
 	Filtered bool
 }
 
-// Record ends a command that measured p. A filtered run is exploratory:
-// writing it would leave a hole in the history, and gating it would
-// report what it skipped as violations. Otherwise p is written as the
-// next point in r.Dir, then graded against r.Budget's file; each broken
-// limit is printed and the run fails.
-func Record[P any, B interface{ Check(P) []string }](w io.Writer, k Kind, p P, r Run) error {
+// Recorder ends a command that measures one point of a history.
+type Recorder[P any, B interface{ Check(P) []string }] struct {
+	k      Kind
+	r      Run
+	budget *B // nil: no gate
+}
+
+// Open prepares r before anything is measured: it loads and validates
+// the budget file, so a malformed one fails the command at once, not
+// after minutes of measuring and not after writing a point. A filtered
+// run is never gated; an empty or missing budget path disables the gate.
+func Open[P any, B interface{ Check(P) []string }](k Kind, r Run) (*Recorder[P, B], error) {
+	rec := &Recorder[P, B]{k: k, r: r}
+	if r.Filtered || r.Budget == "" {
+		return rec, nil
+	}
+	budget, err := LoadBudget[B](r.Budget)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		// No gate configured.
+	case err != nil:
+		return nil, err
+	default:
+		rec.budget = &budget
+	}
+	return rec, nil
+}
+
+// Record ends the command with its measured point p. A filtered run is
+// exploratory: writing it would leave a hole in the history, and gating
+// it would report what it skipped as violations. Otherwise p is written
+// as the next point, then graded against the budget Open loaded; each
+// broken limit is printed and the run fails.
+func (rec *Recorder[P, B]) Record(w io.Writer, p P) error {
+	k, r := rec.k, rec.r
 	if r.Filtered {
 		fmt.Fprintln(w, "filtered run: trajectory write and budget gate skipped")
 		return nil
@@ -180,17 +209,10 @@ func Record[P any, B interface{ Check(P) []string }](w io.Writer, k Kind, p P, r
 		}
 		fmt.Fprintf(w, "wrote %s\n", path)
 	}
-	if r.Budget == "" {
+	if rec.budget == nil {
 		return nil
 	}
-	budget, err := LoadBudget[B](r.Budget)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil // no gate configured
-	}
-	if err != nil {
-		return err
-	}
-	violations := budget.Check(p)
+	violations := (*rec.budget).Check(p)
 	for _, v := range violations {
 		fmt.Fprintf(w, "%s VIOLATION: %s\n", k.Violation, v)
 	}

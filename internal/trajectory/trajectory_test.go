@@ -65,7 +65,11 @@ func TestRecordWritesThenGates(t *testing.T) {
 	record := func(r Run) (string, error) {
 		var out strings.Builder
 		r.Dir = dir
-		err := Record[point, budget](&out, toy, p, r)
+		rec, err := Open[point, budget](toy, r)
+		if err != nil {
+			return "", err
+		}
+		err = rec.Record(&out, p)
 		return out.String(), err
 	}
 
@@ -97,8 +101,10 @@ func TestRecordWritesThenGates(t *testing.T) {
 	if err == nil || !strings.Contains(out, "TOY VIOLATION: score below budget") || !strings.Contains(out, "TOY_1.json") {
 		t.Fatalf("run over budget: %q, %v", out, err)
 	}
+	// A malformed budget fails Open, before anything is measured or
+	// written.
 	touchBody(`{"min_score": 1`)
-	if _, err := record(Run{Budget: path, DryRun: true}); err == nil {
+	if _, err := Open[point, budget](toy, Run{Dir: dir, Budget: path}); err == nil {
 		t.Fatal("a malformed budget must fail the run")
 	}
 }
