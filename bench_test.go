@@ -14,7 +14,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cc"
 	"repro/internal/experiments"
-	"repro/internal/forest"
 )
 
 // benchCtx lazily builds one reduced-scale experiment context shared by
@@ -286,19 +285,6 @@ func BenchmarkSuite(b *testing.B) {
 	}
 	for _, c := range cases {
 		b.Run(c.Name, c.Bench)
-	}
-}
-
-// BenchmarkForestTrain measures growing the paper's K=80 forest.
-func BenchmarkForestTrain(b *testing.B) {
-	ctx := benchCtx(b)
-	ds, err := ctx.TrainingSet()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		forest.Train(ds, forest.Config{Trees: 80, Subspace: 4, Seed: int64(i)})
 	}
 }
 

@@ -39,9 +39,15 @@ func Suite(ctx *experiments.Context) ([]Case, error) {
 	if err != nil {
 		return nil, err
 	}
+	ds, err := ctx.TrainingSet()
+	if err != nil {
+		return nil, err
+	}
 	cases := []Case{
+		{Name: "forest/train", Bench: ForestTrain(ds, ctx.Seed+1)},
 		{Name: "probe/gather_env", Bench: GatherSession()},
 		{Name: "feature/extract", Bench: FeatureExtraction()},
+		{Name: "core/training_set", Bench: TrainingSet(ctx.DB, ctx.TrainingConditions, ctx.Seed)},
 		{Name: "core/identify_mix", Bench: IdentifyMix(model)},
 		{Name: "engine/identify_batch", Bench: IdentifyBatch(model, 64)},
 		{Name: "pcap/decode", Bench: PcapDecode()},
@@ -64,6 +70,32 @@ func Suite(ctx *experiments.Context) ([]Case, error) {
 		cases = append([]Case{{Name: "forest/classify", Bench: ForestClassify(model)}}, cases...)
 	}
 	return cases, nil
+}
+
+// ForestTrain measures growing the paper's forest (K = 80 trees, F = 4
+// features per split) on ds with the given seed: the forest half of a
+// cold start.
+func ForestTrain(ds *forest.Dataset, seed int64) func(*testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			forest.Train(ds, forest.Config{Trees: 80, Subspace: 4, Seed: seed})
+		}
+	}
+}
+
+// TrainingSet measures gathering the training set on the emulated
+// testbed at the given conditions per (algorithm, wmax) pair: the other
+// half of a cold start.
+func TrainingSet(db *netem.Database, conditions int, seed int64) func(*testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.GenerateTrainingSet(db, core.TrainingConfig{ConditionsPerPair: conditions, Seed: seed}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // benchVector is a representative in-distribution feature vector.

@@ -10,6 +10,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -97,11 +98,11 @@ func (c TrainingConfig) withDefaults() TrainingConfig {
 	return c
 }
 
-// GatherPair gathers one environment A + B trace pair from server at a
-// fixed wmax and mss under cond, and returns the feature vector. The bool
-// reports whether environment A produced a valid trace.
-func GatherPair(server *websim.Server, cond netem.Condition, wmax, mss int, cfg probe.Config, rng *rand.Rand) (feature.Vector, bool) {
-	p := probe.New(cfg, cond, rng)
+// gatherPair gathers one environment A + B trace pair from server at a
+// fixed wmax and mss on p, which the caller armed with the network
+// condition and RNG, and returns the feature vector extracted with sc.
+// The bool reports whether environment A produced a valid trace.
+func gatherPair(p *probe.Prober, sc *feature.Scratch, server *websim.Server, wmax, mss int) (feature.Vector, bool) {
 	page := server.LongestPageBytes
 	if page <= 0 {
 		page = server.DefaultPageBytes
@@ -117,7 +118,18 @@ func GatherPair(server *websim.Server, cond netem.Condition, wmax, mss int, cfg 
 	if tb.TimedOut && !tb.Valid() {
 		return feature.Vector{}, false
 	}
-	return feature.Extract(ta, tb), true
+	return feature.ExtractWith(sc, ta, tb), true
+}
+
+// gatherWorker is one pool worker's training-set gathering state, reused
+// across the jobs it runs: a prober rearmed per attempt, feature scratch,
+// and a math/rand RNG reseeded per job (Seed restarts exactly the stream
+// rand.New(rand.NewSource(seed)) draws, so the training set stays
+// bit-identical to one built with fresh probers and RNGs).
+type gatherWorker struct {
+	p   probe.Prober
+	sc  feature.Scratch
+	rng *rand.Rand
 }
 
 // GenerateTrainingSet emulates the paper's testbed data collection: for
@@ -125,7 +137,9 @@ func GatherPair(server *websim.Server, cond netem.Condition, wmax, mss int, cfg 
 // conditions from db and gathers one feature vector each. Invalid
 // gatherings are retried with fresh conditions a few times; jobs that
 // still fail are dropped rather than polluting the set with zero vectors
-// under a real algorithm label. It errors when every job failed.
+// under a real algorithm label. It errors when every job failed. Job j
+// draws from its own seeded stream, so the set does not depend on which
+// pool worker runs which job.
 func GenerateTrainingSet(db *netem.Database, cfg TrainingConfig) (*forest.Dataset, error) {
 	cfg = cfg.withDefaults()
 	type job struct {
@@ -142,16 +156,19 @@ func GenerateTrainingSet(db *netem.Database, cfg TrainingConfig) (*forest.Datase
 	}
 	samples := make([]forest.Sample, len(jobs))
 	valid := make([]bool, len(jobs))
-	engine.Run(len(jobs), cfg.Parallelism, func(j int) {
-		jb := jobs[j]
-		seed := cfg.Seed + int64(j)*1_000_003
-		rng := rand.New(rand.NewSource(seed))
+	workers := make([]*gatherWorker, engine.Workers(len(jobs), cfg.Parallelism))
+	for w := range workers {
+		workers[w] = &gatherWorker{rng: rand.New(rand.NewSource(0))}
+	}
+	engine.RunWorkers(context.Background(), len(jobs), cfg.Parallelism, func(w, j int) {
+		jb, wk := jobs[j], workers[w]
+		wk.rng.Seed(cfg.Seed + int64(j)*1_000_003)
 		var vec feature.Vector
 		ok := false
 		for attempt := 0; attempt < 8 && !ok; attempt++ {
-			cond := db.Sample(rng)
-			server := websim.Testbed(jb.alg)
-			vec, ok = GatherPair(server, cond, jb.wmax, trainingMSS, cfg.Probe, rng)
+			cond := db.Sample(wk.rng)
+			wk.p.Rearm(cfg.Probe, cond, wk.rng)
+			vec, ok = gatherPair(&wk.p, &wk.sc, websim.Testbed(jb.alg), jb.wmax, trainingMSS)
 		}
 		if !ok {
 			return // leave valid[j] false: no vector was gathered

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cc"
+	"repro/internal/feature"
 	"repro/internal/forest"
 	"repro/internal/netem"
 	"repro/internal/probe"
@@ -40,7 +41,8 @@ func TestTrainingLabel(t *testing.T) {
 }
 
 func TestGatherPairLossless(t *testing.T) {
-	vec, ok := GatherPair(websim.Testbed("RENO"), netem.Lossless, 256, 536, probe.Config{}, rand.New(rand.NewSource(1)))
+	p := probe.New(probe.Config{}, netem.Lossless, rand.New(rand.NewSource(1)))
+	vec, ok := gatherPair(p, new(feature.Scratch), websim.Testbed("RENO"), 256, 536)
 	if !ok {
 		t.Fatal("gather failed")
 	}

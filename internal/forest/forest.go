@@ -1,9 +1,9 @@
 package forest
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -219,7 +219,8 @@ func (f *Forest) NumClasses() int { return len(f.classes) }
 
 // Train grows cfg.Trees trees on bootstrap samples of ds, each split drawn
 // from a random subspace of cfg.Subspace features. Tree construction runs
-// in parallel but is deterministic for a fixed seed.
+// in parallel, one reusable builder per pool worker, but is deterministic
+// for a fixed seed: tree t draws from its own seeded stream.
 func Train(ds *Dataset, cfg Config) *Forest {
 	cfg = cfg.withDefaults()
 	n := ds.Len()
@@ -230,21 +231,14 @@ func Train(ds *Dataset, cfg Config) *Forest {
 		labels[i] = ds.index[s.Label]
 	}
 
+	ps := presort(features, labels, len(ds.classes))
+	builders := make([]*treeBuilder, engine.Workers(cfg.Trees, cfg.Parallelism))
+	for w := range builders {
+		builders[w] = newTreeBuilder(ps, cfg.Subspace)
+	}
 	trees := make([][]treeNode, cfg.Trees)
-	engine.Run(cfg.Trees, cfg.Parallelism, func(t int) {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(t)*7919))
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = rng.Intn(n) // bootstrap: sample with replacement
-		}
-		b := &treeBuilder{
-			features: features,
-			labels:   labels,
-			classes:  len(ds.classes),
-			subspace: cfg.Subspace,
-			rng:      rng,
-		}
-		trees[t] = b.build(idx)
+	engine.RunWorkers(context.Background(), cfg.Trees, cfg.Parallelism, func(w, t int) {
+		trees[t] = builders[w].build(cfg.Seed + int64(t)*7919)
 	})
 	width := 0
 	if n > 0 {

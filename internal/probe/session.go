@@ -45,8 +45,19 @@ type session struct {
 	acks  []int64
 }
 
+// maxRetainedScratch caps, in segments, the burst and ACK scratch a
+// session keeps from one run to the next. Rounds of ordinary gatherings
+// stay far below it: the largest round of three 1,000-target census
+// populations is about 650 segments. But a server whose F-RTO undo leaves
+// ssthresh infinite after the emulated timeout doubles its post-timeout
+// window until the page runs out -- past a million segments per round at
+// MSS 100 on a 32 MB page -- and a pooled prober or census worker would
+// otherwise pin that scratch, about 24 MB, for as long as it lives.
+const maxRetainedScratch = 1 << 14
+
 // run executes the session against sender, filling t, and returns the
-// simulated end time. The session's scratch buffers survive across runs.
+// simulated end time. The session's scratch buffers survive across runs,
+// unless a run grew one past maxRetainedScratch.
 func (s *session) run(sender *tcpsim.Sender, t *trace.Trace, p sessionParams) time.Duration {
 	burst, acks := s.burst, s.acks
 	*s = session{p: p, sender: sender, now: p.start, burst: burst[:0], acks: acks[:0]}
@@ -56,6 +67,12 @@ func (s *session) run(sender *tcpsim.Sender, t *trace.Trace, p sessionParams) ti
 		s.gatherPost(t)
 	}
 	s.sender = nil // drop the connection so it can be collected between runs
+	if cap(s.burst) > maxRetainedScratch {
+		s.burst = nil
+	}
+	if cap(s.acks) > maxRetainedScratch {
+		s.acks = nil
+	}
 	return s.now
 }
 
